@@ -3,7 +3,7 @@ the abstract promises.
 
 Subcommands::
 
-    bfhrf avg-rf     QUERY.nwk|.nex [-r REFERENCE.nwk|.nex] [--method bfhrf|ds|dsmp|hashrf|vectorized|mrsrf|shm]
+    bfhrf avg-rf     QUERY.nwk|.nex [-r REFERENCE.nwk|.nex] [--method bfhrf|ds|dsmp|hashrf|mrsrf|shm]
                      [--workers N] [--normalized] [--include-trivial]
                      [--min-split-size K [--max-split-size K]]
     bfhrf matrix     TREES.nwk [--method hashrf|naive|day] [-o OUT.csv]
@@ -26,11 +26,11 @@ Subcommands::
                      query DIR QUERY.nwk [--workers N] |
                      compact DIR [--shards N] |
                      migrate DIR [--codec CODEC] [--shards N] | info DIR
-    bfhrf serve      start STORE_DIR [--socket PATH] [--workers N]
+    bfhrf serve      start STORE_DIR [--addr URL ...] [--procs N]
                          [--batch-window S] [--tail-interval S]
                          [--max-frame BYTES] |
-                     query SOCKET QUERY.nwk [--timeout S] [--retries N] |
-                     stats SOCKET | stop SOCKET
+                     query ADDR QUERY.nwk [--timeout S] [--retries N] |
+                     stats ADDR | stop ADDR
     bfhrf selfcheck  [--seed S] [--rounds K] [--profile quick|deep]
                      [--artifacts DIR]
                      [--inject-fault bfh-count|weighted-total|store-count|shm-count]
@@ -282,16 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="listener endpoint (unix:///path/sock or "
                          "tcp://host:port); repeat for multiple listeners "
                          "(default: unix://STORE_DIR/serve.sock)")
-    vs.add_argument("--socket", default=None, metavar="PATH",
-                    help="deprecated alias for --addr unix://PATH")
     vs.add_argument("--procs", type=int, default=1, metavar="N",
                     help="daemon worker processes sharing the listeners "
                          "(TCP via SO_REUSEPORT, unix via an inherited "
                          "socket); crashed workers are respawned "
                          "(default 1: no supervisor)")
-    vs.add_argument("--workers", type=int, default=1,
-                    help="probe workers per batch (>1 uses the shm fast "
-                         "path through the runtime executor)")
     vs.add_argument("--batch-window", type=float, default=0.0, metavar="S",
                     help="extra seconds to let concurrent queries coalesce "
                          "into one probe (default 0: batch whatever is "
@@ -322,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     vq.add_argument("query", help="Newick/NEXUS file of query trees")
     vq.add_argument("--addr", dest="addr_opt", default=None, metavar="URL",
                     help="daemon endpoint (alternative to the positional)")
-    vq.add_argument("--socket", default=None, metavar="PATH",
-                    help="deprecated alias for --addr unix://PATH")
     vq.add_argument("--timeout", type=float, default=30.0,
                     help="per-request socket timeout in seconds")
     vq.add_argument("--retries", type=int, default=0,
@@ -342,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="URL",
                         help="daemon endpoint (alternative to the "
                              "positional)")
-        vp.add_argument("--socket", default=None, metavar="PATH",
-                        help="deprecated alias for --addr unix://PATH")
         vp.add_argument("--timeout", type=float, default=30.0,
                         help="per-request socket timeout in seconds")
         vp.add_argument("--retries", type=int, default=0,
@@ -658,29 +649,19 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     import os
-    import warnings
 
     from repro.serve import Endpoint, ServeClient, ServeConfig, ServeDaemon
     from repro.serve.protocol import DEFAULT_MAX_FRAME_BYTES
     from repro.util.errors import ServeError
 
-    def _deprecated_socket() -> None:
-        warnings.warn("--socket is deprecated; use --addr unix://PATH",
-                      DeprecationWarning, stacklevel=3)
-
     verb = args.serve_verb
     if verb == "start":
         endpoints = [Endpoint.parse(addr) for addr in (args.addr or [])]
-        if args.socket is not None:
-            _deprecated_socket()
-            endpoints.append(Endpoint.unix(args.socket))
         if not endpoints:
             endpoints = [Endpoint.unix(os.path.join(args.store_dir,
                                                     "serve.sock"))]
         config = ServeConfig(
             endpoints=endpoints,
-            workers=args.workers,
-            executor=args.executor,
             batch_window_s=args.batch_window,
             batch_max_trees=args.batch_max_trees,
             tail_interval_s=args.tail_interval,
@@ -697,26 +678,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             supervisor = ServeSupervisor(args.store_dir, config,
                                          n_procs=args.procs, log=_info)
             _info(f"serving store {args.store_dir} on {listeners} with "
-                  f"{args.procs} worker process(es) "
-                  f"(workers={args.workers}/proc); SIGTERM/SIGINT or "
+                  f"{args.procs} worker process(es); SIGTERM/SIGINT or "
                   f"`bfhrf serve stop {stop_addr}` drains and exits")
             supervisor.run()
         else:
             daemon = ServeDaemon(args.store_dir, config)
-            _info(f"serving store {args.store_dir} on {listeners} "
-                  f"(workers={args.workers}); SIGTERM/SIGINT or "
-                  f"`bfhrf serve stop {stop_addr}` drains and exits")
+            _info(f"serving store {args.store_dir} on {listeners}; "
+                  f"SIGTERM/SIGINT or `bfhrf serve stop {stop_addr}` "
+                  "drains and exits")
             daemon.run()
         _info("daemon drained and exited cleanly")
         return 0
 
     addr = args.addr if args.addr is not None else args.addr_opt
-    if addr is None and args.socket is not None:
-        _deprecated_socket()
-        addr = args.socket
     if addr is None:
         raise ServeError(f"serve {verb} needs a daemon address: positional "
-                         "ADDR, --addr URL, or the deprecated --socket PATH")
+                         "ADDR or --addr URL")
     client = ServeClient.connect(addr, timeout=args.timeout,
                                  retries=args.retries)
     with client:

@@ -55,16 +55,6 @@ def _run_hashrf(query, reference, *, n_workers, include_trivial, transform,
     return hashrf_average_rf(query, include_trivial=include_trivial)
 
 
-def _run_vectorized(query, reference, *, n_workers, include_trivial,
-                    transform, executor):
-    from repro.core.vectorized import vectorized_average_rf
-
-    return vectorized_average_rf(query, reference,
-                                 include_trivial=include_trivial,
-                                 transform=transform, n_workers=n_workers,
-                                 executor=executor)
-
-
 def _run_mrsrf(query, reference, *, n_workers, include_trivial, transform,
                executor):
     from repro.core.mrsrf import mrsrf_average_rf
@@ -111,12 +101,6 @@ register_method(
     supports_transform=False,
     supports_workers=False,
     memory_class="matrix")
-
-register_method(
-    "vectorized", _run_vectorized,
-    summary="Array-backed BFHRF (§IX GPU plan, on NumPy): batched "
-            "binary-search probes over sorted split keys.",
-    memory_class="hash")
 
 register_method(
     "mrsrf", _run_mrsrf,

@@ -16,74 +16,23 @@ are small float lists.  This mirrors the paper's note that its
 multiprocessing implementation "loads all R trees at once, increasing
 the memory footprint" (§III-B): shared loaded state is exactly how
 Python multiprocessing wins here.
-
-This module also re-exports the pre-runtime fan-out names
-(:func:`fork_payload_pool`, :func:`payload`, :func:`fork_map`, …) as
-thin shims over :mod:`repro.runtime.executor` so external callers keep
-working; new code should import from :mod:`repro.runtime` directly.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable, Sequence
-from typing import Any
 
 from repro.bipartitions.extract import bipartition_masks
-from repro.core.sequential import average_rf_against_sets, reference_mask_sets, \
-    sequential_average_rf
+from repro.core.sequential import average_rf_against_sets, sequential_average_rf
 from repro.hashing.bfh import MaskTransform
 from repro.newick.writer import write_newick
 from repro.observability.spans import trace
-from repro.runtime.executor import (
-    Executor,
-    fork_available,
-    fork_payload_pool,
-    get_executor,
-    get_payload,
-    merge_worker_snapshots,
-    record_fanout,
-    resolve_workers,
-    worker_task_snapshot,
-)
+from repro.runtime.executor import Executor, get_executor, get_payload, \
+    resolve_workers
 from repro.trees.tree import Tree
-from repro.util.chunking import chunk_indices, default_chunk_size
 from repro.util.errors import CollectionError
 
-__all__ = ["dsmp_average_rf", "fork_payload_pool", "fork_available",
-           "resolve_workers", "trees_as_newick", "worker_task_snapshot",
-           "merge_worker_snapshots", "record_fanout", "fork_map"]
-
-
-def payload() -> Any:
-    """Worker-side accessor for the shared fan-out payload.
-
-    Deprecated alias of :func:`repro.runtime.get_payload`.
-    """
-    return get_payload()
-
-
-def fork_map(task, n_items: int, payload: Any, *, n_workers: int,
-             chunk_size: int | None = None) -> list[Any]:
-    """Deprecated fork-only fan-out; use ``runtime.get_executor(...)`` instead.
-
-    Kept for external callers written against the pre-runtime contract:
-    ``task`` receives ``(start, stop)`` bounds, reads shared state via
-    :func:`payload`, and must return ``(value, snapshot)`` where the
-    snapshot comes from :func:`worker_task_snapshot`; the values are
-    returned in range order.  The executor interface handles the metric
-    snapshot/merge itself, so migrated tasks return plain values.
-    """
-    warnings.warn("fork_map is deprecated; use "
-                  "repro.runtime.get_executor(...).submit_ranges instead",
-                  DeprecationWarning, stacklevel=2)
-    workers = resolve_workers(n_workers)
-    size = chunk_size or default_chunk_size(n_items, workers)
-    record_fanout(workers, size)
-    with fork_payload_pool(workers, payload) as pool:
-        results = pool.map(task, list(chunk_indices(n_items, size)))
-    merge_worker_snapshots(snap for _value, snap in results)
-    return [value for value, _snap in results]
+__all__ = ["dsmp_average_rf", "trees_as_newick"]
 
 
 def trees_as_newick(trees: Iterable[Tree]) -> list[str]:

@@ -19,8 +19,8 @@ Per-backend payload strategy (the part that actually moves the needle):
   :class:`~repro.runtime.shm.SharedTreeCollection` descriptor and each
   worker parses only the slices it scores, caching its attach.
 * ``serial``/``thread`` — no process boundary; the probe kernels are
-  NumPy calls that release the GIL, identical to
-  :func:`~repro.core.vectorized.vectorized_average_rf`.
+  NumPy calls that release the GIL, so threads parallelize them without
+  pickling or forking anything.
 
 Every path scores with the same :class:`VectorizedBFH` probe kernel over
 the same sorted arrays, so results are bitwise-identical to the dict

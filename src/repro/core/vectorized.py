@@ -11,8 +11,10 @@ formulation that statement implies is exactly expressible in NumPy:
 * a *probe* is a batched binary search (``np.searchsorted`` on a
   ``void`` view) followed by a vectorized equality check — collision-free
   like the dict, but branch-free and batchable;
-* Algorithm 2's per-tree sums collapse into ``np.add.reduceat`` over the
-  concatenated batch — the "collection of results" step.
+* Algorithm 2's per-tree sums collapse into prefix-sum differences over
+  the concatenated batch — the "collection of results" step.  (Not
+  ``np.add.reduceat``: it mis-sums zero-length segments, which star
+  trees produce.)
 
 On CPython this trades dict-probe speed for amortized batch throughput;
 the ``bench_ablation_backends`` benchmark quantifies the trade, and a
@@ -32,15 +34,10 @@ from repro.core.table import BipartitionTable, masks_to_words
 from repro.hashing.bfh import BipartitionFrequencyHash, MaskTransform
 from repro.observability.metrics import histogram as _histogram
 from repro.observability.state import enabled as _obs_enabled
-from repro.runtime.executor import Executor, get_executor, get_payload
 from repro.trees.tree import Tree
 from repro.util.errors import CollectionError
 
-__all__ = ["VectorizedBFH", "vectorized_average_rf"]
-
-# The word-packing kernel is canonical in repro.core.table (shared with
-# the shm layer and the codecs); the old private name stays importable.
-_masks_to_words = masks_to_words
+__all__ = ["VectorizedBFH"]
 
 
 class VectorizedBFH:
@@ -65,29 +62,32 @@ class VectorizedBFH:
     def __init__(self, keys: np.ndarray, freqs: np.ndarray, n_trees: int,
                  total: int, *, include_trivial: bool = False,
                  transform: MaskTransform | None = None):
+        """Adopt arrays *already sorted* in this class's void-byte order.
+
+        The arrays are used as-is (read-only views included), never
+        copied, so a table or shared-memory segment is probed zero-copy.
+        The caller guarantees the order; every build path goes through
+        :class:`~repro.core.table.BipartitionTable`, whose rows are kept
+        in that order, so the guarantee is structural.  Void scalars
+        compare as raw bytes (little-endian within each ``uint64``), not
+        numerically; exact probes only need the keys and the query to
+        share one total order.
+        """
         if keys.ndim != 2 or keys.shape[0] != freqs.shape[0]:
             raise ValueError("keys must be (U, n_words) aligned with freqs")
-        self.keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        self.freqs = np.ascontiguousarray(freqs, dtype=np.int64)
+        if keys.dtype != np.uint64 or freqs.dtype != np.int64 \
+                or not keys.flags.c_contiguous or not freqs.flags.c_contiguous:
+            raise ValueError("VectorizedBFH requires contiguous uint64 keys "
+                             "and int64 freqs")
+        self.keys = keys
+        self.freqs = freqs
         self.n_trees = n_trees
         self.total = total
         self.n_words = keys.shape[1]
         self.include_trivial = include_trivial
         self.transform = transform
-        # Void view: one comparable scalar per row for searchsorted.
-        # Void scalars compare as raw bytes (little-endian within each
-        # uint64), which is NOT numeric order — so sort rows under the
-        # void comparison itself; exact-match probes only need the array
-        # and the query to share one total order.
-        void = self.keys.view(
-            np.dtype((np.void, self.keys.dtype.itemsize * self.n_words))
-        ).ravel()
-        order = np.argsort(void)
-        self.keys = np.ascontiguousarray(self.keys[order])
-        self.freqs = np.ascontiguousarray(self.freqs[order])
-        self._void_keys = self.keys.view(
-            np.dtype((np.void, self.keys.dtype.itemsize * self.n_words))
-        ).ravel()
+        self._void_keys = keys.view(
+            np.dtype((np.void, keys.dtype.itemsize * self.n_words))).ravel()
 
     # -- construction ---------------------------------------------------------
 
@@ -108,7 +108,7 @@ class VectorizedBFH:
         so the arrays are adopted as-is — the table is the one canonical
         array form every layer shares.
         """
-        return cls.from_sorted_arrays(
+        return cls(
             table.keys, table.counts, table.n_trees, table.total,
             include_trivial=table.include_trivial, transform=transform)
 
@@ -121,41 +121,6 @@ class VectorizedBFH:
         return BipartitionTable(self.keys, self.freqs, n_taxa=n_taxa,
                                 n_trees=self.n_trees, total=self.total,
                                 include_trivial=self.include_trivial)
-
-    @classmethod
-    def from_sorted_arrays(cls, keys: np.ndarray, freqs: np.ndarray,
-                           n_trees: int, total: int, *,
-                           include_trivial: bool = False,
-                           transform: MaskTransform | None = None
-                           ) -> "VectorizedBFH":
-        """Wrap arrays *already sorted* in this class's void-byte order.
-
-        The zero-copy path for :class:`repro.runtime.shm.SharedBFH`:
-        ``__init__`` re-sorts (and therefore copies) its inputs, which
-        would defeat a shared-memory segment — every worker would
-        privately duplicate the table.  Here the arrays are adopted
-        as-is (read-only views included), so the caller must guarantee
-        the rows are sorted exactly as :meth:`from_bfh` would sort them;
-        ``SharedBFH.from_bfh`` builds *through* ``from_bfh``, making
-        that guarantee structural.
-        """
-        if keys.ndim != 2 or keys.shape[0] != freqs.shape[0]:
-            raise ValueError("keys must be (U, n_words) aligned with freqs")
-        if keys.dtype != np.uint64 or freqs.dtype != np.int64 \
-                or not keys.flags.c_contiguous or not freqs.flags.c_contiguous:
-            raise ValueError("from_sorted_arrays requires contiguous "
-                             "uint64 keys and int64 freqs")
-        self = object.__new__(cls)
-        self.keys = keys
-        self.freqs = freqs
-        self.n_trees = n_trees
-        self.total = total
-        self.n_words = keys.shape[1]
-        self.include_trivial = include_trivial
-        self.transform = transform
-        self._void_keys = keys.view(
-            np.dtype((np.void, keys.dtype.itemsize * self.n_words))).ravel()
-        return self
 
     @classmethod
     def from_trees(cls, trees: Iterable[Tree], *, include_trivial: bool = False,
@@ -215,7 +180,7 @@ class VectorizedBFH:
         """Average RF for a whole query batch in one vectorized pass.
 
         Per-split terms for every tree are concatenated and reduced with
-        ``np.add.reduceat`` — Algorithm 2 with the loop over query trees
+        prefix sums — Algorithm 2 with the loop over query trees
         flattened into array ops.
         """
         if self.n_trees == 0:
@@ -233,7 +198,7 @@ class VectorizedBFH:
         per_tree_masks = [self._tree_masks(t) for t in trees]
         counts = np.array([len(m) for m in per_tree_masks], dtype=np.int64)
         flat = [m for masks in per_tree_masks for m in masks]
-        words = _masks_to_words(flat, self.n_words)
+        words = masks_to_words(flat, self.n_words)
         freqs = self.lookup_frequencies(words)
 
         offsets = np.zeros(len(trees), dtype=np.int64)
@@ -248,40 +213,3 @@ class VectorizedBFH:
         rf_right = counts * self.n_trees - seg_freq
         return (rf_left + rf_right) / self.n_trees
 
-
-def _vec_batch_range(bounds: tuple[int, int]) -> list[float]:
-    """Fan-out task: score one slice of the query batch against the shared table."""
-    trees, vbfh = get_payload()
-    if not _obs_enabled():
-        return vbfh.average_rf_batch(trees[bounds[0]:bounds[1]]).tolist()
-    t0 = time.perf_counter()
-    values = vbfh.average_rf_batch(trees[bounds[0]:bounds[1]]).tolist()
-    _histogram("vectorized.chunk_seconds").observe(time.perf_counter() - t0)
-    return values
-
-
-def vectorized_average_rf(query: Sequence[Tree],
-                          reference: Sequence[Tree] | None = None, *,
-                          include_trivial: bool = False,
-                          transform: MaskTransform | None = None,
-                          n_workers: int = 1,
-                          chunk_size: int | None = None,
-                          executor: str | Executor | None = None) -> list[float]:
-    """Drop-in vectorized counterpart of :func:`repro.core.bfhrf.bfhrf_average_rf`.
-
-    With ``n_workers > 1`` the query batch is scored in slices on the
-    resolved executor.  Auto-detection prefers the ``thread`` backend
-    here: the probe kernels are NumPy calls that release the GIL, so
-    threads parallelize them without pickling or forking the frequency
-    table.
-    """
-    reference = query if reference is None else reference
-    vbfh = VectorizedBFH.from_trees(reference, include_trivial=include_trivial,
-                                    transform=transform)
-    if n_workers <= 1 or len(query) < 2:
-        return vbfh.average_rf_batch(query).tolist()
-    query = list(query)
-    runner = get_executor(executor, prefer="thread")
-    blocks = runner.submit_ranges(_vec_batch_range, len(query), (query, vbfh),
-                                  n_workers=n_workers, chunk_size=chunk_size)
-    return [v for block in blocks for v in block]

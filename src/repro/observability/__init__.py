@@ -77,6 +77,6 @@ def worker_init() -> None:
     A ``fork`` child snapshots the parent's collector and registry; left
     alone, the parent's pre-fork counts would ride back inside every
     worker snapshot and be double-counted on merge.  Pool creation in
-    :mod:`repro.core.parallel` installs this as the initializer.
+    :mod:`repro.runtime.executor` installs this as the initializer.
     """
     reset()

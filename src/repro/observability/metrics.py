@@ -55,7 +55,6 @@ name                              kind        meaning
 ``serve.tail_applied``            counter     tail ticks that applied new journal records
 ``serve.tail_errors``             counter     tail ticks that failed (and will retry)
 ``serve.reopens``                 counter     full store reopens (generation change / compaction race)
-``serve.shared_rebuilds``         counter     shared-segment probe tables rebuilt after an epoch bump
 ``serve.stale_sockets_recovered`` counter     leftover socket files unlinked at startup
 ``mapreduce.map_seconds``         histogram   map+partition phase latency per job
 ``mapreduce.shuffle_seconds``     histogram   group-by-key phase latency per job

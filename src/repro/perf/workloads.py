@@ -48,18 +48,17 @@ def _run_table1(scale: float) -> dict[str, Any]:
 
     Mirrors Table 1's shape (tree-vs-hash average RF over a simulated
     collection) at smoke size, then the same collection through the
-    vectorized backend and a sharded store build + warm query — every
-    subsystem the PR gate wants histograms from.
+    vectorized kernel (``shm`` on threads) and a sharded store build +
+    warm query — every subsystem the PR gate wants histograms from.
     """
     from repro.core.bfhrf import bfhrf_average_rf
-    from repro.core.vectorized import vectorized_average_rf
+    from repro.core.shmrf import shm_average_rf
     from repro.store.store import build_store
 
     trees = _collection(scaled_count(24, scale, floor=8),
                         scaled_count(48, scale, floor=8))
     values = bfhrf_average_rf(trees, trees, n_workers=2)
-    vec_values = vectorized_average_rf(trees, trees, n_workers=2,
-                                       executor="thread")
+    vec_values = shm_average_rf(trees, trees, n_workers=2, executor="thread")
     with tempfile.TemporaryDirectory(prefix="bfhrf-bench-") as tmp:
         store = build_store(Path(tmp) / "store", trees, n_workers=2,
                             n_shards=4)

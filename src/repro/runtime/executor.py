@@ -22,7 +22,7 @@ module owns that skeleton once, behind a four-backend interface:
     instead of the silent serial fallback the pre-runtime code shipped.
 ``thread``
     ``ThreadPoolExecutor`` sharing the parent's memory.  Right for
-    GIL-light tasks (the NumPy ``vectorized`` path); useless for
+    GIL-light tasks (the NumPy probe kernel behind ``shm``); useless for
     pure-Python loops, but always correct.
 
 Tasks are module-level callables receiving one ``(start, stop)`` index
@@ -190,9 +190,8 @@ def _spawn_worker_init(payload: Any, observing: bool) -> None:
 def worker_task_snapshot(task_t0: float) -> dict[str, Any] | None:
     """Finish one worker task: record its latency, drain metrics *and spans*.
 
-    Used by the process backends' task wrapper (and by the deprecated
-    ``fork_map`` task contract).  ``None`` stands for "nothing recorded"
-    so the disabled path ships no extra bytes.  Any spans the task
+    Used by the process backends' task wrapper.  ``None`` stands for
+    "nothing recorded" so the disabled path ships no extra bytes.  Any spans the task
     finished in this worker ride home serialized under the snapshot's
     ``"spans"`` key; :func:`merge_worker_snapshots` grafts them back
     under the dispatching span, so worker-side tracing survives the
@@ -595,8 +594,8 @@ def get_executor(spec: str | Executor | None = None, *,
         ``"auto"``, or ``None`` (fall through the default chain).
     prefer:
         The backend auto-detection should favor when nothing was
-        requested — the vectorized path passes ``"thread"`` here because
-        its NumPy kernels release the GIL.
+        requested (e.g. ``"thread"`` for NumPy kernels that release the
+        GIL).
 
     Raises
     ------

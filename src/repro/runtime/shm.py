@@ -325,9 +325,9 @@ class SharedBFH:
         """A :class:`VectorizedBFH` probing the shared arrays zero-copy."""
         from repro.core.vectorized import VectorizedBFH
 
-        return VectorizedBFH.from_sorted_arrays(
-            self.keys, self.freqs, self.n_trees, self.total,
-            include_trivial=self.include_trivial, transform=transform)
+        return VectorizedBFH(self.keys, self.freqs, self.n_trees, self.total,
+                             include_trivial=self.include_trivial,
+                             transform=transform)
 
     def table(self, n_taxa: int) -> "BipartitionTable":
         """The segment as a :class:`~repro.core.table.BipartitionTable`

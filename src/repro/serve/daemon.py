@@ -19,11 +19,10 @@ Three cooperating task families on one event loop:
   Replies are serialized through a per-connection write lock.
 * the **batcher** drains the bounded query queue and coalesces every
   pending query — across clients and listeners — into *one* vectorized
-  probe (:meth:`~repro.core.vectorized.VectorizedBFH.average_rf_batch`,
-  or the registered ``shm`` fast path through the runtime executor
-  registry when ``workers > 1``), then splits the result vector back
-  per request.  Concurrent load therefore amortizes the probe exactly
-  like the paper's batch formulation.
+  probe (:meth:`~repro.core.vectorized.VectorizedBFH.average_rf_batch`),
+  then splits the result vector back per request.  Concurrent load
+  therefore amortizes the probe exactly like the paper's batch
+  formulation.
 * the **tailer** polls the store directory: journal records appended by
   another process (``bfhrf store add``) are applied in place via
   :meth:`~repro.store.store.BFHStore.tail_journal`; a manifest
@@ -49,7 +48,7 @@ the client backs off and retries) and counted under
 Shutdown (SIGTERM/SIGINT, a ``shutdown`` request, or
 :meth:`ServeDaemon.request_shutdown`) is drain-then-close: stop
 accepting, answer every already-queued query, flush replies, close
-connections, release shared-memory segments, unlink owned sockets.
+connections, drop cached probe tables, unlink owned sockets.
 
 A stale unix socket file left by a SIGKILLed predecessor is detected by
 a probe connect on startup — connection refused means nobody owns it
@@ -76,18 +75,16 @@ import socket
 import stat
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.core.shmrf import shm_average_rf
 from repro.core.vectorized import VectorizedBFH
 from repro.newick import read_nexus_trees, trees_from_string
 from repro.observability.metrics import MetricsRegistry, counter as _g_counter, \
     gauge as _g_gauge, histogram as _g_histogram
 from repro.observability.spans import trace
 from repro.observability.state import enabled as _obs_enabled
-from repro.runtime.shm import SharedBFH
 from repro.serve.endpoint import Endpoint
 from repro.serve.protocol import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -147,8 +144,6 @@ class ServeConfig:
 
     socket_path: str | None = None   # legacy unix-path spelling
     endpoints: Sequence[Endpoint | str | os.PathLike] = ()
-    workers: int = 1                 # >1 fans probes out via the executor
-    executor: str | None = None      # runtime backend name (None = auto)
     batch_max_trees: int = 4096      # stop coalescing past this many trees
     batch_window_s: float = 0.0      # extra wait to let a batch accumulate
     tail_interval_s: float = 0.5     # journal poll period
@@ -256,8 +251,6 @@ class ServeDaemon:
         self._epoch = 0
         self._tables: dict[int, VectorizedBFH] = {}
         self._tables_epoch = 0
-        self._shared: SharedBFH | None = None
-        self._shared_words = 0
 
     @property
     def bound_endpoints(self) -> tuple[Endpoint, ...]:
@@ -435,7 +428,7 @@ class ServeDaemon:
             for sig in handled_signals:
                 with contextlib.suppress(Exception):
                     loop.remove_signal_handler(sig)
-            self._release_tables()
+            self._tables.clear()
             for path in owned_paths:
                 with contextlib.suppress(OSError):
                     path.unlink()
@@ -690,15 +683,8 @@ class ServeDaemon:
         """One probe for the whole batch; runs on a worker thread."""
         trees = [tree for item in pending for tree in item.trees]
         n_taxa = max(item.n_taxa for item in pending)
-        cfg = self.config
         with trace("serve.batch", requests=len(pending), trees=len(trees)):
-            shared = self._shared_table(n_taxa) if cfg.workers > 1 else None
-            if shared is not None:
-                values = shm_average_rf(trees, shared=shared,
-                                        n_workers=cfg.workers,
-                                        executor=cfg.executor)
-            else:
-                values = self._table(n_taxa).average_rf_batch(trees).tolist()
+            values = self._table(n_taxa).average_rf_batch(trees).tolist()
         out: list[list[float]] = []
         offset = 0
         for item in pending:
@@ -710,18 +696,9 @@ class ServeDaemon:
     # -- probe-table cache (epoch-invalidated) ------------------------------
 
     def _sync_epoch(self) -> None:
-        """Drop tables built against a pre-tail/pre-reopen store state.
-
-        Only the batcher's scoring thread calls this (scores run one at
-        a time), so releasing the previous shared segment here cannot
-        yank it from under an active probe.
-        """
+        """Drop tables built against a pre-tail/pre-reopen store state."""
         if self._tables_epoch != self._epoch:
             self._tables.clear()
-            if self._shared is not None:
-                self._shared.release()
-                self._shared = None
-                self._shared_words = 0
             self._tables_epoch = self._epoch
 
     def _table(self, n_taxa: int) -> VectorizedBFH:
@@ -741,31 +718,6 @@ class ServeDaemon:
         table = core.vectorized()
         self._tables[n_words] = table
         return table
-
-    def _shared_table(self, n_taxa: int) -> SharedBFH | None:
-        self._sync_epoch()
-        with self._store_lock:
-            store_taxa = len(self._store.labels)
-            n_eff = max(n_taxa, store_taxa, 1)
-            n_words = words_for_taxa(n_eff)
-            if self._shared is not None and self._shared_words >= n_words:
-                return self._shared
-            core = self._store.table(n_eff)
-        if self._shared is not None:
-            self._shared.release()
-            self._shared = None
-            self._shared_words = 0
-        self._shared = SharedBFH.from_table(core)
-        self._shared_words = n_words
-        self._inc("serve.shared_rebuilds")
-        return self._shared
-
-    def _release_tables(self) -> None:
-        self._tables.clear()
-        if self._shared is not None:
-            self._shared.release()
-            self._shared = None
-            self._shared_words = 0
 
     # -- journal tailing ----------------------------------------------------
 
@@ -825,7 +777,6 @@ class ServeDaemon:
             "uptime_seconds": time.monotonic() - self._started_at,
             "epoch": self._epoch,
             "draining": self._draining,
-            "workers": cfg.workers,
             "listeners": [str(ep) for ep in self.bound_endpoints],
             "admission": {
                 "max_inflight": cfg.max_inflight,

@@ -10,7 +10,7 @@ executable contract:
   balanced extremes, multifurcations, variable-taxa overlap, weighted
   and zero-length branches, Newick-hostile labels);
 * :mod:`repro.testing.oracles` — the differential runner (naive set-ops,
-  Day, HashRF, BFHRF serial + fork, vectorized) and analytic anchors
+  Day, HashRF, BFHRF serial + fork, shm) and analytic anchors
   (RF(T,T)=0, caterpillar max-RF, symmetry, triangle inequality,
   weighted linearity);
 * :mod:`repro.testing.properties` — metamorphic invariances (relabel,

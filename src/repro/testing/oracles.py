@@ -3,7 +3,7 @@
 The differential runner pushes one (Q, R) workload through every
 applicable RF implementation — naive set-ops, Day's algorithm, BFHRF
 fork-parallel, and *every method in the runtime registry* (bfhrf, ds,
-dsmp, hashrf, vectorized, mrsrf — a newly registered method joins the
+dsmp, hashrf, mrsrf, shm — a newly registered method joins the
 differential automatically) — and demands bitwise-equal averages.  All
 unweighted paths reduce to the same integer arithmetic before one final
 division by ``r``, so equality is exact, not approximate; any drift is

@@ -4,20 +4,20 @@ import multiprocessing as mp
 
 import pytest
 
-from repro.core import parallel
-from repro.core.parallel import fork_available, fork_payload_pool, payload, resolve_workers
+from repro.runtime.executor import fork_available, fork_payload_pool, get_payload, \
+    resolve_workers
 
 
 def _read_payload(_index):
-    return parallel.payload()
+    return get_payload()
 
 
 def _call_payload(value):
-    return parallel.payload()(value)
+    return get_payload()(value)
 
 
 def _sum_range(bounds):
-    data = parallel.payload()
+    data = get_payload()
     return sum(data[bounds[0]:bounds[1]])
 
 
@@ -34,7 +34,7 @@ class TestForkPayloadPool:
     def test_parent_global_cleared(self):
         with fork_payload_pool(2, ("secret",)) as pool:
             # The parent must not keep the payload referenced globally.
-            assert payload() is None
+            assert get_payload() is None
             pool.map(_read_payload, range(2))
 
     def test_unpicklable_payload_crosses_fork(self):

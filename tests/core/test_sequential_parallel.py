@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bipartitions import bipartition_masks
-from repro.core.parallel import dsmp_average_rf, resolve_workers, trees_as_newick
+from repro.core.parallel import dsmp_average_rf, trees_as_newick
 from repro.core.sequential import (
     average_rf_against_sets,
     reference_mask_sets,
@@ -11,6 +11,7 @@ from repro.core.sequential import (
 )
 from repro.core.variants import size_filter_transform
 from repro.newick import trees_from_string
+from repro.runtime import resolve_workers
 from repro.util.errors import CollectionError
 
 from tests.conftest import make_collection

@@ -1,12 +1,15 @@
-"""Unit + property tests for repro.core.vectorized (GPU-style batch backend)."""
+"""Unit + property tests for repro.core.vectorized (GPU-style batch backend)
+and the ``shm`` method that drives it."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.core.bfhrf import bfhrf_average_rf, build_bfh
+from repro.core.shmrf import shm_average_rf
+from repro.core.table import masks_to_words
 from repro.core.variants import size_filter_transform
-from repro.core.vectorized import VectorizedBFH, _masks_to_words, vectorized_average_rf
+from repro.core.vectorized import VectorizedBFH
 from repro.newick import parse_newick, trees_from_string
 from repro.util.errors import CollectionError
 
@@ -15,18 +18,18 @@ from tests.conftest import collection_shapes, make_collection
 
 class TestWordPacking:
     def test_single_word(self):
-        words = _masks_to_words([0b1011, 0], 1)
+        words = masks_to_words([0b1011, 0], 1)
         assert words.tolist() == [[0b1011], [0]]
 
     def test_multi_word_big_endian(self):
         mask = (1 << 100) | 1
-        words = _masks_to_words([mask], 2)
+        words = masks_to_words([mask], 2)
         assert words[0, 0] == 1 << 36   # high word
         assert words[0, 1] == 1         # low word
 
     def test_packing_injective(self):
         masks = [5, 1 << 70, (1 << 70) | 3, 2, 256, 1]
-        words = _masks_to_words(masks, 2)
+        words = masks_to_words(masks, 2)
         void = words.view(np.dtype((np.void, 16))).ravel()
         assert len(set(void.tolist())) == len(masks)
 
@@ -36,7 +39,7 @@ class TestWordPacking:
         bfh = build_bfh(medium_collection)
         vbfh = VectorizedBFH.from_bfh(bfh, 16)
         masks = sorted(bfh.counts)
-        words = _masks_to_words(masks, vbfh.n_words)
+        words = masks_to_words(masks, vbfh.n_words)
         freqs = vbfh.lookup_frequencies(words)
         assert freqs.tolist() == [bfh.counts[m] for m in masks]
 
@@ -48,24 +51,28 @@ class TestEquivalence:
         n, r, seed = shape
         trees = make_collection(n, r, seed=seed)
         expected = bfhrf_average_rf(trees)
-        got = vectorized_average_rf(trees)
+        got = shm_average_rf(trees)
         assert got == pytest.approx(expected)
 
     def test_large_n_multiword(self):
         trees = make_collection(130, 8, seed=9)  # 3 words of 64 bits
-        assert vectorized_average_rf(trees) == pytest.approx(
+        assert shm_average_rf(trees) == pytest.approx(
             bfhrf_average_rf(trees))
 
     def test_disparate_collections(self):
         trees = make_collection(12, 14, seed=10)
         q, r = trees[:5], trees[5:]
-        assert vectorized_average_rf(q, r) == pytest.approx(
-            bfhrf_average_rf(q, r))
+        want = bfhrf_average_rf(q, r)
+        assert shm_average_rf(q, r) == pytest.approx(want)
+        assert shm_average_rf(q, r, n_workers=2, executor="thread") == want
 
     def test_transform_supported(self, medium_collection):
         transform = size_filter_transform(min_size=3)
-        assert vectorized_average_rf(medium_collection, transform=transform) == \
-            pytest.approx(bfhrf_average_rf(medium_collection, transform=transform))
+        want = bfhrf_average_rf(medium_collection, transform=transform)
+        assert shm_average_rf(medium_collection, transform=transform) == \
+            pytest.approx(want)
+        assert shm_average_rf(medium_collection, transform=transform,
+                              n_workers=2, executor="thread") == want
 
     def test_from_bfh_conversion(self, medium_collection):
         bfh = build_bfh(medium_collection)

@@ -72,7 +72,7 @@ class TestMetricsOut:
         assert json.loads(out.read_text())["command"] == "bfhrf avg-rf"
 
     def test_workers_merge_into_report(self, quartet_file, tmp_path, capsys):
-        from repro.core.parallel import fork_available
+        from repro.runtime import fork_available
         if not fork_available():
             pytest.skip("fork start method unavailable")
         out = tmp_path / "run.json"

@@ -4,9 +4,10 @@ import pytest
 
 import repro.observability as obs
 from repro.core.bfhrf import bfhrf_average_rf, build_bfh
-from repro.core.parallel import dsmp_average_rf, fork_available
+from repro.core.parallel import dsmp_average_rf
 from repro.newick import trees_from_string
 from repro.observability.metrics import MetricsRegistry
+from repro.runtime import fork_available
 
 NEWICK = "((A,B),(C,D));\n((A,C),(B,D));\n((A,B),(C,D));\n((A,D),(B,C));\n"
 

@@ -15,9 +15,9 @@ from repro import observability as obs
 from repro.core.bfhrf import bfhrf_average_rf, build_bfh
 from repro.core.parallel import dsmp_average_rf
 from repro.core.shmrf import shm_average_rf
-from repro.core.vectorized import vectorized_average_rf
+from repro.core.vectorized import VectorizedBFH
 from repro.observability.metrics import metrics_snapshot
-from repro.runtime import BACKENDS, set_default_executor
+from repro.runtime import BACKENDS, SharedBFH, set_default_executor
 from repro.store.shards import parallel_build_tables
 
 ALL_BACKENDS = ["serial", "thread", "fork", "spawn"]
@@ -79,9 +79,18 @@ class TestShmParity:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_vectorized_layout_agrees(self, backend, trees, serial_values):
+        """The in-process vectorized layout, copied into a borrowed
+        segment and fanned out, scores exactly like the dict path."""
         _skip_unless_available(backend)
-        values = vectorized_average_rf(trees, trees, n_workers=2,
-                                       executor=backend)
+        vbfh = VectorizedBFH.from_trees(trees)
+        assert vbfh.average_rf_batch(trees).tolist() == serial_values
+        n_taxa = len(trees[0].taxon_namespace)
+        shared = SharedBFH.from_table(vbfh.table(n_taxa))
+        try:
+            values = shm_average_rf(trees, shared=shared, n_workers=2,
+                                    executor=backend)
+        finally:
+            shared.release()
         assert values == serial_values
 
     def test_serial_worker_count_uses_no_segments(self, trees, serial_values):

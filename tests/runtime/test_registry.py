@@ -12,7 +12,7 @@ from repro.runtime import (
 )
 from repro.util.errors import CollectionError
 
-BUILTINS = ("bfhrf", "ds", "dsmp", "hashrf", "vectorized", "mrsrf")
+BUILTINS = ("bfhrf", "ds", "dsmp", "hashrf", "mrsrf", "shm")
 
 
 class TestBuiltins:

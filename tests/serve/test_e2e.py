@@ -2,7 +2,7 @@
 
 Every query answer is held to the store contract: bitwise-identical to
 the direct in-process ``bfhrf_average_rf`` computation — through
-batching, journal tailing, the shm worker path, and shutdown drains.
+batching, journal tailing, and shutdown drains.
 """
 
 from __future__ import annotations
@@ -141,19 +141,6 @@ class TestConcurrentBatching:
                 for tree in collection[:5]:
                     got = client.query(write_newick(tree))
                     assert got == bfhrf_average_rf([tree], collection)
-
-
-class TestWorkerPath:
-    def test_shm_fanout_matches_serial_daemon(self, tmp_path, store_dir,
-                                              collection):
-        want = bfhrf_average_rf(collection, collection)
-        with serving(store_dir, _config(
-                tmp_path, workers=2, executor="thread")) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
-                got = client.query(_text(collection))
-                stats = client.stats()
-        assert got == want
-        assert stats["metrics"]["counters"]["serve.shared_rebuilds"] >= 1
 
 
 class TestJournalTailing:

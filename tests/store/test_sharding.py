@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bfhrf import build_bfh
-from repro.core.parallel import fork_available
+from repro.runtime import fork_available
 from repro.store.shards import (
     parallel_build_tables,
     partition_counts,

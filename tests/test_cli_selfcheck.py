@@ -12,7 +12,7 @@ def test_selfcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "selfcheck PASS" in out
     assert "implementations exercised" in out
-    for name in ("naive", "day", "hashrf", "bfhrf", "vectorized"):
+    for name in ("naive", "day", "hashrf", "bfhrf", "shm"):
         assert name in out
 
 

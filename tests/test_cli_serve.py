@@ -106,8 +106,8 @@ class TestServeVerbs:
 
 
 class TestEndpointAddressing:
-    """The --addr surface: URL forms, TCP listeners, and the deprecated
-    --socket alias mapped through the same Endpoint parser."""
+    """The --addr surface: URL forms, bare paths, and TCP listeners, all
+    mapped through the one Endpoint parser."""
 
     def test_query_via_addr_flag_matches_positional(self, daemon, trees_file,
                                                     capsys):
@@ -140,24 +140,20 @@ class TestEndpointAddressing:
                      "--quiet"]) == 0
         assert via_tcp == capsys.readouterr().out
 
-    def test_socket_flag_is_deprecated_but_works(self, daemon, capsys):
-        with pytest.warns(DeprecationWarning, match="--addr"):
-            assert main(["serve", "stats", "--socket",
-                         daemon.config.socket_path, "--quiet"]) == 0
+    def test_stats_via_bare_path_addr_flag(self, daemon, capsys):
+        assert main(["serve", "stats", "--addr",
+                     daemon.config.socket_path, "--quiet"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["server"] == "bfhrf-serve"
 
-    def test_start_socket_flag_is_deprecated(self, tmp_path, store_dir):
-        import threading
-
-        socket_path = str(tmp_path / "dep-start.sock")
+    def test_start_addr_accepts_bare_path(self, tmp_path, store_dir):
+        socket_path = str(tmp_path / "bare-start.sock")
         rc: list[int] = []
 
         def _start() -> None:
-            with pytest.warns(DeprecationWarning, match="--addr"):
-                rc.append(main(["serve", "start", store_dir,
-                                "--socket", socket_path,
-                                "--tail-interval", "0.05", "--quiet"]))
+            rc.append(main(["serve", "start", store_dir,
+                            "--addr", socket_path,
+                            "--tail-interval", "0.05", "--quiet"]))
 
         thread = threading.Thread(target=_start, daemon=True)
         thread.start()
@@ -165,6 +161,13 @@ class TestEndpointAddressing:
                      "--quiet"]) == 0
         thread.join(timeout=15)
         assert rc == [0]
+
+    def test_start_workers_flag_is_rejected(self, capsys):
+        """``--procs`` is the one way to parallelize serving."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "start", "STORE", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_address_fails_cleanly(self, capsys):
         assert main(["serve", "stats", "--quiet"]) == 2

@@ -41,7 +41,7 @@ from repro.core import (
     sequential_average_rf,
 )
 from repro.core.mrsrf import mrsrf_average_rf
-from repro.core.vectorized import vectorized_average_rf
+from repro.core.shmrf import shm_average_rf
 from repro.newick import read_newick_file, write_newick_file
 from repro.simulation import gene_tree_msc, yule_tree
 from repro.trees import TaxonNamespace
@@ -76,7 +76,7 @@ class TestGrandTour:
         baseline = sequential_average_rf(loaded, loaded)
         assert bfhrf_average_rf(loaded) == pytest.approx(baseline)
         assert hashrf_average_rf(loaded) == pytest.approx(baseline)
-        assert vectorized_average_rf(loaded) == pytest.approx(baseline)
+        assert shm_average_rf(loaded) == pytest.approx(baseline)
         assert mrsrf_average_rf(loaded, partitions=3) == pytest.approx(baseline)
 
     def test_stage3_summaries_consistent(self, session):

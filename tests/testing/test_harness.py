@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.parallel import fork_available
+from repro.runtime import fork_available
 from repro.testing import (
     CASE_CHECKS,
     FAULT_KINDS,
@@ -24,7 +24,7 @@ class TestSelfCheck:
         assert result.ok, result.summary()
         assert len(result.rounds) == 10
         assert result.checks_run == 10 * (len(CASE_CHECKS) + 1)
-        expected = {"naive", "bfhrf", "vectorized", "day", "hashrf"}
+        expected = {"naive", "bfhrf", "shm", "day", "hashrf"}
         if fork_available():
             expected.add("bfhrf-fork")
         assert expected <= result.implementations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.parallel import fork_available
+from repro.runtime import fork_available
 from repro.testing import generate_case, inject_fault, run_differential
 from repro.testing.oracles import (
     check_caterpillar_max_rf,
@@ -23,13 +23,13 @@ class TestDifferentialRunner:
         case = generate_case(seed, "quick")
         report = run_differential(case)
         assert report.ok, [str(f) for f in report.failures]
-        assert {"naive", "bfhrf", "vectorized"} <= report.implementations
+        assert {"naive", "bfhrf", "shm"} <= report.implementations
 
     def test_all_implementations_reachable(self):
         exercised = set()
         for seed in range(20):
             exercised |= run_differential(generate_case(seed, "quick")).implementations
-        expected = {"naive", "bfhrf", "vectorized", "day", "hashrf"}
+        expected = {"naive", "bfhrf", "shm", "day", "hashrf"}
         if fork_available():
             expected.add("bfhrf-fork")
         assert expected <= exercised
@@ -54,7 +54,7 @@ class TestDifferentialRunner:
                 pytest.fail("bfh-count fault never detected in 10 cases")
         f = report.failures[0]
         assert f.check == "differential-rf"
-        assert f.implementation in {"bfhrf", "bfhrf-fork", "vectorized"}
+        assert f.implementation in {"bfhrf", "bfhrf-fork", "shm"}
         assert f.index is not None
         assert f.implementation in str(f)
 
