@@ -10,6 +10,7 @@ default write format.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import struct
 
@@ -188,6 +189,52 @@ class TestCodecRoundtrip:
         spec = get_codec(codec)
         table = random_table(65, _SEED)
         assert spec.estimated_bytes(table) == spec.encode(table).nbytes
+
+
+class TestSuccinctGoldenBytes:
+    """The succinct-v1 output bytes, pinned by SHA-256 per section.
+
+    Round-trip tests prove a codec decodes what it encodes; they do not
+    notice a change to the bytes themselves, which would break every
+    snapshot already on disk.  Each table adds the complements of a few
+    small clades so all three key forms are written: deltas, GAPS blobs
+    and CGAPS blobs.  n=130 crosses the 128-bit word boundary and
+    carries branch-length multisets so the weight section is pinned too.
+    """
+
+    GOLDEN = {
+        48: ("915c1bbca29f590e6c33e82213eb9ecc26bec5bbaee67d56a67df4f600644344",
+             "a8c6b7a45b1ff722abe71ff26ae8f42288edfd04822281314868532bd79690d1",
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        130: ("39ab3feb3065950f392ef7b1923f80a27bb0130cf4a0cf48b47e054ffae4eba6",
+              "109dd82b635863e5bd331f7c801cfcf69b089ff1e3f44f186fd04c1262b5d091",
+              "1de368334489aeeeeafe19fffc4cf1e143beb2ba13fae1a886dfedc9c278ee5a"),
+    }
+
+    @staticmethod
+    def _table(n_taxa: int) -> BipartitionTable:
+        weighted = n_taxa > 64
+        base = random_table(n_taxa, _SEED + n_taxa, entries=80,
+                            weighted=weighted)
+        counts = base.to_counts()
+        weights = dict(base.weights) if weighted else None
+        leaf_mask = (1 << n_taxa) - 1
+        for i, mask in enumerate(sorted(m for m in counts
+                                        if bin(m).count("1") <= 2)[:8]):
+            complement = leaf_mask ^ mask
+            counts.setdefault(complement, 1 + i % 3)
+            if weighted:
+                weights.setdefault(complement, [0.25 * (j + 1) for j in
+                                                range(counts[complement])])
+        return BipartitionTable.from_counts(
+            counts, n_taxa=n_taxa, n_trees=base.n_trees, weights=weights)
+
+    @pytest.mark.parametrize("n_taxa", sorted(GOLDEN))
+    def test_section_digests_are_pinned(self, n_taxa):
+        sections = get_codec("succinct-v1").encode(self._table(n_taxa))
+        digests = tuple(hashlib.sha256(section).hexdigest() for section in
+                        (sections.keys, sections.counts, sections.weights))
+        assert digests == self.GOLDEN[n_taxa]
 
 
 class TestRegistry:
