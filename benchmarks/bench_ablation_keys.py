@@ -11,8 +11,8 @@ retained memory for
 * ``bytes`` — the masks serialized big-endian (what a C implementation
   would store, and the basis of the compressed codec);
 * ``tuple`` — 64-bit limb tuples (a naive structured key);
-* ``rle``   — the reversible run-length codec from
-  :mod:`repro.hashing.compression` (future-work §IX, implemented here).
+* ``rle``   — the reversible mask codec :func:`repro.core.table.compress_mask`
+  (future-work §IX; succinct-v1 snapshots frame their key blobs with it).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from common import emit
 
 from repro.bipartitions.extract import bipartition_masks
-from repro.hashing.compression import compress_mask, decompress_mask
+from repro.core.table import compress_mask, decompress_mask
 from repro.simulation.datasets import variable_taxa
 from repro.util.memory import trace_peak
 from repro.util.timing import Stopwatch
@@ -119,5 +119,5 @@ def test_ablation_key_representation(benchmark):
                      f"{row['retained_mb']:>12.3f}")
     lines.append("-" * 40)
     lines.append("int = library choice; rle = §IX future-work reversible "
-                 "compression (repro.hashing.compression)")
+                 "compression (repro.core.table.compress_mask)")
     emit("\n".join(lines), "ablation_keys")

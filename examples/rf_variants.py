@@ -11,7 +11,7 @@ collection:
 * information-content-weighted RF (Smith-2020-style);
 * branch-score (weighted) RF through the weighted hash;
 * normalized / halved reporting conventions;
-* the §IX reversible compressed-key hash.
+* the §IX reversible key codec, as the succinct-v1 snapshot format.
 
 Run:  python examples/rf_variants.py
 """
@@ -29,7 +29,8 @@ from repro.core.variants import (
     split_information_content,
 )
 from repro.core.bfhrf import bfhrf_average_rf
-from repro.hashing import CompressedBipartitionFrequencyHash, WeightedBipartitionHash
+from repro.core.table import BipartitionTable, get_codec
+from repro.hashing import WeightedBipartitionHash
 from repro.newick import parse_newick
 from repro.simulation import gene_tree_msc, yule_tree
 from repro.trees import TaxonNamespace
@@ -83,13 +84,18 @@ def main() -> None:
     wh = WeightedBipartitionHash.from_trees(trees)
     print(f"average branch-score distance:   {wh.average_branch_score(query):9.3f}")
 
-    # -- 5. §IX compressed keys: identical algebra, smaller keys -----------------
-    cbfh = CompressedBipartitionFrequencyHash.from_trees(trees)
-    compressed_value = cbfh.average_rf_of_tree(query)
-    assert compressed_value == bfh.average_rf_of_tree(query)
-    raw_bytes = len(cbfh) * ((N_TAXA + 7) // 8)
-    print(f"compressed-key hash: {cbfh.key_bytes()}B of keys "
-          f"(raw fixed-width would be {raw_bytes}B); values identical  [verified]")
+    # -- 5. §IX compressed keys: identical algebra, smaller snapshots -----------
+    table = BipartitionTable.from_bfh(bfh, n_taxa=N_TAXA)
+    succinct = get_codec("succinct-v1")
+    sections = succinct.encode(table)
+    decoded = succinct.decode(
+        sections, n_taxa=N_TAXA, entries=len(table), weighted=False,
+        include_trivial=table.include_trivial, n_trees=table.n_trees,
+        total=table.total).to_bfh()
+    assert decoded.average_rf_of_tree(query) == bfh.average_rf_of_tree(query)
+    raw_bytes = get_codec("raw-u64").encode(table).nbytes
+    print(f"succinct-v1 table: {sections.nbytes}B "
+          f"(raw-u64 would be {raw_bytes}B); values identical  [verified]")
 
 
 if __name__ == "__main__":

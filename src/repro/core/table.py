@@ -35,12 +35,21 @@ registry in :mod:`repro.runtime.registry`:
 
 * ``raw-u64`` — today's layout, bit-for-bit: packed little-endian
   64-bit-word keys, ``u64`` counts, ``f64`` weight runs.
-* ``succinct-v1`` — per-key shortest-of delta varints (sorted keys share
-  long prefixes, so deltas are small) or the reversible gap encoding of
-  :mod:`repro.hashing.compression` (small clades beat deltas), plus
-  run-length count blocks.  Registered with ``default_write=True``, so
-  it is the promoted snapshot write format — the same last-registered
-  promotion rule the method registry uses for ``fast_path``.
+* ``succinct-v1`` — the paper's §IX "loss less and reversible
+  compression of the bipartitions as keys", as the snapshot format.
+  Each key is framed as whichever is shorter: a LEB128 varint delta
+  from the previous key (sorted keys share long prefixes, so deltas are
+  small) or a :func:`compress_mask` blob (small clades beat deltas).
+  A blob is itself the shortest of three tagged forms: ``RAW`` (the
+  minimal big-endian bytes of the mask), ``GAPS`` (varints of the gaps
+  between set bits) and ``CGAPS`` (the gaps of the complement within
+  the leaf set).  CGAPS exists because normalized splits keep the
+  anchor taxon on the 1-side, which is usually the dense side; the
+  0-side is the small clade, so coding the complement is where most of
+  the saving lies.  Counts are run-length blocks.  Registered with
+  ``default_write=True``, so it is the promoted snapshot write format —
+  the same last-registered promotion rule the method registry uses for
+  ``fast_path``.
 
 Every codec decode is exact: the decoded table equals the encoded one
 key-for-key and count-for-count (the ``codec-roundtrip`` selfcheck
@@ -58,8 +67,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bipartitions.encoding import pack_key, unpack_key, words_for_taxa
-from repro.hashing.compression import _decode_varint, _encode_varint, \
-    compress_mask, decompress_mask
 from repro.util.errors import BipartitionError, StoreCorruptError
 
 __all__ = [
@@ -67,6 +74,7 @@ __all__ = [
     "masks_to_words", "words_to_masks", "probe_order",
     "CodecSpec", "register_codec", "get_codec", "codec_by_tag",
     "codec_names", "codecs", "default_codec_name",
+    "compress_mask", "decompress_mask",
 ]
 
 _WORD_BITS = 64
@@ -480,8 +488,116 @@ def _raw_estimate(table: BipartitionTable) -> int:
 # succinct-v1: delta/gap-compressed keys + run-length count blocks.
 # ---------------------------------------------------------------------------
 
+_RAW = 0x00
+_GAPS = 0x01
+_CGAPS = 0x02
+
+
+def _encode_varint(value: int, out: bytearray) -> None:
+    """LEB128 unsigned varint."""
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return
+
+
+def _decode_varint(data: bytes, offset: int) -> tuple[int, int]:
+    result = 0
+    shift = 0
+    while True:
+        if offset >= len(data):
+            raise BipartitionError("truncated varint in compressed mask")
+        byte = data[offset]
+        offset += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, offset
+        shift += 7
+
+
+def _gaps_encoding(mask: int, tag: int) -> bytes:
+    out = bytearray([tag])
+    prev = -1
+    while mask:
+        lsb = mask & -mask
+        pos = lsb.bit_length() - 1
+        _encode_varint(pos - prev, out)
+        prev = pos
+        mask ^= lsb
+    return bytes(out)
+
+
+def compress_mask(mask: int, leaf_mask: int | None = None) -> bytes:
+    """Encode a split mask into its shortest reversible byte form.
+
+    Parameters
+    ----------
+    leaf_mask:
+        The full taxon bitmask the split lives in.  When given, the
+        complement side becomes a candidate encoding — for normalized
+        splits (anchor on the 1-side) the complement is the small clade
+        and usually wins.  The *same* ``leaf_mask`` must be passed to
+        :func:`decompress_mask`.
+
+    >>> decompress_mask(compress_mask(0b1011)) == 0b1011
+    True
+    >>> len(compress_mask(1 << 500)) < len((1 << 500).to_bytes(63, "big"))
+    True
+    >>> full = (1 << 64) - 1
+    >>> dense = full ^ (1 << 40)                    # all but one taxon
+    >>> decompress_mask(compress_mask(dense, full), full) == dense
+    True
+    >>> len(compress_mask(dense, full)) < len(compress_mask(dense))
+    True
+    """
+    if mask < 0:
+        raise BipartitionError("masks are non-negative")
+    candidates = [
+        bytes([_RAW]) + mask.to_bytes(max(1, (mask.bit_length() + 7) // 8), "big"),
+        _gaps_encoding(mask, _GAPS),
+    ]
+    if leaf_mask is not None:
+        if mask & ~leaf_mask:
+            raise BipartitionError(
+                f"mask {mask:#x} has bits outside leaf_mask {leaf_mask:#x}")
+        candidates.append(_gaps_encoding(mask ^ leaf_mask, _CGAPS))
+    return min(candidates, key=len)
+
+
+def _decode_gaps(data: bytes) -> int:
+    mask = 0
+    pos = -1
+    offset = 1
+    while offset < len(data):
+        gap, offset = _decode_varint(data, offset)
+        pos += gap
+        mask |= 1 << pos
+    return mask
+
+
+def decompress_mask(data: bytes, leaf_mask: int | None = None) -> int:
+    """Exact inverse of :func:`compress_mask` (same ``leaf_mask``)."""
+    if not data:
+        raise BipartitionError("empty compressed mask")
+    tag = data[0]
+    if tag == _RAW:
+        return int.from_bytes(data[1:], "big")
+    if tag == _GAPS:
+        return _decode_gaps(data)
+    if tag == _CGAPS:
+        if leaf_mask is None:
+            raise BipartitionError(
+                "complement-coded mask needs the leaf_mask it was encoded with")
+        return _decode_gaps(data) ^ leaf_mask
+    raise BipartitionError(f"unknown compression tag {tag:#x}")
+
+
 _DELTA = 0x00      # varint(mask - prev_mask) follows
-_COMPRESSED = 0x01  # varint(length) + compression.compress_mask blob follows
+_COMPRESSED = 0x01  # varint(length) + compress_mask blob follows
 
 
 def _succinct_encode_keys(masks: list[int], n_taxa: int) -> bytes:

@@ -1,12 +1,6 @@
 """Hash data structures: the BFH, its weighted extension, and HashRF-style hashing."""
 
 from repro.hashing.bfh import BipartitionFrequencyHash, MaskTransform
-from repro.hashing.compression import (
-    CompressedBipartitionFrequencyHash,
-    compress_mask,
-    compressed_size,
-    decompress_mask,
-)
 from repro.hashing.multihash import UniversalSplitHasher, collision_rate
 from repro.hashing.weighted import WeightedBipartitionHash
 
@@ -16,8 +10,4 @@ __all__ = [
     "WeightedBipartitionHash",
     "UniversalSplitHasher",
     "collision_rate",
-    "compress_mask",
-    "decompress_mask",
-    "compressed_size",
-    "CompressedBipartitionFrequencyHash",
 ]

@@ -129,11 +129,10 @@ def _run_serve_warm(scale: float) -> dict[str, Any]:
     with tempfile.TemporaryDirectory(prefix="bfhrf-bench-") as tmp:
         store_dir = Path(tmp) / "store"
         build_store(store_dir, trees, n_shards=2)
-        config = ServeConfig(socket_path=str(Path(tmp) / "serve.sock"),
-                             tail_interval_s=5.0)
+        sock = str(Path(tmp) / "serve.sock")
+        config = ServeConfig(endpoints=[sock], tail_interval_s=5.0)
         with serving(store_dir, config):
-            with ServeClient.connect(config.socket_path,
-                                     retries=5) as client:
+            with ServeClient.connect(sock, retries=5) as client:
                 values = client.query(query_text)  # warm the probe table
                 latencies = []
                 for _ in range(n_requests):
@@ -183,13 +182,13 @@ def _run_serve_overload(scale: float) -> dict[str, Any]:
     with tempfile.TemporaryDirectory(prefix="bfhrf-bench-") as tmp:
         store_dir = Path(tmp) / "store"
         build_store(store_dir, trees, n_shards=2)
-        config = ServeConfig(socket_path=str(Path(tmp) / "serve.sock"),
-                             tail_interval_s=5.0, batch_window_s=0.02,
+        sock = str(Path(tmp) / "serve.sock")
+        config = ServeConfig(endpoints=[sock], tail_interval_s=5.0,
+                             batch_window_s=0.02,
                              queue_max_requests=capacity)
 
         def hammer() -> None:
-            with ServeClient.connect(config.socket_path,
-                                     retries=5) as client:
+            with ServeClient.connect(sock, retries=5) as client:
                 for _ in range(per_client):
                     t0 = time.perf_counter()
                     try:
@@ -212,8 +211,7 @@ def _run_serve_overload(scale: float) -> dict[str, Any]:
                 thread.start()
             for thread in threads:
                 thread.join()
-            with ServeClient.connect(config.socket_path,
-                                     retries=5) as client:
+            with ServeClient.connect(sock, retries=5) as client:
                 values = client.query(query_text)
                 counters = client.stats()["metrics"]["counters"]
     latencies.sort()

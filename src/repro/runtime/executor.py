@@ -583,8 +583,7 @@ def default_executor_name() -> str:
     return _DEFAULT_EXECUTOR or os.environ.get(EXECUTOR_ENV) or "auto"
 
 
-def get_executor(spec: str | Executor | None = None, *,
-                 prefer: str | None = None) -> Executor:
+def get_executor(spec: str | Executor | None = None) -> Executor:
     """Resolve an executor: argument > CLI default > env > auto-detect.
 
     Parameters
@@ -592,10 +591,6 @@ def get_executor(spec: str | Executor | None = None, *,
     spec:
         An :class:`Executor` instance (returned as-is), a backend name,
         ``"auto"``, or ``None`` (fall through the default chain).
-    prefer:
-        The backend auto-detection should favor when nothing was
-        requested (e.g. ``"thread"`` for NumPy kernels that release the
-        GIL).
 
     Raises
     ------
@@ -606,10 +601,7 @@ def get_executor(spec: str | Executor | None = None, *,
         return spec
     name = (spec or default_executor_name()).lower()
     if name == "auto":
-        if prefer is not None and BACKENDS[prefer].available():
-            name = prefer
-        else:
-            name = "fork" if fork_available() else "spawn"
+        name = "fork" if fork_available() else "spawn"
     executor = BACKENDS.get(name)
     if executor is None:
         raise ExecutorError(

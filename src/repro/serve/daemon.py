@@ -136,13 +136,10 @@ class ServeConfig:
 
     Addressing: ``endpoints`` takes any mix of endpoint URLs
     (``unix:///path``, ``tcp://host:port``), bare socket paths, or
-    :class:`~repro.serve.endpoint.Endpoint` instances; ``socket_path``
-    is the legacy spelling of one unix endpoint and is folded into the
-    same list (and backfilled from it, so existing readers keep
-    working).  At least one endpoint is required.
+    :class:`~repro.serve.endpoint.Endpoint` instances.  At least one
+    endpoint is required.
     """
 
-    socket_path: str | None = None   # legacy unix-path spelling
     endpoints: Sequence[Endpoint | str | os.PathLike] = ()
     batch_max_trees: int = 4096      # stop coalescing past this many trees
     batch_window_s: float = 0.0      # extra wait to let a batch accumulate
@@ -157,24 +154,14 @@ class ServeConfig:
     reuse_port: bool = False         # SO_REUSEPORT on TCP binds (multi-proc)
 
     def __post_init__(self) -> None:
-        parsed: list[Endpoint] = []
-        if self.socket_path is not None:
-            parsed.append(Endpoint.unix(self.socket_path))
-        parsed.extend(Endpoint.parse(ep) for ep in self.endpoints)
         unique: list[Endpoint] = []
-        for ep in parsed:
+        for ep in map(Endpoint.parse, self.endpoints):
             if ep not in unique:
                 unique.append(ep)
         if not unique:
             raise ServeError(
-                "ServeConfig needs at least one endpoint "
-                "(socket_path= or endpoints=)")
+                "ServeConfig needs at least one endpoint (endpoints=)")
         self.endpoints = tuple(unique)
-        if self.socket_path is None:
-            for ep in unique:
-                if ep.kind == "unix":
-                    self.socket_path = ep.path
-                    break
         if self.queue_max_trees is None:
             self.queue_max_trees = max(1, self.batch_max_trees)
 

@@ -614,8 +614,8 @@ def check_serve_parity(case: TreeCase) -> list[Failure]:
                     include_trivial=case.include_trivial,
                     weighted=case.weighted)
         socket_path = Path(td) / "serve.sock"
-        config = ServeConfig(socket_path=str(socket_path),
-                             endpoints=["tcp://127.0.0.1:0"],
+        config = ServeConfig(endpoints=[str(socket_path),
+                                        "tcp://127.0.0.1:0"],
                              tail_interval_s=0.02)
         with serving(store_dir, config) as daemon:
             tcp_endpoint = daemon.bound_endpoints[1]

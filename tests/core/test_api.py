@@ -167,8 +167,8 @@ class TestEndpointDispatch:
         collection = make_collection(10, 8, seed=20260815)
         store_path = tmp_path / "store"
         build_store(store_path, collection, n_shards=1)
-        config = ServeConfig(socket_path=str(tmp_path / "api.sock"),
-                             endpoints=["tcp://127.0.0.1:0"],
+        config = ServeConfig(endpoints=[str(tmp_path / "api.sock"),
+                                        "tcp://127.0.0.1:0"],
                              tail_interval_s=0.05)
         with serving(store_path, config) as daemon:
             yield daemon, collection

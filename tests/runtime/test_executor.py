@@ -131,11 +131,6 @@ class TestResolution:
         name = get_executor("auto").name
         assert name == ("fork" if fork_available() else "spawn")
 
-    def test_prefer_guides_auto_only(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        assert get_executor(None, prefer="thread").name == "thread"
-        assert get_executor("serial", prefer="thread").name == "serial"
-
     def test_env_variable_consulted(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV, "thread")
         assert default_executor_name() == "thread"

@@ -37,8 +37,8 @@ def store_dir(tmp_path, collection):
     return path
 
 
-def _config(tmp_path, **overrides) -> ServeConfig:
-    defaults = dict(socket_path=str(tmp_path / "serve.sock"),
+def _config(tmp_path, *, endpoints=(), **overrides) -> ServeConfig:
+    defaults = dict(endpoints=[str(tmp_path / "serve.sock"), *endpoints],
                     tail_interval_s=0.05)
     defaults.update(overrides)
     return ServeConfig(**defaults)
@@ -98,8 +98,8 @@ class TestInflightCap:
         frames = [{"id": i, "op": "query", "trees": probe}
                   for i in (1, 2, 3)]
         with serving(store_dir, config) as daemon:
-            replies = _pipelined(daemon.config.socket_path, frames)
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            replies = _pipelined(daemon.config.endpoints[0].path, frames)
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 stats = client.stats()
         shed = [rid for rid, r in replies.items()
                 if _error_type(r) == "overloaded"]
@@ -121,7 +121,7 @@ class TestInflightCap:
         config = _config(tmp_path, max_inflight=1, batch_window_s=0.0)
         want = bfhrf_average_rf(collection[:1], collection)
         with serving(store_dir, config) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 # Sequential request/reply never trips the cap...
                 assert client.query(_text(collection[:1])) == want
                 # ...and after any shed the channel would still be usable:
@@ -146,8 +146,8 @@ class TestBoundedQueue:
         frames = [{"id": i, "op": "query", "trees": probe}
                   for i in range(1, 6)]
         with serving(store_dir, config) as daemon:
-            replies = _pipelined(daemon.config.socket_path, frames)
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            replies = _pipelined(daemon.config.endpoints[0].path, frames)
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 stats = client.stats()
         kinds = {rid: _error_type(r) for rid, r in replies.items()}
         assert all(k in (None, "overloaded") for k in kinds.values()), kinds
@@ -175,7 +175,7 @@ class TestBoundedQueue:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.settimeout(30.0)
             try:
-                sock.connect(daemon.config.socket_path)
+                sock.connect(daemon.config.endpoints[0].path)
                 buffer = b""
                 while b"\n" not in buffer:
                     buffer += sock.recv(65536)
@@ -199,7 +199,7 @@ class TestBoundedQueue:
                     replies[reply["id"]] = reply
             finally:
                 sock.close()
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 stats = client.stats()
         assert replies[1]["ok"] and replies[3]["ok"]
         assert _error_type(replies[2]) == "overloaded"
@@ -217,7 +217,7 @@ class TestBoundedQueue:
         config = _config(tmp_path, queue_max_trees=2)
         want = bfhrf_average_rf(collection, collection)
         with serving(store_dir, config) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 assert client.query(_text(collection)) == want
 
 
@@ -226,10 +226,11 @@ class TestStatsSurface:
         config = _config(tmp_path, max_inflight=7, queue_max_requests=11,
                          queue_max_trees=13)
         with serving(store_dir, config) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 stats = client.stats()
         assert stats["admission"] == {"max_inflight": 7,
                                       "queue_max_requests": 11,
                                       "queue_max_trees": 13,
                                       "queued_trees": 0}
-        assert stats["listeners"] == [f"unix://{daemon.config.socket_path}"]
+        assert stats["listeners"] == [
+            f"unix://{daemon.config.endpoints[0].path}"]

@@ -34,8 +34,8 @@ def store_dir(tmp_path, collection):
     return path
 
 
-def _config(tmp_path, **overrides) -> ServeConfig:
-    defaults = dict(socket_path=str(tmp_path / "serve.sock"),
+def _config(tmp_path, *, endpoints=(), **overrides) -> ServeConfig:
+    defaults = dict(endpoints=[str(tmp_path / "serve.sock"), *endpoints],
                     tail_interval_s=0.05)
     defaults.update(overrides)
     return ServeConfig(**defaults)
@@ -49,14 +49,14 @@ class TestSingleQuery:
     def test_parity_with_direct_api(self, tmp_path, store_dir, collection):
         want = bfhrf_average_rf(collection, collection)
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 got = client.query(_text(collection))
         assert got == want  # bitwise, not approx
 
     def test_query_trees_helper_and_reply_metadata(self, tmp_path, store_dir,
                                                    collection):
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 assert client.ping()
                 got = client.query_trees(collection[:3])
                 reply = client.request("query", trees=_text(collection[:3]))
@@ -67,7 +67,7 @@ class TestSingleQuery:
 
     def test_empty_query_text(self, tmp_path, store_dir):
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 assert client.query("") == []
 
     def test_nexus_query(self, tmp_path, store_dir, collection):
@@ -76,13 +76,13 @@ class TestSingleQuery:
                            for i, t in enumerate(collection[:2]))
                  + "END;\n")
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 got = client.query(nexus)
         assert got == bfhrf_average_rf(collection[:2], collection)
 
     def test_stats_introspection(self, tmp_path, store_dir, collection):
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 client.query(_text(collection[:2]))
                 stats = client.stats()
         assert stats["server"] == "bfhrf-serve"
@@ -112,7 +112,7 @@ class TestConcurrentBatching:
         with serving(store_dir, config) as daemon:
             def _one(i: int) -> None:
                 try:
-                    with ServeClient.connect(daemon.config.socket_path,
+                    with ServeClient.connect(daemon.config.endpoints[0].path,
                                              retries=3) as client:
                         barrier.wait(timeout=10)
                         results[i] = client.query(_text(slices[i]))
@@ -125,7 +125,7 @@ class TestConcurrentBatching:
                 t.start()
             for t in threads:
                 t.join(timeout=30)
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 stats = client.stats()
 
         assert not errors
@@ -137,7 +137,7 @@ class TestConcurrentBatching:
     def test_shared_connection_sequential_requests(self, tmp_path, store_dir,
                                                    collection):
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 for tree in collection[:5]:
                     got = client.query(write_newick(tree))
                     assert got == bfhrf_average_rf([tree], collection)
@@ -167,7 +167,7 @@ class TestJournalTailing:
         extra = make_collection(12, 3, seed=20260810)
         probe = _text(collection[:4])
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 before = client.query(probe)
 
                 # Another process appends to the journal.
@@ -188,7 +188,7 @@ class TestJournalTailing:
         probe = _text(collection[:4])
         want = bfhrf_average_rf(collection[:4], collection[:-2])
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 external = BFHStore.open(store_dir)
                 external.remove_trees(collection[-2:])
                 reply = self._wait_for_values(client, probe, want)
@@ -210,7 +210,7 @@ class TestGracefulShutdown:
         try:
             def _query() -> None:
                 try:
-                    with ServeClient.connect(daemon.config.socket_path,
+                    with ServeClient.connect(daemon.config.endpoints[0].path,
                                              retries=3) as client:
                         results.append(client.query(_text(collection[:4])))
                 except BaseException as exc:
@@ -232,14 +232,14 @@ class TestGracefulShutdown:
         with serving(store_dir, config):
             pass
         import os
-        assert not os.path.exists(config.socket_path)
+        assert not os.path.exists(config.endpoints[0].path)
 
     def test_draining_daemon_refuses_new_queries(self, tmp_path, store_dir,
                                                  collection):
         from repro.util.errors import ServeRequestError
 
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 client.request("shutdown")
                 deadline = time.monotonic() + 10
                 while time.monotonic() < deadline:
@@ -280,7 +280,7 @@ class TestTcpListener:
     def test_tcp_only_daemon(self, tmp_path, store_dir, collection):
         config = ServeConfig(endpoints=["tcp://127.0.0.1:0"],
                              tail_interval_s=0.05)
-        assert config.socket_path is None
+        assert all(ep.kind == "tcp" for ep in config.endpoints)  # no unix path
         with serving(store_dir, config) as daemon:
             (tcp_ep,) = daemon.bound_endpoints
             with ServeClient.connect(tcp_ep) as client:
@@ -309,7 +309,7 @@ class TestReconnectBackoff:
 
         def _connect_early() -> None:
             try:
-                with ServeClient.connect(config.socket_path, retries=40,
+                with ServeClient.connect(config.endpoints[0].path, retries=40,
                                          backoff_s=0.02,
                                          max_backoff_s=0.1) as client:
                     got.append(client.query(_text(collection[:2])))
@@ -339,7 +339,7 @@ class TestReconnectBackoff:
 
         monkeypatch.setattr(Endpoint, "create_connection", flaky)
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path, retries=5,
+            with ServeClient.connect(daemon.config.endpoints[0].path, retries=5,
                                      backoff_s=0.01) as client:
                 got = client.query(_text(collection[:1]))
         assert calls["n"] == 3  # two refusals retried, third connected

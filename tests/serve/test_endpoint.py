@@ -106,20 +106,19 @@ class TestRendering:
 
 
 class TestConfigEndpoints:
-    def test_socket_path_folds_into_endpoints(self, tmp_path):
-        config = ServeConfig(socket_path=str(tmp_path / "s.sock"))
+    def test_bare_path_parses_to_unix_endpoint(self, tmp_path):
+        config = ServeConfig(endpoints=[str(tmp_path / "s.sock")])
         assert config.endpoints == (Endpoint.unix(str(tmp_path / "s.sock")),)
 
-    def test_endpoints_backfill_socket_path(self, tmp_path):
+    def test_unix_url_path_reads_back(self, tmp_path):
         config = ServeConfig(endpoints=[f"unix://{tmp_path}/s.sock",
                                         "tcp://127.0.0.1:0"])
-        assert config.socket_path == f"{tmp_path}/s.sock"
+        assert config.endpoints[0].path == f"{tmp_path}/s.sock"
         assert len(config.endpoints) == 2
 
     def test_duplicate_endpoints_collapse(self, tmp_path):
         path = str(tmp_path / "s.sock")
-        config = ServeConfig(socket_path=path,
-                             endpoints=[f"unix://{path}", path])
+        config = ServeConfig(endpoints=[path, f"unix://{path}", path])
         assert config.endpoints == (Endpoint.unix(path),)
 
     def test_no_endpoints_rejected(self):
@@ -129,7 +128,7 @@ class TestConfigEndpoints:
             ServeConfig()
 
     def test_queue_max_trees_defaults_to_batch_max(self):
-        config = ServeConfig(socket_path="/tmp/x.sock", batch_max_trees=77)
+        config = ServeConfig(endpoints=["/tmp/x.sock"], batch_max_trees=77)
         assert config.queue_max_trees == 77
 
 
@@ -141,8 +140,8 @@ class TestHelloListener:
         return path
 
     def test_hello_round_trips_listener_kind(self, tmp_path, store_dir):
-        config = ServeConfig(socket_path=str(tmp_path / "serve.sock"),
-                             endpoints=["tcp://127.0.0.1:0"],
+        config = ServeConfig(endpoints=[str(tmp_path / "serve.sock"),
+                                        "tcp://127.0.0.1:0"],
                              tail_interval_s=0.05)
         with serving(store_dir, config) as daemon:
             unix_ep, tcp_ep = daemon.bound_endpoints

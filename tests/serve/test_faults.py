@@ -36,8 +36,8 @@ def store_dir(tmp_path, collection):
     return path
 
 
-def _config(tmp_path, **overrides) -> ServeConfig:
-    defaults = dict(socket_path=str(tmp_path / "serve.sock"),
+def _config(tmp_path, *, endpoints=(), **overrides) -> ServeConfig:
+    defaults = dict(endpoints=[str(tmp_path / "serve.sock"), *endpoints],
                     tail_interval_s=0.05)
     defaults.update(overrides)
     return ServeConfig(**defaults)
@@ -75,7 +75,7 @@ class TestMalformedFrames:
     def test_non_json_frame_gets_bad_request_and_connection_survives(
             self, tmp_path, store_dir):
         with serving(store_dir, _config(tmp_path)) as daemon:
-            sock, hello = _raw_connect(daemon.config.socket_path)
+            sock, hello = _raw_connect(daemon.config.endpoints[0].path)
             assert hello["server"] == "bfhrf-serve"
             reply = _raw_request(sock, b"((A,B),C); this is not json\n")
             assert reply["ok"] is False
@@ -88,18 +88,18 @@ class TestMalformedFrames:
 
     def test_json_array_frame_is_bad_request(self, tmp_path, store_dir):
         with serving(store_dir, _config(tmp_path)) as daemon:
-            sock, _ = _raw_connect(daemon.config.socket_path)
+            sock, _ = _raw_connect(daemon.config.endpoints[0].path)
             reply = _raw_request(sock, b"[1, 2, 3]\n")
             assert reply["error"]["type"] == "bad-request"
             sock.close()
 
     def test_missing_op_and_unknown_op(self, tmp_path, store_dir):
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 with pytest.raises(ServeRequestError) as excinfo:
                     client.request("frobnicate")
                 assert excinfo.value.type == "unknown-op"
-                sock, _ = _raw_connect(daemon.config.socket_path)
+                sock, _ = _raw_connect(daemon.config.endpoints[0].path)
                 reply = _raw_request(sock, b'{"id": 5}\n')
                 assert reply["error"]["type"] == "bad-request"
                 sock.close()
@@ -107,14 +107,14 @@ class TestMalformedFrames:
 
     def test_query_with_non_string_trees(self, tmp_path, store_dir):
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 with pytest.raises(ServeRequestError) as excinfo:
                     client.request("query", trees=[1, 2])
                 assert excinfo.value.type == "bad-request"
 
     def test_unparseable_newick_is_parse_error(self, tmp_path, store_dir):
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 with pytest.raises(ServeRequestError) as excinfo:
                     client.query("((A,B),C")  # unbalanced
                 assert excinfo.value.type == "parse-error"
@@ -126,7 +126,7 @@ class TestOversizedFrames:
                                                      store_dir, collection):
         config = _config(tmp_path, max_frame_bytes=1024)
         with serving(store_dir, config) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 big = _text(collection * 8)
                 assert len(big) > config.max_frame_bytes
                 with pytest.raises(ServeRequestError) as excinfo:
@@ -136,7 +136,7 @@ class TestOversizedFrames:
                 with pytest.raises(ServeConnectionError):
                     client.ping()
             # The daemon itself is fine — a new client gets real answers.
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 small = _text(collection[:1])
                 assert client.query(small) == bfhrf_average_rf(
                     collection[:1], collection)
@@ -147,14 +147,14 @@ class TestClientDisconnects:
             self, tmp_path, store_dir, collection):
         with serving(store_dir, _config(tmp_path)) as daemon:
             for _ in range(3):
-                sock, _ = _raw_connect(daemon.config.socket_path)
+                sock, _ = _raw_connect(daemon.config.endpoints[0].path)
                 sock.sendall(encode_frame(
                     {"id": 1, "op": "query", "trees": _text(collection)}))
                 sock.close()  # gone before the reply can be written
             deadline = time.monotonic() + 10
             while True:  # the daemon must keep accepting and answering
                 try:
-                    with ServeClient.connect(daemon.config.socket_path,
+                    with ServeClient.connect(daemon.config.endpoints[0].path,
                                              retries=3) as client:
                         got = client.query(_text(collection[:2]))
                     break
@@ -166,10 +166,10 @@ class TestClientDisconnects:
 
     def test_half_frame_then_disconnect(self, tmp_path, store_dir):
         with serving(store_dir, _config(tmp_path)) as daemon:
-            sock, _ = _raw_connect(daemon.config.socket_path)
+            sock, _ = _raw_connect(daemon.config.endpoints[0].path)
             sock.sendall(b'{"id": 1, "op": "qu')  # no newline, ever
             sock.close()
-            with ServeClient.connect(daemon.config.socket_path,
+            with ServeClient.connect(daemon.config.endpoints[0].path,
                                      retries=3) as client:
                 assert client.ping()
 
@@ -182,7 +182,7 @@ class TestCompactionRace:
         probe = collection[:3]
         want = bfhrf_average_rf(probe, collection)
         with serving(store_dir, _config(tmp_path)) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 assert client.query(_text(probe)) == want
 
                 external = BFHStore.open(store_dir)
@@ -214,13 +214,13 @@ class TestSocketRecovery:
         it, finds nobody home, unlinks, and serves."""
         config = _config(tmp_path)
         stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        stale.bind(config.socket_path)
+        stale.bind(config.endpoints[0].path)
         stale.close()  # close() without unlink == what SIGKILL leaves
         import os
-        assert os.path.exists(config.socket_path)
+        assert os.path.exists(config.endpoints[0].path)
 
         with serving(store_dir, config) as daemon:
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 assert client.query(_text(collection[:1])) == \
                     bfhrf_average_rf(collection[:1], collection)
                 stats = client.stats()
@@ -236,12 +236,12 @@ class TestSocketRecovery:
 
     def test_non_socket_file_is_refused(self, tmp_path, store_dir):
         config = _config(tmp_path)
-        with open(config.socket_path, "w") as handle:
+        with open(config.endpoints[0].path, "w") as handle:
             handle.write("precious data, do not unlink\n")
         daemon = ServeDaemon(store_dir, config)
         with pytest.raises(ServeError, match="not a socket"):
             daemon.run_in_thread()
-        with open(config.socket_path) as handle:  # untouched
+        with open(config.endpoints[0].path) as handle:  # untouched
             assert "precious" in handle.read()
 
 
@@ -285,7 +285,7 @@ class TestTcpFaults:
             with ServeClient.connect(tcp_ep) as client:
                 assert client.query(_text(collection[:1])) == \
                     bfhrf_average_rf(collection[:1], collection)
-            with ServeClient.connect(daemon.config.socket_path) as client:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 assert client.ping()
 
     def test_abortive_reset_after_request_is_survived(

@@ -59,6 +59,19 @@ def _free_port() -> int:
         sock.close()
 
 
+def _pid_alive(pid: int) -> bool:
+    """True while ``pid`` runs; an exited but unreaped zombie is gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:  # no procfs: the signal probe is all there is
+        return True
+
+
 def _connect_with_budget(addr, deadline_s: float = 15.0) -> ServeClient:
     """One reconnect-with-backoff budget; exceeding it fails the test."""
     return ServeClient.connect(addr, retries=60, backoff_s=0.05,
@@ -66,12 +79,18 @@ def _connect_with_budget(addr, deadline_s: float = 15.0) -> ServeClient:
 
 
 class _Pool:
-    """A supervisor pool running as a real CLI subprocess."""
+    """A supervisor pool running as a real CLI subprocess.
+
+    The CLI starts in its own session, so the supervisor and every
+    worker it forks share one process group that :meth:`kill` can
+    SIGKILL at once; killing only the supervisor would orphan them.
+    """
 
     def __init__(self, store_dir, tmp_path, n_procs=2):
         self.socket_path = str(tmp_path / "pool.sock")
         self.port = _free_port()
         self.tcp_addr = f"tcp://127.0.0.1:{self.port}"
+        self.seen_pids: set[int] = set()
         env = dict(os.environ)
         env["PYTHONPATH"] = (str(Path(__file__).resolve()
                                  .parents[2] / "src")
@@ -83,7 +102,8 @@ class _Pool:
              "--addr", self.tcp_addr,
              "--procs", str(n_procs),
              "--tail-interval", "0.1", "--quiet"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True)
 
     def wait_ready(self, deadline_s: float = 30.0) -> None:
         deadline = time.monotonic() + deadline_s
@@ -113,6 +133,7 @@ class _Pool:
                     pids.add(client.stats()["pid"])
             except ServeConnectionError:
                 continue
+        self.seen_pids |= pids
         return pids
 
     def stop(self, timeout: float = 20.0) -> int:
@@ -121,10 +142,18 @@ class _Pool:
                 client.shutdown()
         return self.proc.wait(timeout=timeout)
 
-    def kill(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait(timeout=10)
+    def kill(self, deadline_s: float = 10.0) -> None:
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the whole group has already exited
+        self.proc.wait(timeout=deadline_s)
+        deadline = time.monotonic() + deadline_s
+        while any(map(_pid_alive, self.seen_pids)):
+            if time.monotonic() > deadline:
+                alive = sorted(filter(_pid_alive, self.seen_pids))
+                raise AssertionError(f"workers outlived the pool: {alive}")
+            time.sleep(0.05)
 
 
 @pytest.fixture
@@ -198,8 +227,8 @@ class TestPoolServing:
 
 
 class TestSupervisorValidation:
-    def _config(self, tmp_path, **overrides) -> ServeConfig:
-        defaults = dict(socket_path=str(tmp_path / "v.sock"))
+    def _config(self, tmp_path, *, endpoints=(), **overrides) -> ServeConfig:
+        defaults = dict(endpoints=[str(tmp_path / "v.sock"), *endpoints])
         defaults.update(overrides)
         return ServeConfig(**defaults)
 

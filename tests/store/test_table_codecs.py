@@ -1,5 +1,6 @@
 """BipartitionTable codecs: seeded round-trip properties, the packing
-regression pin, registry semantics, and loud malformed-input failures.
+regression pin, the §IX mask codec, pinned succinct-v1 output bytes,
+registry semantics, and loud malformed-input failures.
 
 The exactness bar (ISSUE 9): every codec decode must reproduce the
 encoded table key-for-key, count-for-count, and weight-for-weight —
@@ -16,6 +17,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bipartitions.encoding import pack_key, unpack_key, words_for_taxa
 from repro.core.table import (
@@ -24,6 +27,8 @@ from repro.core.table import (
     codec_by_tag,
     codec_names,
     codecs,
+    compress_mask,
+    decompress_mask,
     default_codec_name,
     get_codec,
     masks_to_words,
@@ -31,7 +36,7 @@ from repro.core.table import (
     register_codec,
     words_to_masks,
 )
-from repro.util.errors import StoreCorruptError
+from repro.util.errors import BipartitionError, StoreCorruptError
 
 BOUNDARY_TAXA = (5, 63, 64, 65, 127, 128, 129)
 _SEED = 20260809
@@ -189,6 +194,52 @@ class TestCodecRoundtrip:
         spec = get_codec(codec)
         table = random_table(65, _SEED)
         assert spec.estimated_bytes(table) == spec.encode(table).nbytes
+
+
+class TestMaskCodec:
+    """The §IX per-mask codec that succinct-v1 frames its blobs with."""
+
+    @pytest.mark.parametrize("mask", [0, 1, 0b1011, (1 << 64) - 1, 1 << 200,
+                                      0b101 << 300, (1 << 1000) | 1])
+    def test_roundtrip_known(self, mask):
+        assert decompress_mask(compress_mask(mask)) == mask
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=(1 << 2048) - 1))
+    def test_roundtrip_property(self, mask):
+        assert decompress_mask(compress_mask(mask)) == mask
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, (1 << 512) - 1), st.integers(0, (1 << 512) - 1))
+    def test_injective(self, a, b):
+        if a != b:
+            assert compress_mask(a) != compress_mask(b)
+
+    def test_sparse_masks_compress_well(self):
+        sparse = (1 << 900) | (1 << 10)
+        assert len(compress_mask(sparse)) < 10  # raw form would be 113+ bytes
+
+    def test_dense_masks_fall_back_to_raw(self):
+        dense = (1 << 256) - 1
+        # Raw: 1 + 32 bytes; gaps would be 1 + 256 bytes.
+        assert len(compress_mask(dense)) == 33
+
+    def test_never_larger_than_raw_plus_header(self):
+        for mask in (0, 1, 0b1010101, (1 << 100) - 1, 1 << 99):
+            raw_len = 1 + max(1, (mask.bit_length() + 7) // 8)
+            assert len(compress_mask(mask)) <= raw_len
+
+    def test_rejects_negative(self):
+        with pytest.raises(BipartitionError):
+            compress_mask(-1)
+
+    def test_rejects_garbage(self):
+        with pytest.raises(BipartitionError):
+            decompress_mask(b"")
+        with pytest.raises(BipartitionError):
+            decompress_mask(b"\x7fanything")
+        with pytest.raises(BipartitionError):
+            decompress_mask(b"\x01\x80")  # truncated varint
 
 
 class TestSuccinctGoldenBytes:

@@ -35,7 +35,7 @@ def store_dir(tmp_path, trees_file):
 
 @pytest.fixture
 def daemon(tmp_path, store_dir):
-    config = ServeConfig(socket_path=str(tmp_path / "serve.sock"),
+    config = ServeConfig(endpoints=[str(tmp_path / "serve.sock")],
                          tail_interval_s=0.05)
     daemon = ServeDaemon(store_dir, config)
     handle = daemon.run_in_thread()
@@ -51,7 +51,7 @@ def daemon(tmp_path, store_dir):
 class TestServeVerbs:
     def test_query_output_identical_to_store_query(self, daemon, store_dir,
                                                    trees_file, capsys):
-        assert main(["serve", "query", daemon.config.socket_path,
+        assert main(["serve", "query", daemon.config.endpoints[0].path,
                      trees_file, "--quiet"]) == 0
         via_daemon = capsys.readouterr().out
         assert main(["store", "query", store_dir, trees_file,
@@ -61,7 +61,7 @@ class TestServeVerbs:
         assert len(via_daemon.strip().splitlines()) == 4
 
     def test_stats_prints_json(self, daemon, capsys):
-        assert main(["serve", "stats", daemon.config.socket_path,
+        assert main(["serve", "stats", daemon.config.endpoints[0].path,
                      "--quiet"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["server"] == "bfhrf-serve"
@@ -71,7 +71,7 @@ class TestServeVerbs:
         handle_thread = [t for t in threading.enumerate()
                          if t.name == "bfhrf-serve"]
         assert handle_thread, "daemon thread not running"
-        assert main(["serve", "stop", daemon.config.socket_path,
+        assert main(["serve", "stop", daemon.config.endpoints[0].path,
                      "--quiet"]) == 0
         handle_thread[0].join(timeout=15)
         assert not handle_thread[0].is_alive()
@@ -111,11 +111,11 @@ class TestEndpointAddressing:
 
     def test_query_via_addr_flag_matches_positional(self, daemon, trees_file,
                                                     capsys):
-        assert main(["serve", "query", daemon.config.socket_path,
+        assert main(["serve", "query", daemon.config.endpoints[0].path,
                      trees_file, "--quiet"]) == 0
         positional = capsys.readouterr().out
         assert main(["serve", "query", "--addr",
-                     f"unix://{daemon.config.socket_path}", trees_file,
+                     f"unix://{daemon.config.endpoints[0].path}", trees_file,
                      "--quiet"]) == 0
         assert capsys.readouterr().out == positional
 
@@ -124,8 +124,8 @@ class TestEndpointAddressing:
                                                        capsys):
         from repro.serve import ServeConfig, ServeDaemon
 
-        config = ServeConfig(socket_path=str(tmp_path / "tcp-test.sock"),
-                             endpoints=["tcp://127.0.0.1:0"],
+        config = ServeConfig(endpoints=[str(tmp_path / "tcp-test.sock"),
+                                        "tcp://127.0.0.1:0"],
                              tail_interval_s=0.05)
         daemon = ServeDaemon(store_dir, config)
         handle = daemon.run_in_thread()
@@ -142,7 +142,7 @@ class TestEndpointAddressing:
 
     def test_stats_via_bare_path_addr_flag(self, daemon, capsys):
         assert main(["serve", "stats", "--addr",
-                     daemon.config.socket_path, "--quiet"]) == 0
+                     daemon.config.endpoints[0].path, "--quiet"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["server"] == "bfhrf-serve"
 
