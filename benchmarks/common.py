@@ -240,63 +240,6 @@ RUNNERS: dict[str, Callable[..., AlgoRun]] = {
 
 
 # ---------------------------------------------------------------------------
-# Perf-ledger registry bridge.
-#
-# The pytest benches above own paper *scale*; these registrations expose
-# single representative points of the same experiments through
-# ``repro.perf`` so ``bfhrf bench run paper:...`` (with benchmarks/ on
-# PYTHONPATH) can append them to the regression ledger.  The nightly CI
-# job drives the Table-1-shaped point this way.
-# ---------------------------------------------------------------------------
-
-def _paper_point(family: str, base_r: int):
-    """One ledger-able point of a paper sweep: all three algorithms."""
-
-    def fn(scale: float) -> dict:
-        from repro.simulation.datasets import avian_like, insect_like, \
-            variable_trees
-
-        r = max(8, int(round(base_r * scale)))
-        makers = {"avian": avian_like, "insect": insect_like,
-                  "variable-trees": lambda r, seed: variable_trees(
-                      r, n_taxa=N_COMPLEXITY_POINT, seed=seed)}
-        trees = makers[family](r, seed=13).trees
-        runs = [run_ds(trees), run_hashrf(trees),
-                run_bfhrf(trees, workers=WORKERS_SMALL)]
-        assert_values_agree(runs)
-        return {
-            "family": family,
-            "trees": len(trees),
-            "taxa": len(trees[0].taxon_namespace),
-            "seconds_by_algorithm": {run.algorithm: run.seconds
-                                     for run in runs},
-        }
-
-    return fn
-
-
-N_COMPLEXITY_POINT = 32
-
-
-def register_paper_benchmarks() -> None:
-    """Register the paper experiment points with :mod:`repro.perf`."""
-    from repro.perf.registry import register_benchmark
-
-    register_benchmark(
-        "paper:fig1_avian_point", _paper_point("avian", 96),
-        description="Fig.1 Avian shape at one r point, DS/HashRF/BFHRF")
-    register_benchmark(
-        "paper:table3_insect_point", _paper_point("insect", 48),
-        description="Table III Insect shape at one r point, DS/HashRF/BFHRF")
-    register_benchmark(
-        "paper:table5_trees_point", _paper_point("variable-trees", 96),
-        description="Table V variable-trees shape at one r point")
-
-
-register_paper_benchmarks()
-
-
-# ---------------------------------------------------------------------------
 # Shape assertions shared by several benches.
 # ---------------------------------------------------------------------------
 

@@ -35,11 +35,6 @@ Subcommands::
                      [--artifacts DIR]
                      [--inject-fault bfh-count|weighted-total|store-count|shm-count]
                      [--replay ARTIFACT_DIR]
-    bfhrf bench      run NAME [NAME...] | --smoke [--repeat K] [--warmup K]
-                         [--scale F] [--ledger PATH.jsonl] |
-                     list |
-                     compare BASELINE.jsonl CANDIDATE.jsonl [--json]
-                         [--tolerance F]
 
 Global flags (accepted before or after the subcommand):
 
@@ -358,41 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(proves the harness detects divergence)")
     check.add_argument("--replay", default=None, metavar="ARTIFACT_DIR",
                        help="re-run a saved reproducer instead of fuzzing")
-
-    bench = add_parser(
-        "bench", help="registered perf benchmarks and the regression ledger "
-                      "(see docs/observability.md)")
-    bench_sub = bench.add_subparsers(dest="bench_verb", required=True)
-
-    bn = bench_sub.add_parser("run", parents=[global_flags],
-                              help="run benchmark(s), appending to the ledger")
-    bn.add_argument("names", nargs="*", metavar="NAME",
-                    help="registered benchmark name(s); see `bench list`")
-    bn.add_argument("--smoke", action="store_true",
-                    help="run every smoke-tier benchmark (the per-PR CI set)")
-    bn.add_argument("--repeat", type=int, default=3,
-                    help="timed repetitions; the best is the headline number")
-    bn.add_argument("--warmup", type=int, default=1,
-                    help="untimed repetitions discarded before measuring")
-    bn.add_argument("--scale", type=float, default=1.0,
-                    help="workload scale factor (CI smoke uses < 1.0)")
-    bn.add_argument("--ledger", default=None, metavar="PATH.jsonl",
-                    help="ledger file to append to "
-                         "(default: benchmarks/results/ledger.jsonl)")
-
-    bench_sub.add_parser("list", parents=[global_flags],
-                         help="list registered benchmarks")
-
-    bc = bench_sub.add_parser("compare", parents=[global_flags],
-                              help="regression-gate a candidate ledger "
-                                   "against a baseline")
-    bc.add_argument("baseline", help="baseline ledger (.jsonl)")
-    bc.add_argument("candidate", help="candidate ledger (.jsonl)")
-    bc.add_argument("--json", action="store_true", dest="as_json",
-                    help="emit the machine-readable comparison instead of "
-                         "the table")
-    bc.add_argument("--tolerance", type=float, default=None,
-                    help="override every benchmark's relative tolerance")
 
     return parser
 
@@ -734,45 +694,6 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import compare_ledgers, run_benchmark
-    from repro.perf.ledger import DEFAULT_LEDGER, append_entry
-    from repro.perf.registry import benchmark_names, iter_benchmarks
-
-    verb = args.bench_verb
-    if verb == "list":
-        for bench in iter_benchmarks():
-            tier = "smoke" if bench.smoke else "full "
-            print(f"{bench.name:<20} [{tier}] tol={bench.tolerance:.0%}  "
-                  f"{bench.description}")
-        return 0
-
-    if verb == "compare":
-        report = compare_ledgers(args.baseline, args.candidate,
-                                 tolerance=args.tolerance)
-        print(report.to_json() if args.as_json else report.render())
-        return 0 if report.ok else 1
-
-    # run
-    names = list(args.names)
-    if args.smoke:
-        names.extend(n for n in benchmark_names(smoke_only=True)
-                     if n not in names)
-    if not names:
-        print("error: bench run needs benchmark NAMEs or --smoke",
-              file=sys.stderr)
-        return 2
-    ledger = args.ledger or DEFAULT_LEDGER
-    for name in names:
-        entry = run_benchmark(name, repeat=args.repeat, warmup=args.warmup,
-                              scale=args.scale)
-        target = append_entry(ledger, entry)
-        _info(f"{name}: best {format_seconds(entry.seconds)} of "
-              f"{entry.repeat} (warmup {entry.warmup}, scale {entry.scale}), "
-              f"peak RSS +{entry.peak_rss_mb:.1f}MB -> {target}")
-    return 0
-
-
 _COMMANDS = {
     "avg-rf": _cmd_avg_rf,
     "matrix": _cmd_matrix,
@@ -789,7 +710,6 @@ _COMMANDS = {
     "store": _cmd_store,
     "serve": _cmd_serve,
     "selfcheck": _cmd_selfcheck,
-    "bench": _cmd_bench,
 }
 
 

@@ -16,7 +16,7 @@ from repro.util.chunking import (
     default_chunk_size,
     split_evenly,
 )
-from repro.util.memory import MemoryProbe, MemorySample, rss_peak_mb, trace_peak
+from repro.util.memory import rss_peak_mb, trace_peak
 from repro.util.records import ExperimentTable, RunRecord
 from repro.util.rng import derive_seed, resolve_rng, spawn_children
 from repro.util.timing import Stopwatch, estimate_total_seconds, format_seconds, stopwatch
@@ -37,8 +37,6 @@ __all__ = [
     "default_chunk_size",
     "balanced_chunk_count",
     "split_evenly",
-    "MemoryProbe",
-    "MemorySample",
     "trace_peak",
     "rss_peak_mb",
     "Stopwatch",

@@ -19,7 +19,6 @@ __all__ = [
     "StoreError",
     "StoreCorruptError",
     "ExecutorError",
-    "PerfError",
     "ServeError",
     "ServeConnectionError",
     "ServeProtocolError",
@@ -128,15 +127,6 @@ class StoreCorruptError(StoreError):
     where continuing would risk silently wrong frequencies.  A torn
     journal tail (an interrupted append) is *not* corruption: it is
     recovered by dropping the incomplete record.
-    """
-
-
-class PerfError(ReproError):
-    """A benchmark-harness operation failed.
-
-    Examples: requesting an unregistered benchmark, a perf ledger whose
-    schema version this code cannot read, or a ``bench compare`` against
-    a baseline that holds no entries for the candidate's benchmarks.
     """
 
 

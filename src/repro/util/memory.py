@@ -1,20 +1,17 @@
-"""Peak-memory measurement for the benchmark harness.
+"""Peak-memory measurement for the benchmark harness and the CLI.
 
 The paper reports "maximum resident memory" per run (Figs 1–2, Tables
 III–V).  Inside one long-lived pytest process we cannot use RSS for
-per-algorithm attribution (RSS never shrinks), so the harness offers two
+per-algorithm attribution (RSS never shrinks), so there are two
 complementary measurements:
 
 * :func:`trace_peak` — Python-heap peak via :mod:`tracemalloc`; precise
   attribution of allocations made *during* the traced block, which is the
   right tool for comparing the algorithms' data-structure footprints
   (bipartition sets vs the frequency hash vs the r×r matrix).
-* :func:`rss_peak_mb` — OS-reported high-water mark via
-  ``resource.getrusage``, matching the paper's profiler numbers when a
-  whole process runs one algorithm (the CLI uses this).
-
-Both are exposed through :class:`MemoryProbe` so callers pick a policy
-once.
+* :func:`rss_peak_mb` — OS-reported high-water mark, matching the
+  paper's profiler numbers when a whole process runs one algorithm (the
+  CLI and every ``RunReport`` use this).
 """
 
 from __future__ import annotations
@@ -23,19 +20,12 @@ import resource
 import sys
 import tracemalloc
 from contextlib import contextmanager
-from dataclasses import dataclass
 
-__all__ = ["trace_peak", "rss_peak_mb", "reset_rss_peak", "MemoryProbe",
-           "MemorySample"]
+__all__ = ["trace_peak", "rss_peak_mb"]
 
 
 def _read_vm_hwm_mb() -> float | None:
-    """``VmHWM`` (peak RSS) from ``/proc/self/status`` in MiB, or None.
-
-    Unlike ``ru_maxrss``, this kernel counter can be *reset* (see
-    :func:`reset_rss_peak`), which makes per-block RSS attribution
-    possible inside a long-lived process.
-    """
+    """``VmHWM`` (peak RSS) from ``/proc/self/status`` in MiB, or None."""
     try:
         with open("/proc/self/status", encoding="ascii") as fh:
             for line in fh:
@@ -46,29 +36,12 @@ def _read_vm_hwm_mb() -> float | None:
     return None
 
 
-def reset_rss_peak() -> bool:
-    """Reset the kernel's peak-RSS watermark for this process.
-
-    Writes ``5`` (``CLEAR_REFS_MM_HIWATER_RSS``) to
-    ``/proc/self/clear_refs`` so ``VmHWM`` restarts from the *current*
-    RSS.  Returns True on success; False where unsupported (non-Linux,
-    restricted containers) — callers fall back to the monotone
-    ``ru_maxrss`` watermark.
-    """
-    try:
-        with open("/proc/self/clear_refs", "w") as fh:
-            fh.write("5")
-        return True
-    except OSError:
-        return False
-
-
 def rss_peak_mb() -> float:
     """Return the process high-water RSS in MiB.
 
-    Prefers ``VmHWM`` from ``/proc/self/status`` (resettable via
-    :func:`reset_rss_peak`); falls back to ``getrusage``'s ``ru_maxrss``
-    elsewhere (kilobytes on Linux, bytes on macOS; normalized).
+    Prefers ``VmHWM`` from ``/proc/self/status``; falls back to
+    ``getrusage``'s ``ru_maxrss`` elsewhere (kilobytes on Linux, bytes on
+    macOS; normalized).
     """
     hwm = _read_vm_hwm_mb()
     if hwm is not None:
@@ -79,29 +52,15 @@ def rss_peak_mb() -> float:
     return peak / 1024
 
 
-@dataclass(frozen=True)
-class MemorySample:
-    """Result of one traced block.
-
-    Attributes
-    ----------
-    peak_mb:
-        Peak Python-heap usage above the pre-block baseline, in MiB.
-    current_mb:
-        Heap retained at block exit above the baseline, in MiB — the
-        *persistent* footprint of whatever the block returned (e.g. the
-        BFH vs a full bipartition table).
-    """
-
-    peak_mb: float
-    current_mb: float
-
-
 @contextmanager
 def trace_peak():
     """Context manager measuring Python-heap peak within the block.
 
-    Yields a :class:`MemorySample` whose fields are filled in on exit::
+    Yields an object whose fields are filled in on exit: ``peak_mb`` is
+    the peak Python-heap usage above the pre-block baseline, in MiB, and
+    ``current_mb`` the heap retained at block exit above the baseline —
+    the *persistent* footprint of whatever the block returned (e.g. the
+    BFH vs a full bipartition table)::
 
         with trace_peak() as sample:
             hash_ = build_bfh(trees)
@@ -129,45 +88,3 @@ def trace_peak():
         box.current_mb = max(0.0, (current - base_current) / (1024 * 1024))
         if not was_tracing:
             tracemalloc.stop()
-
-
-class MemoryProbe:
-    """Unified peak-memory probe.
-
-    Parameters
-    ----------
-    mode:
-        ``"trace"`` (default) for tracemalloc attribution inside a shared
-        process, ``"rss"`` for OS high-water RSS (whole-process runs).
-    """
-
-    def __init__(self, mode: str = "trace"):
-        if mode not in ("trace", "rss"):
-            raise ValueError(f"mode must be 'trace' or 'rss', got {mode!r}")
-        self.mode = mode
-
-    @contextmanager
-    def measure(self):
-        """Yield an object with a ``peak_mb`` attribute filled in on exit."""
-        if self.mode == "trace":
-            with trace_peak() as sample:
-                yield sample
-        else:
-            class _Box:
-                peak_mb = 0.0
-                current_mb = 0.0
-
-            box = _Box()
-            # The naive delta-of-watermarks under-reports: ``ru_maxrss``
-            # (and VmHWM) are monotone, so any *earlier* peak in the
-            # process hides everything this block allocates below it.
-            # Resetting the kernel watermark makes the delta exact; where
-            # clear_refs is unavailable the monotone fallback applies
-            # (documented: it can only under-report, never over-report).
-            reset_rss_peak()
-            before = rss_peak_mb()
-            try:
-                yield box
-            finally:
-                box.peak_mb = max(0.0, rss_peak_mb() - before)
-                box.current_mb = box.peak_mb

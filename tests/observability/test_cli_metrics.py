@@ -123,3 +123,24 @@ class TestQuietFlag:
     def test_default_still_reports_wall_time(self, quartet_file, capsys):
         assert main(["avg-rf", quartet_file]) == 0
         assert "wall time" in capsys.readouterr().err
+
+
+class TestCProfileFlag:
+    def test_cprofile_lands_in_run_report(self, tmp_path, capsys):
+        trees = tmp_path / "trees.nwk"
+        trees.write_text("((A,B),(C,D));\n((A,C),(B,D));\n")
+        out = tmp_path / "report.json"
+        rc = main(["--cprofile", "--metrics-out", str(out), "avg-rf",
+                   str(trees)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        root = doc["spans"][0]
+        assert root["name"] == "cli.avg-rf"
+        profile = root["attrs"]["profile"]
+        assert any("cumulative" in line for line in profile)
+
+    def test_cprofile_alone_prints_to_stderr(self, tmp_path, capsys):
+        trees = tmp_path / "trees.nwk"
+        trees.write_text("((A,B),(C,D));\n((A,C),(B,D));\n")
+        assert main(["--cprofile", "avg-rf", str(trees)]) == 0
+        assert "cumulative" in capsys.readouterr().err

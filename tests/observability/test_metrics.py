@@ -5,9 +5,12 @@ import pytest
 import repro.observability as obs
 from repro.core.bfhrf import bfhrf_average_rf, build_bfh
 from repro.core.parallel import dsmp_average_rf
+from repro.core.shmrf import shm_average_rf
 from repro.newick import trees_from_string
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime import fork_available
+from repro.simulation.datasets import variable_taxa
+from repro.store.store import build_store
 
 NEWICK = "((A,B),(C,D));\n((A,C),(B,D));\n((A,B),(C,D));\n((A,D),(B,C));\n"
 
@@ -139,6 +142,20 @@ class TestInstrumentation:
         snap = obs.metrics_snapshot()
         assert snap["counters"]["bfh.hash_hits"] + \
             snap["counters"].get("bfh.hash_misses", 0) == 4
+
+    def test_fan_out_probe_and_store_record_histograms(self, observed,
+                                                        tmp_path):
+        trees = variable_taxa(8, r=12, seed=20260808).trees
+        bfhrf_average_rf(trees, trees, n_workers=2)
+        shm_average_rf(trees, trees, n_workers=2, executor="thread")
+        store = build_store(tmp_path / "store", trees, n_workers=2,
+                            n_shards=4)
+        store.average_rf(trees[:4])
+        hists = obs.metrics_snapshot()["histograms"]
+        for name in ("parallel.fanout_seconds", "vectorized.probe_seconds",
+                     "store.shard_build_seconds", "store.query_seconds",
+                     "store.shard_write_seconds"):
+            assert name in hists, f"missing {name}"
 
     def test_disabled_records_nothing(self):
         assert not obs.enabled()

@@ -18,9 +18,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_unknown_command(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["teleport"])
+    def test_unknown_command(self, capsys):
+        for command in ("teleport", "bench"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([command])
+            assert exc.value.code == 2
+            assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 class TestAvgRF:

@@ -5,13 +5,7 @@ import time
 
 import pytest
 
-from repro.util.memory import (
-    MemoryProbe,
-    _read_vm_hwm_mb,
-    reset_rss_peak,
-    rss_peak_mb,
-    trace_peak,
-)
+from repro.util.memory import _read_vm_hwm_mb, rss_peak_mb, trace_peak
 from repro.util.timing import Stopwatch, estimate_total_seconds, format_seconds, stopwatch
 
 
@@ -53,38 +47,6 @@ class TestRssPeak:
         assert b >= a
 
 
-class TestMemoryProbe:
-    def test_trace_mode(self):
-        probe = MemoryProbe("trace")
-        with probe.measure() as sample:
-            data = bytearray(4_000_000)
-        assert sample.peak_mb > 2.0
-        del data
-
-    def test_rss_mode_runs(self):
-        probe = MemoryProbe("rss")
-        with probe.measure() as sample:
-            pass
-        assert sample.peak_mb >= 0.0
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            MemoryProbe("vibes")
-
-    def test_rss_mode_attributes_block_after_larger_prior_peak(self):
-        """The VmHWM-reset fix: a block allocating less than an *earlier*
-        process peak must still report its own allocation, not zero."""
-        if not reset_rss_peak():
-            pytest.skip("/proc/self/clear_refs unavailable")
-        big = bytearray(96 * 1024 * 1024)
-        del big
-        probe = MemoryProbe("rss")
-        with probe.measure() as sample:
-            small = bytearray(32 * 1024 * 1024)
-        del small
-        assert sample.peak_mb == pytest.approx(32.0, abs=8.0)
-
-
 class TestVmHwm:
     def test_read_matches_rss_peak(self):
         hwm = _read_vm_hwm_mb()
@@ -92,15 +54,6 @@ class TestVmHwm:
             pytest.skip("/proc/self/status unavailable")
         assert hwm > 1.0
         assert rss_peak_mb() == pytest.approx(hwm, rel=0.5)
-
-    def test_reset_lowers_watermark(self):
-        if not reset_rss_peak():
-            pytest.skip("/proc/self/clear_refs unavailable")
-        blob = bytearray(64 * 1024 * 1024)
-        del blob
-        high = rss_peak_mb()
-        assert reset_rss_peak()
-        assert rss_peak_mb() <= high
 
 
 class TestStopwatch:
