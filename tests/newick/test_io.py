@@ -114,3 +114,37 @@ class TestStringHelpers:
     def test_trees_from_string_shared_namespace(self):
         trees = trees_from_string("((A,B),(C,D));\n((A,C),(B,D));")
         assert trees[0].taxon_namespace is trees[1].taxon_namespace
+
+
+# Pinned record splitting: each input stream maps to the records it
+# yields, or to the error it raises.  ';' ends a record only outside
+# quoted labels and [...] comments, which may span lines.
+PINNED_RECORDS = [
+    ("", []),
+    ("\n\n", []),
+    ("(A,B);\n(C,D);\n", ["(A,B);", "(C,D);"]),
+    ("(A,B);(C,D);", ["(A,B);", "(C,D);"]),
+    ("  (A,B) ;  \n", ["(A,B) ;"]),
+    ("((A,\nB),\n(C,D));\n", ["((A,\nB),\n(C,D));"]),
+    ("# head\n\n(A,B);\n", ["(A,B);"]),
+    ("('a;b',C);\n", ["('a;b',C);"]),
+    ("('it''s;',B);", ["('it''s;',B);"]),
+    ("('q[z;',B);", ["('q[z;',B);"]),
+    ("(A[x;y],B);\n", ["(A[x;y],B);"]),
+    ("(A[it's;],B);", ["(A[it's;],B);"]),
+    ("('a\n;b',C);\n(D,E);", ["('a\n;b',C);", "(D,E);"]),
+    ("(A[x\n;y],B);\n(D,E);", ["(A[x\n;y],B);", "(D,E);"]),
+    ("(A],B);", ["(A],B);"]),
+    ("(A,B);\n(C,D)", NewickParseError),
+    ("(A,B);\n('open;\n", NewickParseError),
+    ("(A,B);\n(C[open;\n", NewickParseError),
+]
+
+
+@pytest.mark.parametrize("text, expected", PINNED_RECORDS)
+def test_pinned_records(text, expected):
+    if isinstance(expected, list):
+        assert list(iter_newick_strings(io.StringIO(text))) == expected
+        return
+    with pytest.raises(expected, match="trailing data without terminating ';'"):
+        list(iter_newick_strings(io.StringIO(text)))

@@ -6,7 +6,12 @@ import pytest
 
 from repro.bipartitions import bipartition_masks
 from repro.newick import parse_newick
-from repro.newick.nexus import iter_nexus_trees, parse_translate_block, read_nexus_trees
+from repro.newick.nexus import (
+    _statements,
+    iter_nexus_trees,
+    parse_translate_block,
+    read_nexus_trees,
+)
 from repro.trees import TaxonNamespace
 from repro.util.errors import NewickParseError
 
@@ -164,3 +169,59 @@ class TestReader:
         text = "#NEXUS\nBEGIN TREES;\nTREE * best = [&U][&lnL=-5] ((A,B),(C,D));\nEND;\n"
         trees = read_nexus_trees(io.StringIO(text))
         assert trees[0].n_leaves == 4
+
+
+# Pinned NEXUS statement splitting: comments outside quoted labels are
+# dropped, ';' ends a statement only outside quotes and comments, and a
+# trailing statement without ';' is still yielded.  An unterminated
+# comment drops the rest of the input; an unterminated quote keeps it.
+PINNED_STATEMENTS = [
+    ("", []),
+    (";; ;\n", []),
+    ("BEGIN TREES;\nTREE t = [&U] ((A,B),(C,D));\nEND;\n",
+     ["BEGIN TREES", "TREE t =  ((A,B),(C,D))", "END"]),
+    ("TREE t = (('semi;colon',B),(C,D));", ["TREE t = (('semi;colon',B),(C,D))"]),
+    ("TREE t = (('q[z]',B),C);", ["TREE t = (('q[z]',B),C)"]),
+    ("TREE t = (('it''s;',B),C);", ["TREE t = (('it''s;',B),C)"]),
+    ("TREE t = ('a\nb',C);", ["TREE t = ('a\nb',C)"]),
+    ("[a; comment]\nEND;", ["END"]),
+    ("[it's]END;", ["END"]),
+    ("BEGIN [x\ny] TREES;", ["BEGIN  TREES"]),
+    ("TRANSLATE\n  1 A,\n  2 B;\n", ["TRANSLATE\n  1 A,\n  2 B"]),
+    ("END]; x", ["END]", "x"]),
+    ("BEGIN TREES;\nEND", ["BEGIN TREES", "END"]),
+    ("BEGIN TREES;\nTREE t = (A,B)[oops; END;\n",
+     ["BEGIN TREES", "TREE t = (A,B)"]),
+    ("BEGIN TREES;\nTREE t = ('open;[x] END;\n",
+     ["BEGIN TREES", "TREE t = ('open;[x] END;"]),
+]
+
+
+@pytest.mark.parametrize("text, expected", PINNED_STATEMENTS)
+def test_pinned_statements(text, expected):
+    assert list(_statements(io.StringIO(text))) == expected
+
+
+PINNED_TRANSLATE = [
+    ("TRANSLATE 1 Homo_sapiens, 2 Pan", {"1": "Homo_sapiens", "2": "Pan"}),
+    ("translate\n\t1 'taxon one',\n\t2 'a(b)',\n\t3 'x:y'",
+     {"1": "taxon one", "2": "a(b)", "3": "x:y"}),
+    ("TRANSLATE 1 'c,d', 2 'it''s', 3 ''''", {"1": "c,d", "2": "it's", "3": "'"}),
+    ("TRANSLATE 1 'semi;colon', 2 'q[z]'", {"1": "semi;colon", "2": "q[z]"}),
+    ("TRANSLATE 1 'a\nb'", {"1": "a\nb"}),
+    ("TRANSLATE 1 A, 2 B,", {"1": "A", "2": "B"}),
+    ("TRANSLATE 1 A B", {"1": "A B"}),
+    ("TRANSLATE", {}),
+    ("TRANSLATE 1 [A, 2 B", {"1": "[A", "2": "B"}),
+    ("TRANSLATE 1 'open, 2 B", {"1": "'open, 2 B"}),
+    ("TRANSLATE justonetoken,", NewickParseError),
+]
+
+
+@pytest.mark.parametrize("statement, expected", PINNED_TRANSLATE)
+def test_pinned_translate(statement, expected):
+    if isinstance(expected, dict):
+        assert parse_translate_block(statement) == expected
+        return
+    with pytest.raises(expected, match="malformed TRANSLATE entry 'justonetoken'"):
+        parse_translate_block(statement)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.newick import parse_newick
+from repro.newick import parse_newick, write_newick
 from repro.trees import TaxonNamespace
 from repro.util.errors import NewickParseError, TaxonError
 
@@ -126,3 +126,81 @@ class TestLargeInput:
         text += ";"
         t = parse_newick(text)
         assert t.n_leaves == n
+
+
+# Pinned lexical and syntactic behaviour: each input maps either to the
+# writer's output for the parsed tree or to (exception type, message,
+# position).  Message and position are compared exactly, so a change to
+# how tokens are scanned or where errors are reported shows up here.
+PINNED = [
+    # Structural tokens, whitespace, branch lengths.
+    ("(A,B);", "(A,B);"),
+    (" ( A ,\tB ) ;\n", "(A,B);"),
+    ("(A:0.5,B:1e-3);", "(A:0.5,B:0.001);"),
+    ("A;", "A;"),
+    ("'q':1;", "q:1.0;"),
+    ("(A,B)'q':1;", "(A,B)q:1.0;"),
+    ("((A,B)x:2,C)y;", "((A,B)x:2.0,C)y;"),
+    # Quoted labels: structural characters, '' escapes, the empty label.
+    ("('Homo sapiens',B);", "('Homo sapiens',B);"),
+    ("('a(b,c);:d',B);", "('a(b,c);:d',B);"),
+    ("('it''s',B);", "('it''s',B);"),
+    ("((A,B)'':1,C);", "((A,B):1.0,C);"),
+    ("('q[z]','''',B);", "('q[z]','''',B);"),
+    # Comments, including structural characters inside them.
+    ("(A[this is a comment],B);", "(A,B);"),
+    ("(A[,;()],B);", "(A,B);"),
+    ("([c]A[c],[c]B)[c];", "(A,B);"),
+    # Bare labels are kept verbatim.
+    ("(Homo_sapiens,B);", "(Homo_sapiens,B);"),
+    ("(1,2);", "(1,2);"),
+    ("(a-b.c|d,B);", "(a-b.c|d,B);"),
+    # Only [ \t\r\n] separates tokens; other whitespace is label text.
+    ("(A\x0bB,C);", "(A\x0bB,C);"),
+    ("(A\xa0B,C);", "(A\xa0B,C);"),
+    # Text after the root ';' is never scanned.
+    ("(A,B);'x", "(A,B);"),
+    ("(A,B);]", "(A,B);"),
+    ("(A,B);[x", "(A,B);"),
+    ("(A,B);junk", "(A,B);"),
+    # Errors, with the position of the offending token.
+    ("", (NewickParseError, "empty Newick input", 0)),
+    ("   ", (NewickParseError, "empty Newick input", 3)),
+    ("(A[oops,B);", (NewickParseError, "unterminated comment", 2)),
+    ("(A']", (NewickParseError, "unterminated quoted label", 2)),
+    ("('abc,B);", (NewickParseError, "unterminated quoted label", 1)),
+    ("('a'',B);", (NewickParseError, "unterminated quoted label", 1)),
+    ("(A]B);", (NewickParseError, "unexpected character ']'", 2)),
+    ("(AB,,C);", (NewickParseError, "expected subtree, got ','", 4)),
+    ("(A,B)C D;", (NewickParseError, "expected ';' after root group", 7)),
+    ("(A:,B);", (NewickParseError, "expected branch length after ':'", 3)),
+    ("(A:x,B);", (NewickParseError, "invalid branch length 'x'", 3)),
+    ("A:;", (NewickParseError, "expected branch length after ':'", 2)),
+    ("A B;", (NewickParseError, "expected ';' at end of tree", 2)),
+    (";", (NewickParseError, "expected '(' or label, got ';'", 0)),
+    ("();", (NewickParseError, "expected subtree, got ')'", 1)),
+    ("(A,B)", (NewickParseError, "expected ';' after root group", 5)),
+    ("((A,B)", (NewickParseError, "unexpected end of input inside tree", 6)),
+    ("((A,B);", (NewickParseError,
+                 "unbalanced parentheses: ';' before all groups closed", 6)),
+    ("(A B);", (NewickParseError, "unexpected token 'B'", 3)),
+    ("(A,(B);", (NewickParseError,
+                 "unbalanced parentheses: ';' before all groups closed", 6)),
+    ("(A,A);", (TaxonError, "duplicate taxon label 'A' in one tree", None)),
+    ("('',B);", (TaxonError, "taxon labels must be non-empty", None)),
+]
+
+
+@pytest.mark.parametrize("text, expected", PINNED)
+def test_pinned_parse(text, expected):
+    if isinstance(expected, str):
+        assert write_newick(parse_newick(text)) == expected
+        return
+    exc_type, message, position = expected
+    with pytest.raises(exc_type) as err:
+        parse_newick(text)
+    if position is None:
+        assert str(err.value) == message
+    else:
+        assert err.value.position == position
+        assert str(err.value) == f"{message} (position {position})"
