@@ -8,7 +8,6 @@ from repro.newick.io import (
     trees_to_string,
     write_newick_file,
 )
-from repro.newick.lexer import Token, TokenType, tokenize
 from repro.newick.nexus import iter_nexus_trees, parse_translate_block, read_nexus_trees
 from repro.newick.nexus_writer import nexus_string, write_nexus_file
 from repro.newick.io import open_tree_file
@@ -16,9 +15,6 @@ from repro.newick.parser import parse_newick
 from repro.newick.writer import format_label, write_newick
 
 __all__ = [
-    "tokenize",
-    "Token",
-    "TokenType",
     "parse_newick",
     "write_newick",
     "format_label",

@@ -16,9 +16,10 @@ from __future__ import annotations
 import gzip
 import io
 import os
+import re
 from collections.abc import Iterable, Iterator
 
-from repro.newick.parser import parse_newick
+from repro.newick.parser import COMMENT, QUOTED, parse_newick
 from repro.newick.writer import write_newick
 from repro.trees.taxon import TaxonNamespace
 from repro.trees.tree import Tree
@@ -33,6 +34,10 @@ __all__ = [
     "trees_from_string",
     "open_tree_file",
 ]
+
+# Record text up to its terminating ';': anything but ';', quotes and
+# comment brackets, or a whole quoted label or comment.
+_RECORD_BODY = re.compile(rf"(?:[^;'\[]++|{QUOTED}|{COMMENT})*+")
 
 
 def open_tree_file(path: str | os.PathLike, mode: str = "r"):
@@ -54,41 +59,27 @@ def iter_newick_strings(stream: io.TextIOBase | Iterable[str]) -> Iterator[str]:
 
     Records may span lines; quoted labels and comments containing ``;``
     are respected.  ``#`` starts a comment line only at record boundaries.
+    The stream is read one line at a time.
     """
-    buffer: list[str] = []
-    in_quote = False
-    in_comment = False
+    pending = ""  # text of the records not yet yielded
+    scanned = 0   # pending[:scanned] holds no record-ending ';'
     for line in stream:
-        stripped = line.strip()
-        if not buffer and (not stripped or stripped.startswith("#")):
-            continue
-        for ch in line:
-            if in_comment:
-                buffer.append(ch)
-                if ch == "]":
-                    in_comment = False
+        if not pending.strip():
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
                 continue
-            if in_quote:
-                buffer.append(ch)
-                if ch == "'":
-                    in_quote = False
-                continue
-            if ch == "'":
-                in_quote = True
-                buffer.append(ch)
-                continue
-            if ch == "[":
-                in_comment = True
-                buffer.append(ch)
-                continue
-            buffer.append(ch)
-            if ch == ";":
-                record = "".join(buffer).strip()
-                buffer.clear()
-                if record:
-                    yield record
-    tail = "".join(buffer).strip()
-    if tail:
+        pending += line
+        start = 0
+        while True:
+            # Stops at a ';', at the end, or at a quote or comment that
+            # is still open and needs the next line.
+            end = _RECORD_BODY.match(pending, scanned).end()
+            if end == len(pending) or pending[end] != ";":
+                break
+            yield pending[start:end + 1].strip()
+            start = scanned = end + 1
+        pending, scanned = pending[start:], end - start
+    if pending.strip():
         raise NewickParseError("trailing data without terminating ';'")
 
 

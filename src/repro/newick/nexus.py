@@ -30,8 +30,8 @@ import os
 import re
 from collections.abc import Iterator
 
-from repro.newick.io import iter_newick_strings
-from repro.newick.parser import parse_newick
+from repro.newick.io import open_tree_file
+from repro.newick.parser import COMMENT, QUOTED, parse_newick, unquote
 from repro.trees.manipulate import suppress_unifurcations
 from repro.trees.taxon import TaxonNamespace
 from repro.trees.tree import Tree
@@ -39,6 +39,14 @@ from repro.util.errors import NewickParseError
 
 __all__ = ["read_nexus_trees", "iter_nexus_trees", "parse_translate_block"]
 
+# One piece of statement text: group 1 is text to keep (a run without
+# ';', quotes or comment brackets, or a whole quoted label); otherwise a
+# whole comment or the ';' that ends the statement.
+_STATEMENT_PART = re.compile(rf"((?:[^;'\[]++|{QUOTED})++)|{COMMENT}|;")
+# A TRANSLATE entry up to the next ',' outside quotes; a quote left open
+# runs to the end of the table.
+_TRANSLATE_ENTRY = re.compile(rf"(?:[^,']++|{QUOTED})*+(?:'.*)?", re.DOTALL)
+_QUOTED = re.compile(QUOTED)
 _TREE_STMT = re.compile(r"^\s*U?TREE\s*(\*)?\s*([^=\s]+)\s*=\s*(.*)$",
                         re.IGNORECASE | re.DOTALL)
 
@@ -49,83 +57,31 @@ def _statements(stream) -> Iterator[str]:
     The scan is quote-aware: inside a single-quoted label, ``;`` and
     ``[``/``]`` are literal characters and ``''`` is an escaped quote, so
     labels like ``'semi;colon'`` or ``'q[z]'`` survive intact.  Bracket
-    comments outside quotes (``[&U]`` and friends) are dropped.
+    comments outside quotes (``[&U]`` and friends) are dropped.  A
+    comment still open at the end of input drops the rest; a quote still
+    open keeps it.  The stream is read one line at a time.
     """
-
-    def chars() -> Iterator[str]:
-        for line in stream:
-            yield from line
-
-    out: list[str] = []
-    pushback: list[str] = []
-    in_quote = False
-    in_comment = False
-    it = chars()
-    while True:
-        ch = pushback.pop() if pushback else next(it, None)
-        if ch is None:
-            break
-        if in_comment:
-            if ch == "]":
-                in_comment = False
-            continue
-        if in_quote:
-            out.append(ch)
-            if ch == "'":
-                nxt = next(it, None)
-                if nxt == "'":
-                    out.append("'")  # '' escape: still inside the label
-                else:
-                    in_quote = False
-                    if nxt is not None:
-                        pushback.append(nxt)
-            continue
-        if ch == "'":
-            in_quote = True
-            out.append(ch)
-        elif ch == "[":
-            in_comment = True
-        elif ch == ";":
-            statement = "".join(out).strip()
-            out = []
-            if statement:
-                yield statement
-        else:
-            out.append(ch)
-    tail = "".join(out).strip()
+    kept: list[str] = []  # current statement so far, comments removed
+    pending = ""          # unscanned text; between lines, "" or an open
+                          # quote or comment waiting for its close
+    for line in stream:
+        pending += line
+        pos = 0
+        while (match := _STATEMENT_PART.match(pending, pos)) is not None:
+            pos = match.end()
+            if match[1] is not None:
+                kept.append(match[1])
+            elif match[0] == ";":
+                statement = "".join(kept).strip()
+                kept = []
+                if statement:
+                    yield statement
+        pending = pending[pos:]
+    if pending.startswith("'"):
+        kept.append(pending)
+    tail = "".join(kept).strip()
     if tail:
         yield tail
-
-
-def _split_outside_quotes(text: str, sep: str) -> list[str]:
-    parts: list[str] = []
-    out: list[str] = []
-    in_quote = False
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "'":
-            out.append(ch)
-            if in_quote and i + 1 < len(text) and text[i + 1] == "'":
-                out.append("'")
-                i += 2
-                continue
-            in_quote = not in_quote
-        elif ch == sep and not in_quote:
-            parts.append("".join(out))
-            out = []
-        else:
-            out.append(ch)
-        i += 1
-    parts.append("".join(out))
-    return parts
-
-
-def _unquote(label: str) -> str:
-    label = label.strip()
-    if len(label) >= 2 and label[0] == "'" and label[-1] == "'":
-        return label[1:-1].replace("''", "'")
-    return label
 
 
 def parse_translate_block(statement: str) -> dict[str, str]:
@@ -141,14 +97,15 @@ def parse_translate_block(statement: str) -> dict[str, str]:
     """
     body = re.sub(r"^\s*TRANSLATE\s*", "", statement, flags=re.IGNORECASE)
     table: dict[str, str] = {}
-    for entry in _split_outside_quotes(body, ","):
+    for entry in _TRANSLATE_ENTRY.findall(body):
         entry = entry.strip()
         if not entry:
             continue
         match = re.match(r"(\S+)\s+(.+)$", entry, re.DOTALL)
         if match is None:
             raise NewickParseError(f"malformed TRANSLATE entry {entry!r}")
-        table[match.group(1)] = _unquote(match.group(2))
+        label = match.group(2).strip()
+        table[match.group(1)] = unquote(label) if _QUOTED.fullmatch(label) else label
     return table
 
 
@@ -183,8 +140,6 @@ def iter_nexus_trees(source: str | os.PathLike | io.TextIOBase,
     >>> sorted(trees[0].leaf_labels())
     ['A', 'B', 'C', 'D']
     """
-    from repro.newick.io import open_tree_file
-
     ns = taxon_namespace if taxon_namespace is not None else TaxonNamespace()
     if isinstance(source, (str, os.PathLike)) and not (
             isinstance(source, str) and "\n" in source):

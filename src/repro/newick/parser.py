@@ -7,6 +7,11 @@ Grammar (standard Newick)::
     internal  ::= "(" subtree ("," subtree)* ")" [label] [":" length]
     leaf      ::= label [":" length]
 
+The lexical grammar (whitespace, ``[...]`` comments, ``'...'`` quoted
+labels with ``''`` escapes, the structural characters and bare labels)
+is defined here once, as the patterns the package's other readers and
+the writer's quoting rule reuse.
+
 The parser is written with an explicit stack instead of recursion so it
 handles trees with thousands of taxa regardless of the interpreter's
 recursion limit, and binds every leaf label into a caller-supplied
@@ -16,7 +21,9 @@ comparable (the property the bipartition bitmasks rely on).
 
 from __future__ import annotations
 
-from repro.newick.lexer import Token, TokenType, tokenize
+import re
+from collections.abc import Iterator
+
 from repro.observability.metrics import counter as _metric
 from repro.observability.state import enabled as _obs_enabled
 from repro.trees.node import Node
@@ -26,14 +33,59 @@ from repro.util.errors import NewickParseError, TaxonError
 
 __all__ = ["parse_newick"]
 
+# The Newick lexical grammar, defined once.  The record splitter, the
+# NEXUS reader and the writer's quoting rule all build on these.
+# Whitespace is exactly [ \t\r\n] (not \s), so characters such as \x0b or
+# \xa0 are label text.  A bare label is a run of anything else that is
+# not structural, a quote or a comment bracket.
+_BLANK = " \t\r\n"
+LABEL_STOP = "(),;:[]'" + _BLANK
+COMMENT = r"\[[^\]]*\]"
+QUOTED = r"'[^']*+(?:''[^']*+)*+'"  # '' inside is a literal quote
 
-def _parse_length(token: Token) -> float:
-    try:
-        return float(token.value)
-    except ValueError:
-        raise NewickParseError(
-            f"invalid branch length {token.value!r}", position=token.position
-        ) from None
+# Skip whitespace and comments, then match one token.  Groups: 1
+# structural character, 2 quoted label, 3 bare label, 4 end of input, 5
+# the opening character of an unterminated comment or quote, or a stray
+# ']'.  Used with finditer, each match starts where the last one ended,
+# so scanning stops at the token the parser last asked for.
+_TOKEN = re.compile(
+    rf"(?:[{_BLANK}]++|{COMMENT})*+"
+    rf"(?:([(),;:])|({QUOTED})|([^{re.escape(LABEL_STOP)}]++)|(\Z)|(.))",
+    re.DOTALL,
+)
+_LEX_ERRORS = {
+    "[": "unterminated comment",
+    "'": "unterminated quoted label",
+    "]": "unexpected character ']'",
+}
+
+
+def unquote(label: str) -> str:
+    """Return the text of a quoted label such as ``'it''s'``."""
+    return label[1:-1].replace("''", "'")
+
+
+def _tokens(text: str) -> Iterator[tuple[str, str, int]]:
+    """Yield ``(kind, value, position)`` for each token of ``text``.
+
+    ``kind`` is the structural character itself, ``"label"`` for a bare
+    or quoted label (``value`` is its text), or ``"eof"`` for the final
+    item.  Scanning is lazy: nothing past the last token pulled is read.
+    """
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        value = match[group]
+        position = match.start(group)
+        if group == 1:
+            yield value, value, position
+        elif group == 2:
+            yield "label", unquote(value), position
+        elif group == 3:
+            yield "label", value, position
+        elif group == 4:
+            yield "eof", "", position
+        else:
+            raise NewickParseError(_LEX_ERRORS[value], position=position)
 
 
 def parse_newick(
@@ -71,112 +123,107 @@ def parse_newick(
     4
     """
     ns = taxon_namespace if taxon_namespace is not None else TaxonNamespace()
-    tokens = tokenize(text)
-    token = next(tokens)
-
-    def advance() -> Token:
-        nonlocal token
-        prev = token
-        token = next(tokens)
-        return prev
+    tokens = _tokens(text)
+    kind, value, position = next(tokens)
 
     def fail(message: str) -> NewickParseError:
-        return NewickParseError(message, position=token.position)
+        return NewickParseError(message, position=position)
 
-    if token.type is TokenType.EOF:
+    def branch_length() -> float:
+        # The current token is ':'; leaves the token after the length
+        # current, scanning it before the length is converted.
+        nonlocal kind, value, position
+        kind, value, position = next(tokens)
+        if kind != "label":
+            raise fail("expected branch length after ':'")
+        raw, at = value, position
+        kind, value, position = next(tokens)
+        try:
+            return float(raw)
+        except ValueError:
+            raise NewickParseError(
+                f"invalid branch length {raw!r}", position=at) from None
+
+    if kind == "eof":
         raise fail("empty Newick input")
 
     root = Node()
     seen_taxa: set[int] = set()
-    # Stack of internal nodes currently open; current is the node whose
-    # children we are reading.
-    stack: list[Node] = []
-    current = root
-    # State machine: at each point we either expect a subtree start or we
-    # have just finished a subtree and expect , ) : label or ;.
-    expect_subtree = True
 
-    if token.type is not TokenType.LPAREN:
+    if kind != "(":
         # A bare leaf like "A;" — degenerate but legal.
-        if token.type is not TokenType.LABEL:
-            raise fail(f"expected '(' or label, got {token.value!r}")
-        label = token.value.replace("_", " ") if underscores_to_spaces else token.value
-        advance()
-        taxon = ns.require(label)
-        root.taxon = taxon
-        if token.type is TokenType.COLON:
-            advance()
-            if token.type is not TokenType.LABEL:
-                raise fail("expected branch length after ':'")
-            root.length = _parse_length(advance())
-        if token.type is not TokenType.SEMICOLON:
+        if kind != "label":
+            raise fail(f"expected '(' or label, got {value!r}")
+        label = value.replace("_", " ") if underscores_to_spaces else value
+        kind, value, position = next(tokens)
+        root.taxon = ns.require(label)
+        if kind == ":":
+            root.length = branch_length()
+        if kind != ";":
             raise fail("expected ';' at end of tree")
         if _obs_enabled():
             _metric("newick.trees_parsed").inc()
         return Tree(root, ns)
 
-    advance()  # consume '('
-    stack.append(root)
+    kind, value, position = next(tokens)  # consume '('
+    # Stack of internal nodes currently open; current is the node whose
+    # children we are reading.
+    stack: list[Node] = [root]
     current = root
+    # State machine: at each point we either expect a subtree start or we
+    # have just finished a subtree and expect , ) : label or ;.
+    expect_subtree = True
 
     while True:
         if expect_subtree:
-            if token.type is TokenType.LPAREN:
+            if kind == "(":
                 child = Node()
                 current.add_child(child)
                 stack.append(child)
                 current = child
-                advance()
+                kind, value, position = next(tokens)
                 continue
-            if token.type is TokenType.LABEL:
-                raw = advance().value
-                label = raw.replace("_", " ") if underscores_to_spaces else raw
+            if kind == "label":
+                label = value.replace("_", " ") if underscores_to_spaces else value
+                kind, value, position = next(tokens)
                 taxon = ns.require(label)
                 if taxon.index in seen_taxa:
                     raise TaxonError(f"duplicate taxon label {label!r} in one tree")
                 seen_taxa.add(taxon.index)
                 leaf = Node(taxon)
                 current.add_child(leaf)
-                if token.type is TokenType.COLON:
-                    advance()
-                    if token.type is not TokenType.LABEL:
-                        raise fail("expected branch length after ':'")
-                    leaf.length = _parse_length(advance())
+                if kind == ":":
+                    leaf.length = branch_length()
                 expect_subtree = False
                 continue
-            raise fail(f"expected subtree, got {token.value!r}")
+            raise fail(f"expected subtree, got {value!r}")
 
         # Just closed a subtree: , ) or the end.
-        if token.type is TokenType.COMMA:
-            advance()
+        if kind == ",":
+            kind, value, position = next(tokens)
             expect_subtree = True
             continue
-        if token.type is TokenType.RPAREN:
-            advance()
+        if kind == ")":
+            kind, value, position = next(tokens)
             closed = stack.pop()
-            if not closed.children:
-                raise fail("empty parenthesis group")
             # Optional internal label and length attach to the closed node.
-            if token.type is TokenType.LABEL:
-                closed.label = advance().value
-            if token.type is TokenType.COLON:
-                advance()
-                if token.type is not TokenType.LABEL:
-                    raise fail("expected branch length after ':'")
-                closed.length = _parse_length(advance())
+            if kind == "label":
+                closed.label = value
+                kind, value, position = next(tokens)
+            if kind == ":":
+                closed.length = branch_length()
             if stack:
                 current = stack[-1]
-                expect_subtree = False
                 continue
             # Root closed: must end with semicolon.
-            if token.type is not TokenType.SEMICOLON:
+            if kind != ";":
                 raise fail("expected ';' after root group")
             break
-        if token.type is TokenType.SEMICOLON:
+        if kind == ";":
             raise fail("unbalanced parentheses: ';' before all groups closed")
-        if token.type is TokenType.EOF:
+        if kind == "eof":
             raise fail("unexpected end of input inside tree")
-        raise fail(f"unexpected token {token.value!r}")
+        raise fail(f"unexpected token {value!r}")
 
     if _obs_enabled():
         _metric("newick.trees_parsed").inc()

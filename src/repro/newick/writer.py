@@ -7,12 +7,15 @@ the same topology, labels, and branch lengths.
 
 from __future__ import annotations
 
+from repro.newick.parser import LABEL_STOP
 from repro.trees.node import Node
 from repro.trees.tree import Tree
 
 __all__ = ["write_newick", "format_label"]
 
-_NEEDS_QUOTES = set("(),;:[] \t'\"")
+# Anything that would end a bare label, plus '"', which other tools
+# read as a quote.
+_NEEDS_QUOTES = frozenset(LABEL_STOP + '"')
 
 
 def format_label(label: str) -> str:

@@ -42,8 +42,10 @@ __all__ = [
 ]
 
 # Labels exercising the quoting/escaping paths of the Newick writer and
-# parser (spaces, quotes, structural characters, comment brackets).
-HOSTILE_LABELS = ("taxon one", "it's", "a(b)", "c,d", "x:y", "q[z]", "semi;colon")
+# parser (spaces, quotes, structural characters, comment brackets, a
+# line break).
+HOSTILE_LABELS = ("taxon one", "it's", "a(b)", "c,d", "x:y", "q[z]", "semi;colon",
+                  "new\nline")
 
 
 @dataclass

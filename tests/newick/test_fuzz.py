@@ -93,3 +93,60 @@ class TestNexusFuzz:
             read_nexus_trees(io.StringIO("#NEXUS\n" + text))
         except ReproError:
             pass
+
+
+NEWICK_RECORDS = (
+    "(('it''s;',B:0.5)[x;y,z]in:1,('semi;colon',D)'q,r':2.5e-1);",
+    "((A,[;]B)'x''y':3,(C:1e-3,D));",
+)
+NEWICK_FILE = "\n# between records\n".join(NEWICK_RECORDS) + "\n"
+NEXUS_FILE = """#NEXUS
+[header; comment, here]
+BEGIN TREES;
+  TRANSLATE 1 'it''s;', 2 B, 3 'c,d', 4 D;
+  TREE t1 = [&U] ((1:0.5,2)[a;b]in:1,(3,4)'x''y':2);
+  TREE t2 = ((1,3),(2,4));
+END;
+"""
+
+
+def _prefixes(text):
+    return [text[:i] for i in range(len(text) + 1)]
+
+
+class TestTruncation:
+    """Every prefix of a valid input parses or raises a ReproError.
+
+    Truncated downloads cut a file at an arbitrary byte, often inside a
+    quoted label or a comment; no prefix may crash a reader.
+    """
+
+    def test_corpus_is_valid(self):
+        assert [parse_newick(r).n_leaves for r in NEWICK_RECORDS] == [4, 4]
+        assert list(iter_newick_strings(io.StringIO(NEWICK_FILE))) \
+            == list(NEWICK_RECORDS)
+        trees = read_nexus_trees(io.StringIO(NEXUS_FILE))
+        assert sorted(trees[0].leaf_labels()) == ["B", "D", "c,d", "it's;"]
+        assert len(trees) == 2
+
+    def test_parse_newick_prefixes(self):
+        for record in NEWICK_RECORDS:
+            for prefix in _prefixes(record):
+                try:
+                    parse_newick(prefix)
+                except ReproError:
+                    pass
+
+    def test_record_splitter_prefixes(self):
+        for prefix in _prefixes(NEWICK_FILE):
+            try:
+                list(iter_newick_strings(io.StringIO(prefix)))
+            except ReproError:
+                pass
+
+    def test_nexus_prefixes(self):
+        for prefix in _prefixes(NEXUS_FILE):
+            try:
+                read_nexus_trees(io.StringIO(prefix))
+            except ReproError:
+                pass

@@ -35,7 +35,24 @@ class TestIterNewickStrings:
 
     def test_blank_and_comment_lines_skipped(self):
         text = "# a comment\n\n(A,B);\n\n# another\n(C,D);\n"
-        assert len(list(iter_newick_strings(io.StringIO(text)))) == 2
+        records = list(iter_newick_strings(io.StringIO(text)))
+        assert records == ["(A,B);", "(C,D);"]
+        assert [t.n_leaves for t in trees_from_string(text)] == [2, 2]
+
+    def test_comment_line_right_after_a_record(self):
+        """Regression: the newline after a record's ';' used to keep the
+        next '#' line from being recognised as a comment line."""
+        text = "(A,B);\n# c\n(C,D);\n"
+        assert list(iter_newick_strings(io.StringIO(text))) == ["(A,B);", "(C,D);"]
+        assert [t.n_leaves for t in trees_from_string(text)] == [2, 2]
+
+    def test_reads_one_line_at_a_time(self):
+        def lines():
+            yield "(A,B);\n"
+            yield "(C,"
+            raise AssertionError("read past the line holding the first record")
+
+        assert next(iter_newick_strings(lines())) == "(A,B);"
 
     def test_semicolon_in_quotes_not_a_separator(self):
         records = list(iter_newick_strings(io.StringIO("('a;b',C);\n")))

@@ -54,6 +54,12 @@ class TestWrite:
         again = parse_newick(write_newick(t))
         assert sorted(again.leaf_labels()) == sorted(t.leaf_labels())
 
+    @pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\tb", 'a"b', "a\x0bb"])
+    def test_whitespace_labels_roundtrip(self, label):
+        t = parse_newick(f"({format_label(label)},B);")
+        again = parse_newick(write_newick(t))
+        assert sorted(again.leaf_labels()) == sorted([label, "B"])
+
     def test_bare_leaf(self):
         assert write_newick(parse_newick("A;")) == "A;"
 
