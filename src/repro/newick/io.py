@@ -54,6 +54,49 @@ def open_tree_file(path: str | os.PathLike, mode: str = "r"):
     return open(path, mode, encoding="utf-8")
 
 
+def split_records(lines: Iterable[str], *,
+                  comment_lines: bool) -> Iterator[tuple[str, bool]]:
+    """Yield ``(text, terminated)`` for each ``;``-terminated record.
+
+    ``;`` ends a record only outside quoted labels and comments, which
+    may span lines.  Each record's text is stripped and keeps its ``;``;
+    unterminated text left at the end comes last, with ``terminated``
+    false.  With ``comment_lines``, blank lines and lines starting with
+    ``#`` between records are skipped.  Lines are read one at a time and
+    each character is scanned once.
+    """
+    pending = ""  # text not yet yielded
+    scanned = 0   # pending[:scanned] holds no record-ending ';'
+    close = ""    # the character that ends a quote or comment still open
+    for line in lines:
+        if comment_lines and (not pending or pending.isspace()):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+        pending += line
+        start = 0
+        while True:
+            if close:
+                found = pending.find(close, scanned)
+                if found < 0:
+                    scanned = len(pending)
+                    break
+                scanned, close = found + 1, ""
+            end = _RECORD_BODY.match(pending, scanned).end()
+            if end == len(pending):
+                scanned = end
+                break
+            if pending[end] == ";":
+                yield pending[start:end + 1].strip(), True
+                start = end + 1
+            else:  # an opening quote or '[' whose close is not here yet
+                close = "]" if pending[end] == "[" else "'"
+            scanned = end + 1
+        pending, scanned = pending[start:], scanned - start
+    if pending.strip():
+        yield pending.strip(), False
+
+
 def iter_newick_strings(stream: io.TextIOBase | Iterable[str]) -> Iterator[str]:
     """Yield one complete ``;``-terminated Newick record at a time.
 
@@ -61,26 +104,10 @@ def iter_newick_strings(stream: io.TextIOBase | Iterable[str]) -> Iterator[str]:
     are respected.  ``#`` starts a comment line only at record boundaries.
     The stream is read one line at a time.
     """
-    pending = ""  # text of the records not yet yielded
-    scanned = 0   # pending[:scanned] holds no record-ending ';'
-    for line in stream:
-        if not pending.strip():
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-        pending += line
-        start = 0
-        while True:
-            # Stops at a ';', at the end, or at a quote or comment that
-            # is still open and needs the next line.
-            end = _RECORD_BODY.match(pending, scanned).end()
-            if end == len(pending) or pending[end] != ";":
-                break
-            yield pending[start:end + 1].strip()
-            start = scanned = end + 1
-        pending, scanned = pending[start:], end - start
-    if pending.strip():
-        raise NewickParseError("trailing data without terminating ';'")
+    for record, terminated in split_records(stream, comment_lines=True):
+        if not terminated:
+            raise NewickParseError("trailing data without terminating ';'")
+        yield record
 
 
 def iter_newick_file(path: str | os.PathLike,

@@ -30,7 +30,7 @@ import os
 import re
 from collections.abc import Iterator
 
-from repro.newick.io import open_tree_file
+from repro.newick.io import open_tree_file, split_records
 from repro.newick.parser import COMMENT, QUOTED, parse_newick, unquote
 from repro.trees.manipulate import suppress_unifurcations
 from repro.trees.taxon import TaxonNamespace
@@ -39,10 +39,9 @@ from repro.util.errors import NewickParseError
 
 __all__ = ["read_nexus_trees", "iter_nexus_trees", "parse_translate_block"]
 
-# One piece of statement text: group 1 is text to keep (a run without
-# ';', quotes or comment brackets, or a whole quoted label); otherwise a
-# whole comment or the ';' that ends the statement.
-_STATEMENT_PART = re.compile(rf"((?:[^;'\[]++|{QUOTED})++)|{COMMENT}|;")
+# A comment outside quoted labels, to delete; group 1 keeps a quoted
+# label.  A quote or comment left open runs to the end of the text.
+_COMMENTS = re.compile(rf"({QUOTED}|'.*)|{COMMENT}|\[.*", re.DOTALL)
 # A TRANSLATE entry up to the next ',' outside quotes; a quote left open
 # runs to the end of the table.
 _TRANSLATE_ENTRY = re.compile(rf"(?:[^,']++|{QUOTED})*+(?:'.*)?", re.DOTALL)
@@ -59,29 +58,12 @@ def _statements(stream) -> Iterator[str]:
     labels like ``'semi;colon'`` or ``'q[z]'`` survive intact.  Bracket
     comments outside quotes (``[&U]`` and friends) are dropped.  A
     comment still open at the end of input drops the rest; a quote still
-    open keeps it.  The stream is read one line at a time.
+    open keeps it.
     """
-    kept: list[str] = []  # current statement so far, comments removed
-    pending = ""          # unscanned text; between lines, "" or an open
-                          # quote or comment waiting for its close
-    for line in stream:
-        pending += line
-        pos = 0
-        while (match := _STATEMENT_PART.match(pending, pos)) is not None:
-            pos = match.end()
-            if match[1] is not None:
-                kept.append(match[1])
-            elif match[0] == ";":
-                statement = "".join(kept).strip()
-                kept = []
-                if statement:
-                    yield statement
-        pending = pending[pos:]
-    if pending.startswith("'"):
-        kept.append(pending)
-    tail = "".join(kept).strip()
-    if tail:
-        yield tail
+    for record, terminated in split_records(stream, comment_lines=False):
+        if statement := _COMMENTS.sub(
+                r"\1", record[:-1] if terminated else record).strip():
+            yield statement
 
 
 def parse_translate_block(statement: str) -> dict[str, str]:

@@ -130,8 +130,9 @@ def parse_newick(
         return NewickParseError(message, position=position)
 
     def branch_length() -> float:
-        # The current token is ':'; leaves the token after the length
-        # current, scanning it before the length is converted.
+        # Called with ':' current; makes the token after the length
+        # current.  That token is scanned before the length is converted,
+        # so a scan error there is reported ahead of a bad length.
         nonlocal kind, value, position
         kind, value, position = next(tokens)
         if kind != "label":

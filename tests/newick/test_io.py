@@ -39,13 +39,6 @@ class TestIterNewickStrings:
         assert records == ["(A,B);", "(C,D);"]
         assert [t.n_leaves for t in trees_from_string(text)] == [2, 2]
 
-    def test_comment_line_right_after_a_record(self):
-        """Regression: the newline after a record's ';' used to keep the
-        next '#' line from being recognised as a comment line."""
-        text = "(A,B);\n# c\n(C,D);\n"
-        assert list(iter_newick_strings(io.StringIO(text))) == ["(A,B);", "(C,D);"]
-        assert [t.n_leaves for t in trees_from_string(text)] == [2, 2]
-
     def test_reads_one_line_at_a_time(self):
         def lines():
             yield "(A,B);\n"
