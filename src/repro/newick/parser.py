@@ -7,10 +7,8 @@ Grammar (standard Newick)::
     internal  ::= "(" subtree ("," subtree)* ")" [label] [":" length]
     leaf      ::= label [":" length]
 
-The lexical grammar (whitespace, ``[...]`` comments, ``'...'`` quoted
-labels with ``''`` escapes, the structural characters and bare labels)
-is defined here once, as the patterns the package's other readers and
-the writer's quoting rule reuse.
+The lexical grammar is defined here once, as patterns that the package's
+other readers and the writer's quoting rule reuse.
 
 The parser is written with an explicit stack instead of recursion so it
 handles trees with thousands of taxa regardless of the interpreter's
@@ -33,8 +31,7 @@ from repro.util.errors import NewickParseError, TaxonError
 
 __all__ = ["parse_newick"]
 
-# The Newick lexical grammar, defined once.  The record splitter, the
-# NEXUS reader and the writer's quoting rule all build on these.
+# The lexical grammar, shared with io.py, nexus.py and writer.py.
 # Whitespace is exactly [ \t\r\n] (not \s), so characters such as \x0b or
 # \xa0 are label text.  A bare label is a run of anything else that is
 # not structural, a quote or a comment bracket.
