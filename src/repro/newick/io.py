@@ -37,7 +37,7 @@ __all__ = [
 
 # Record text up to its terminating ';': anything but ';', quotes and
 # comment brackets, or a whole quoted label or comment.
-_RECORD_BODY = re.compile(rf"(?:[^;'\[]++|{QUOTED}|{COMMENT})*+")
+_RECORD_BODY = re.compile(rf"(?:[^;'\[]+|{QUOTED}|{COMMENT})*")
 
 
 def open_tree_file(path: str | os.PathLike, mode: str = "r"):

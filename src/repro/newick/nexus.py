@@ -44,8 +44,7 @@ __all__ = ["read_nexus_trees", "iter_nexus_trees", "parse_translate_block"]
 _COMMENTS = re.compile(rf"({QUOTED}|'.*)|{COMMENT}|\[.*", re.DOTALL)
 # A TRANSLATE entry up to the next ',' outside quotes; a quote left open
 # runs to the end of the table.
-_TRANSLATE_ENTRY = re.compile(rf"(?:[^,']++|{QUOTED})*+(?:'.*)?", re.DOTALL)
-_QUOTED = re.compile(QUOTED)
+_TRANSLATE_ENTRY = re.compile(rf"(?:[^,']+|{QUOTED})*(?:'.*)?", re.DOTALL)
 _TREE_STMT = re.compile(r"^\s*U?TREE\s*(\*)?\s*([^=\s]+)\s*=\s*(.*)$",
                         re.IGNORECASE | re.DOTALL)
 
@@ -87,7 +86,8 @@ def parse_translate_block(statement: str) -> dict[str, str]:
         if match is None:
             raise NewickParseError(f"malformed TRANSLATE entry {entry!r}")
         label = match.group(2).strip()
-        table[match.group(1)] = unquote(label) if _QUOTED.fullmatch(label) else label
+        quoted = len(label) >= 2 and label[0] == label[-1] == "'"
+        table[match.group(1)] = unquote(label) if quoted else label
     return table
 
 

@@ -38,7 +38,9 @@ __all__ = ["parse_newick"]
 _BLANK = " \t\r\n"
 LABEL_STOP = "(),;:[]'" + _BLANK
 COMMENT = r"\[[^\]]*\]"
-QUOTED = r"'[^']*+(?:''[^']*+)*+'"  # '' inside is a literal quote
+# '' inside is a literal quote.  The lookahead stops a match that would
+# end inside a '' escape, so a label left open never matches a prefix.
+QUOTED = r"'[^']*(?:''[^']*)*'(?!')"
 
 # Skip whitespace and comments, then match one token.  Groups: 1
 # structural character, 2 quoted label, 3 bare label, 4 end of input, 5
@@ -46,8 +48,8 @@ QUOTED = r"'[^']*+(?:''[^']*+)*+'"  # '' inside is a literal quote
 # ']'.  Used with finditer, each match starts where the last one ended,
 # so scanning stops at the token the parser last asked for.
 _TOKEN = re.compile(
-    rf"(?:[{_BLANK}]++|{COMMENT})*+"
-    rf"(?:([(),;:])|({QUOTED})|([^{re.escape(LABEL_STOP)}]++)|(\Z)|(.))",
+    rf"(?:[{_BLANK}]+|{COMMENT})*"
+    rf"(?:([(),;:])|({QUOTED})|([^{re.escape(LABEL_STOP)}]+)|(\Z)|(.))",
     re.DOTALL,
 )
 _LEX_ERRORS = {

@@ -70,10 +70,6 @@ class TestTranslate:
         table = parse_translate_block("TRANSLATE 1 'it''s'")
         assert table == {"1": "it's"}
 
-    def test_only_a_whole_quoted_label_is_unquoted(self):
-        table = parse_translate_block("TRANSLATE 1 'a' 'b', 2 'c'd'")
-        assert table == {"1": "'a' 'b'", "2": "'c'd'"}
-
     def test_quoted_label_with_spaces_and_structure(self):
         table = parse_translate_block(
             "TRANSLATE 1 'taxon one', 2 'a(b)', 3 'x:y'")

@@ -204,3 +204,31 @@ def test_pinned_parse(text, expected):
     else:
         assert err.value.position == position
         assert str(err.value) == f"{message} (position {position})"
+
+
+def test_grammar_patterns_avoid_python_311_syntax():
+    """The package supports Python 3.10, whose ``re`` rejects possessive
+    quantifiers and atomic groups, so the shared patterns must not use them."""
+    import importlib
+
+    from repro.newick import io, nexus, parser
+
+    try:
+        sre_parse = importlib.import_module("re._parser")
+    except ImportError:  # Python 3.10
+        sre_parse = importlib.import_module("sre_parse")
+
+    def ops(node):
+        if isinstance(node, sre_parse.SubPattern):
+            for op, arg in node:
+                yield str(op)
+                yield from ops(arg)
+        elif isinstance(node, (tuple, list)):
+            for item in node:
+                yield from ops(item)
+
+    patterns = [parser._TOKEN, io._RECORD_BODY, nexus._COMMENTS,
+                nexus._TRANSLATE_ENTRY]
+    for pattern in patterns:
+        used = set(ops(sre_parse.parse(pattern.pattern, pattern.flags)))
+        assert not used & {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}, pattern.pattern
