@@ -367,10 +367,9 @@ def _transform_from_args(args: argparse.Namespace):
 
 
 def _cmd_avg_rf(args: argparse.Namespace) -> int:
-    ns = TaxonNamespace()
-    query = as_trees(args.query, ns)
-    reference = as_trees(args.reference, ns) if args.reference else None
-    values = average_rf(query, reference, method=args.method, n_workers=args.workers,
+    # Paths go straight in, so average_rf can score Newick files with no Tree.
+    values = average_rf(args.query, args.reference or None, method=args.method,
+                        n_workers=args.workers,
                         include_trivial=args.include_trivial,
                         transform=_transform_from_args(args),
                         normalized=args.normalized)

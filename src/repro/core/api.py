@@ -13,10 +13,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.bipartitions.scan import ScannedTrees, scan_newick_file, \
+    scan_newick_text
 from repro.core.consensus import consensus_tree
 from repro.core.day import day_rf
 from repro.core.matrix import average_from_matrix, rf_matrix
 from repro.core.rf import max_rf, robinson_foulds
+from repro.core.shmrf import shm_average_rf_scanned
 from repro.hashing.bfh import BipartitionFrequencyHash, MaskTransform
 from repro.newick.io import read_newick_file, trees_from_string
 from repro.observability.spans import trace
@@ -84,6 +87,45 @@ def as_trees(source: TreesLike, namespace: TaxonNamespace | None = None) -> list
     raise TypeError(f"cannot interpret {type(source).__name__} as a tree collection")
 
 
+def _scannable(source: TreesLike) -> bool:
+    """Whether ``source`` is Newick text or a Newick file path (the
+    columnar scanner's inputs; NEXUS and tree lists are parsed)."""
+    if isinstance(source, str) and source.lstrip().upper().startswith("#NEXUS"):
+        return False
+    if isinstance(source, os.PathLike) or (isinstance(source, str) and ";" not in source):
+        return not _is_nexus_path(source)
+    return isinstance(source, str)
+
+
+def _scan(source: str | os.PathLike, namespace: TaxonNamespace) -> ScannedTrees:
+    """:func:`as_trees` for the columnar scanner: same sources, same spans."""
+    if isinstance(source, str) and ";" in source:
+        with trace("parse", format="newick-text", columnar=True) as span:
+            scanned = scan_newick_text(source, namespace)
+            span.set(trees=scanned.n_trees)
+        return scanned
+    with trace("parse", source=os.fspath(source), format="newick",
+               columnar=True) as span:
+        scanned = scan_newick_file(source, namespace)
+        span.set(trees=scanned.n_trees)
+    return scanned
+
+
+def _normalize(values: list[float], leaf_counts) -> list[float]:
+    # Each tree normalizes by its own 2(n-3): collections with variable
+    # taxon counts would be skewed by a single shared denominator taken
+    # from the first tree.
+    normed = []
+    for value, n_leaves in zip(values, leaf_counts):
+        denominator = max_rf(int(n_leaves))
+        normed.append(value / denominator if denominator else value)
+    return normed
+
+
+def _leaf_counts(trees: Sequence[Tree]) -> list[int]:
+    return [tree.leaf_mask().bit_count() for tree in trees]
+
+
 def _remote_average_rf(query_trees: list[Tree],
                        endpoint) -> list[float]:
     """Dispatch a query to a running serve daemon (the ``endpoint=`` arm).
@@ -114,7 +156,10 @@ def average_rf(query: TreesLike, reference: TreesLike | None = None, *,
     query, reference:
         Collections (trees / path / Newick text).  ``reference=None``
         means ``Q is R``.  When both are paths or strings they are
-        parsed into one shared namespace automatically.
+        parsed into one shared namespace automatically.  Newick paths
+        and text are scored with no ``Tree`` built when the method's
+        ``scans_text`` flag is set (the default ``shm``), with one
+        worker and no transform (:mod:`repro.bipartitions.scan`).
     method:
         One of the registered methods (see
         :func:`repro.runtime.methods`).  ``None`` resolves through
@@ -172,37 +217,35 @@ def average_rf(query: TreesLike, reference: TreesLike | None = None, *,
                 "include_trivial= cannot be combined with it")
         query_trees = as_trees(query)
         values = _remote_average_rf(query_trees, endpoint)
-        if normalized:
-            normed = []
-            for tree, value in zip(query_trees, values):
-                denominator = max_rf(tree.leaf_mask().bit_count())
-                normed.append(value / denominator if denominator else value)
-            values = normed
-        return values
+        return _normalize(values, _leaf_counts(query_trees)) if normalized \
+            else values
     spec = get_method(default_method_name() if method is None else method)
     spec.ensure_supported(disparate=reference is not None,
                           transform=transform is not None)
+    if (spec.scans_text and n_workers <= 1 and transform is None
+            and _scannable(query)
+            and (reference is None or _scannable(reference))):
+        # Scored straight from the text: no Tree is built.
+        ns = TaxonNamespace()
+        scanned = _scan(query, ns)
+        reference_scan = scanned if reference is None else _scan(reference, ns)
+        values = shm_average_rf_scanned(scanned, reference_scan,
+                                        n_taxa=max(1, len(ns)),
+                                        include_trivial=include_trivial)
+        return _normalize(values, scanned.leaf_counts) if normalized \
+            else values
+
     query_trees = as_trees(query)
     if reference is None:
         reference_trees = query_trees
     else:
         ns = query_trees[0].taxon_namespace if query_trees else None
         reference_trees = as_trees(reference, ns)
-
     values = spec.run(query_trees, reference_trees, n_workers=n_workers,
                       include_trivial=include_trivial, transform=transform,
                       executor=executor)
-
-    if normalized:
-        # Each tree normalizes by its own 2(n-3): collections with
-        # variable taxon counts would be skewed by a single shared
-        # denominator taken from the first tree.
-        normed = []
-        for tree, value in zip(query_trees, values):
-            denominator = max_rf(tree.leaf_mask().bit_count())
-            normed.append(value / denominator if denominator else value)
-        values = normed
-    return values
+    return _normalize(values, _leaf_counts(query_trees)) if normalized \
+        else values
 
 
 # The per-method block is generated from the registry so the docstring

@@ -117,4 +117,5 @@ register_method(
             "vectorized kernel.",
     memory_class="hash",
     shared_memory=True,
-    fast_path=True)
+    fast_path=True,
+    scans_text=True)

@@ -32,18 +32,23 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Sequence
 
-from repro.core.bfhrf import build_bfh
+from repro.bipartitions.encoding import words_for_taxa
+from repro.bipartitions.scan import ScannedTrees
+from repro.core.bfhrf import _EMPTY_REFERENCE, build_bfh
+from repro.core.table import BipartitionTable
 from repro.core.vectorized import VectorizedBFH
 from repro.hashing.bfh import MaskTransform
-from repro.observability.metrics import histogram as _histogram
+from repro.observability.metrics import counter as _metric, \
+    histogram as _histogram
 from repro.observability.spans import trace
 from repro.observability.state import enabled as _obs_enabled
 from repro.runtime.executor import Executor, get_executor, get_payload, \
     resolve_workers
 from repro.runtime.shm import SharedBFH, SharedTreeCollection
 from repro.trees.tree import Tree
+from repro.util.errors import CollectionError
 
-__all__ = ["shm_average_rf"]
+__all__ = ["shm_average_rf", "shm_average_rf_scanned"]
 
 
 def _shm_query_range(bounds: tuple[int, int]) -> list[float]:
@@ -135,3 +140,34 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree],
         collection.release()
         if owned:
             shared.release()
+
+
+def shm_average_rf_scanned(query: ScannedTrees, reference: ScannedTrees, *,
+                           n_taxa: int,
+                           include_trivial: bool = False) -> list[float]:
+    """:func:`shm_average_rf` at one worker, on scanned Newick text.
+
+    The reference table is counted straight from the scanned split rows
+    (:meth:`BipartitionTable.from_rows`), with no dict hash, and the
+    query is probed with the same kernel, so values are bit for bit
+    those of the ``Tree`` path.  Pass the same object as ``query`` and
+    ``reference`` for the Q-is-R setting; both must be scanned into one
+    namespace of ``n_taxa`` taxa.
+    """
+    if not reference.n_trees:
+        raise CollectionError(_EMPTY_REFERENCE)
+    with trace("bfh.build", workers=1) as span:
+        rows = reference.block(words_for_taxa(n_taxa),
+                               include_trivial=include_trivial)
+        table = BipartitionTable.from_rows(
+            rows.words, n_taxa=n_taxa, n_trees=reference.n_trees,
+            include_trivial=include_trivial)
+        span.set(r=table.n_trees, unique=len(table))
+    if _obs_enabled():
+        _metric("bfh.bipartitions_hashed").inc(table.total)
+    if not query.n_trees:
+        return []
+    vbfh = table.vectorized()
+    with trace("shmrf.query", q=query.n_trees, r=vbfh.n_trees, workers=1):
+        block = rows if query is reference else vbfh.split_block(query)
+        return vbfh.average_rf_block(block).tolist()

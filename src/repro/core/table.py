@@ -191,6 +191,22 @@ class BipartitionTable:
                    include_trivial=include_trivial, weights=weights)
 
     @classmethod
+    def from_rows(cls, rows: np.ndarray, *, n_taxa: int, n_trees: int,
+                  include_trivial: bool = False) -> "BipartitionTable":
+        """Count packed split rows, one row per (tree, split) occurrence.
+
+        Sorting the rows as void scalars puts the distinct keys straight
+        into probe order, so no frequency dict is built.
+        """
+        n_words = words_for_taxa(n_taxa)
+        void = np.ascontiguousarray(rows, dtype=np.uint64).view(
+            np.dtype((np.void, 8 * n_words))).ravel()
+        keys, counts = np.unique(void, return_counts=True)
+        return cls(np.ascontiguousarray(keys).view(np.uint64).reshape(-1, n_words),
+                   counts.astype(np.int64), n_taxa=n_taxa, n_trees=n_trees,
+                   total=len(rows), include_trivial=include_trivial)
+
+    @classmethod
     def from_bfh(cls, bfh, n_taxa: int) -> "BipartitionTable":
         """Wrap a dict-backed :class:`BipartitionFrequencyHash`."""
         return cls.from_counts(bfh.counts, n_taxa=n_taxa,

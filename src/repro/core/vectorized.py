@@ -30,6 +30,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.bipartitions.extract import bipartition_masks
+from repro.bipartitions.scan import ScannedTrees, SplitBlock
 from repro.core.table import BipartitionTable, masks_to_words
 from repro.hashing.bfh import BipartitionFrequencyHash, MaskTransform
 from repro.observability.metrics import histogram as _histogram
@@ -141,12 +142,6 @@ class VectorizedBFH:
 
     # -- probes ------------------------------------------------------------------
 
-    def _tree_masks(self, tree: Tree) -> list[int]:
-        masks = bipartition_masks(tree, include_trivial=self.include_trivial)
-        if self.transform is not None:
-            masks = self.transform(masks, tree.leaf_mask())
-        return sorted(masks)
-
     def lookup_frequencies(self, words: np.ndarray) -> np.ndarray:
         """Frequencies for an (m, n_words) query block (0 where absent).
 
@@ -176,40 +171,60 @@ class VectorizedBFH:
         freqs = np.where(hit, self.freqs[positions], 0)
         return freqs.astype(np.int64)
 
-    def average_rf_batch(self, trees: Sequence[Tree]) -> np.ndarray:
-        """Average RF for a whole query batch in one vectorized pass.
+    def split_block(self, query: Sequence[Tree] | ScannedTrees) -> SplitBlock:
+        """Per-tree split rows of a query batch at this probe's width.
 
-        Per-split terms for every tree are concatenated and reduced with
-        prefix sums — Algorithm 2 with the loop over query trees
+        Trees go through ``bipartition_masks`` (and the transform) and
+        are packed; scanned text is packed straight from its intervals.
+        """
+        if isinstance(query, ScannedTrees):
+            if self.transform is not None:
+                raise ValueError("a transform needs Tree input, not scanned text")
+            return query.block(self.n_words,
+                               include_trivial=self.include_trivial)
+        per_tree = []
+        for tree in query:
+            masks = bipartition_masks(tree, include_trivial=self.include_trivial)
+            if self.transform is not None:
+                masks = self.transform(masks, tree.leaf_mask())
+            per_tree.append(masks)
+        counts = np.fromiter(map(len, per_tree), dtype=np.int64,
+                             count=len(per_tree))
+        words = masks_to_words([m for masks in per_tree for m in masks],
+                               self.n_words)
+        return SplitBlock(words, counts)
+
+    def average_rf_batch(self, trees: Sequence[Tree]) -> np.ndarray:
+        """Average RF for a whole query batch in one vectorized pass."""
+        return self.average_rf_block(self.split_block(trees))
+
+    def average_rf_block(self, block: SplitBlock) -> np.ndarray:
+        """Average RF of every tree of a split block.
+
+        Per-split terms for every tree are probed together and reduced
+        with prefix sums — Algorithm 2 with the loop over query trees
         flattened into array ops.
         """
         if self.n_trees == 0:
             raise CollectionError("empty hash; average RF is undefined")
-        if not trees:
-            return np.zeros(0, dtype=np.float64)
         if not _obs_enabled():
-            return self._batch(trees)
+            return self._reduce(block)
         t0 = time.perf_counter()
-        values = self._batch(trees)
+        values = self._reduce(block)
         _histogram("vectorized.batch_seconds").observe(time.perf_counter() - t0)
         return values
 
-    def _batch(self, trees: Sequence[Tree]) -> np.ndarray:
-        per_tree_masks = [self._tree_masks(t) for t in trees]
-        counts = np.array([len(m) for m in per_tree_masks], dtype=np.int64)
-        flat = [m for masks in per_tree_masks for m in masks]
-        words = masks_to_words(flat, self.n_words)
-        freqs = self.lookup_frequencies(words)
-
-        offsets = np.zeros(len(trees), dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
+    def _reduce(self, block: SplitBlock) -> np.ndarray:
+        counts = block.counts
+        freqs = self.lookup_frequencies(block.words)
         # Segment sums via prefix sums rather than reduceat: a tree with
         # no non-trivial splits (a star from multifurcation collapse)
         # yields a zero-length segment, and reduceat's index clamping at
         # the array end silently steals the previous tree's last term.
-        prefix = np.concatenate(([0], np.cumsum(freqs)))
-        seg_freq = prefix[offsets + counts] - prefix[offsets]
+        prefix = np.zeros(len(freqs) + 1, dtype=np.int64)
+        np.cumsum(freqs, out=prefix[1:])
+        ends = np.cumsum(counts)
+        seg_freq = prefix[ends] - prefix[ends - counts]
         rf_left = self.total - seg_freq
         rf_right = counts * self.n_trees - seg_freq
         return (rf_left + rf_right) / self.n_trees
-

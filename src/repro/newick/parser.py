@@ -41,6 +41,7 @@ COMMENT = r"\[[^\]]*\]"
 # '' inside is a literal quote.  The lookahead stops a match that would
 # end inside a '' escape, so a label left open never matches a prefix.
 QUOTED = r"'[^']*(?:''[^']*)*'(?!')"
+BARE = rf"[^{re.escape(LABEL_STOP)}]+"
 
 # Skip whitespace and comments, then match one token.  Groups: 1
 # structural character, 2 quoted label, 3 bare label, 4 end of input, 5
@@ -49,7 +50,7 @@ QUOTED = r"'[^']*(?:''[^']*)*'(?!')"
 # so scanning stops at the token the parser last asked for.
 _TOKEN = re.compile(
     rf"(?:[{_BLANK}]+|{COMMENT})*"
-    rf"(?:([(),;:])|({QUOTED})|([^{re.escape(LABEL_STOP)}]+)|(\Z)|(.))",
+    rf"(?:([(),;:])|({QUOTED})|({BARE})|(\Z)|(.))",
     re.DOTALL,
 )
 _LEX_ERRORS = {

@@ -71,6 +71,12 @@ class MethodSpec:
         wins (see :func:`default_method_name`).  Flagging a method here
         promises bitwise-identical results to ``bfhrf`` — the parity
         oracles hold every fast path to that.
+    scans_text:
+        Newick file or text inputs scored single-worker with no
+        transform skip ``Tree`` construction: ``average_rf`` scans them
+        with :mod:`repro.bipartitions.scan` and scores them with
+        :func:`~repro.core.shmrf.shm_average_rf_scanned`, bit for bit
+        what the runner returns on the parsed trees.
     """
 
     name: str
@@ -82,6 +88,7 @@ class MethodSpec:
     memory_class: str = "hash"
     shared_memory: bool = False
     fast_path: bool = False
+    scans_text: bool = False
 
     def __post_init__(self) -> None:
         if self.memory_class not in _MEMORY_CLASSES:
@@ -125,7 +132,8 @@ def register_method(name: str, runner: Callable[..., list[float]], *,
                     supports_workers: bool = True,
                     memory_class: str = "hash",
                     shared_memory: bool = False,
-                    fast_path: bool = False) -> MethodSpec:
+                    fast_path: bool = False,
+                    scans_text: bool = False) -> MethodSpec:
     """Register an average-RF method; returns its :class:`MethodSpec`.
 
     Re-registering a name replaces the previous entry (last wins), which
@@ -137,7 +145,7 @@ def register_method(name: str, runner: Callable[..., list[float]], *,
                       supports_workers=supports_workers,
                       memory_class=memory_class,
                       shared_memory=shared_memory,
-                      fast_path=fast_path)
+                      fast_path=fast_path, scans_text=scans_text)
     _REGISTRY[name] = spec
     return spec
 

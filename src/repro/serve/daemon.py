@@ -4,7 +4,7 @@ One :class:`ServeDaemon` opens a :class:`~repro.store.store.BFHStore`
 once and answers average-RF queries over one or more listeners — any
 mix of unix-domain sockets and TCP, each named by a
 :class:`~repro.serve.endpoint.Endpoint` — for as long as it runs;
-queries pay only parse + probe, never open/replay.  Every listener
+queries pay only scan + probe, never open/replay.  Every listener
 speaks the same NDJSON protocol (:mod:`repro.serve.protocol`) and
 serves bitwise-identical replies.
 
@@ -19,8 +19,9 @@ Three cooperating task families on one event loop:
   Replies are serialized through a per-connection write lock.
 * the **batcher** drains the bounded query queue and coalesces every
   pending query — across clients and listeners — into *one* vectorized
-  probe (:meth:`~repro.core.vectorized.VectorizedBFH.average_rf_batch`),
-  then splits the result vector back per request.  Concurrent load
+  probe (:meth:`~repro.core.vectorized.VectorizedBFH.average_rf_block`
+  over the requests' concatenated split blocks), then splits the result
+  vector back per request.  Concurrent load
   therefore amortizes the probe exactly like the paper's batch
   formulation.
 * the **tailer** polls the store directory: journal records appended by
@@ -79,8 +80,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
+from repro.bipartitions.scan import ScannedTrees, SplitBlock, \
+    scan_newick_text
 from repro.core.vectorized import VectorizedBFH
-from repro.newick import read_nexus_trees, trees_from_string
+from repro.newick import read_nexus_trees
 from repro.observability.metrics import MetricsRegistry, counter as _g_counter, \
     gauge as _g_gauge, histogram as _g_histogram
 from repro.observability.spans import trace
@@ -179,7 +182,8 @@ class _Listener:
 class _Pending:
     """One parsed query request waiting for the batcher."""
 
-    trees: list[Tree]
+    query: ScannedTrees | list[Tree]  # scanned Newick, or parsed NEXUS
+    n_trees: int
     n_taxa: int                      # namespace size the trees parsed under
     future: asyncio.Future
     enqueued_at: float = 0.0
@@ -401,7 +405,7 @@ class ServeDaemon:
             while not self._queue.empty():  # drain timeout elapsed
                 pending = self._queue.get_nowait()
                 self._queued_trees = max(
-                    0, self._queued_trees - len(pending.trees))
+                    0, self._queued_trees - pending.n_trees)
                 if not pending.future.done():
                     pending.future.set_exception(ServeError(
                         "daemon shut down before the query was scored"))
@@ -562,15 +566,17 @@ class ServeDaemon:
 
     # -- query path --------------------------------------------------------
 
-    def _parse(self, text: str) -> tuple[list[Tree], int]:
-        """Parse query text in the store's namespace (bit-aligned masks)."""
+    def _parse(self, text: str) -> tuple[ScannedTrees | list[Tree], int, int]:
+        """Read query text in the store's namespace (bit-aligned masks):
+        Newick is scanned with no ``Tree``, NEXUS is parsed.  Returns the
+        query, its tree count and the namespace size."""
         with self._store_lock:
             ns = self._store.namespace()
         if text.lstrip().upper().startswith("#NEXUS"):
             trees = read_nexus_trees(text, ns)
-        else:
-            trees = trees_from_string(text, ns)
-        return trees, max(1, len(ns))
+            return trees, len(trees), max(1, len(ns))
+        scanned = scan_newick_text(text, ns)
+        return scanned, scanned.n_trees, max(1, len(ns))
 
     async def _handle_query(self, rid: Any,
                             msg: dict[str, Any]) -> dict[str, Any]:
@@ -579,28 +585,31 @@ class ServeDaemon:
             return error_reply(rid, "bad-request",
                                "'trees' must be a string of Newick/NEXUS "
                                "text")
+        t0 = time.perf_counter()
         try:
-            trees, n_taxa = await asyncio.to_thread(self._parse, text)
+            query, n_trees, n_taxa = await asyncio.to_thread(self._parse, text)
         except ReproError as exc:
             return error_reply(rid, "parse-error", str(exc))
+        finally:
+            self._observe("serve.parse_seconds", time.perf_counter() - t0)
         with self._store_lock:
             reference_trees = self._store.n_trees
             generation = self._store.generation
-        if not trees:
+        if not n_trees:
             return ok_reply(rid, values=[], trees=0,
                             reference_trees=reference_trees,
                             generation=generation, epoch=self._epoch)
         cfg = self.config
         if (self._queued_trees
-                and self._queued_trees + len(trees) > cfg.queue_max_trees):
+                and self._queued_trees + n_trees > cfg.queue_max_trees):
             # Backpressure: more trees are already queued than one batch
             # drains; admitting more only grows latency unboundedly.
             return self._admission_reject(
                 rid, "queue_trees",
                 f"{self._queued_trees} trees already queued; admitting "
-                f"{len(trees)} more would exceed the {cfg.queue_max_trees}"
+                f"{n_trees} more would exceed the {cfg.queue_max_trees}"
                 "-tree backpressure cap — back off and retry")
-        pending = _Pending(trees=trees, n_taxa=n_taxa,
+        pending = _Pending(query=query, n_trees=n_trees, n_taxa=n_taxa,
                            future=self._loop.create_future(),
                            enqueued_at=time.monotonic())
         try:
@@ -610,7 +619,7 @@ class ServeDaemon:
                 rid, "queue_requests",
                 f"query queue is full ({cfg.queue_max_requests} pending "
                 "requests); back off and retry")
-        self._queued_trees += len(trees)
+        self._queued_trees += n_trees
         self._set_gauge("serve.queued_trees", self._queued_trees)
         try:
             values = await pending.future
@@ -622,7 +631,7 @@ class ServeDaemon:
         with self._store_lock:
             reference_trees = self._store.n_trees
             generation = self._store.generation
-        return ok_reply(rid, values=values, trees=len(trees),
+        return ok_reply(rid, values=values, trees=n_trees,
                         reference_trees=reference_trees,
                         generation=generation, epoch=self._epoch)
 
@@ -633,11 +642,11 @@ class ServeDaemon:
             pending = [await self._queue.get()]
             if cfg.batch_window_s > 0:
                 await asyncio.sleep(cfg.batch_window_s)
-            n_trees = len(pending[0].trees)
+            n_trees = pending[0].n_trees
             while n_trees < cfg.batch_max_trees and not self._queue.empty():
                 extra = self._queue.get_nowait()
                 pending.append(extra)
-                n_trees += len(extra.trees)
+                n_trees += extra.n_trees
             self._queued_trees = max(0, self._queued_trees - n_trees)
             self._set_gauge("serve.queued_trees", self._queued_trees)
             self._in_flight = True
@@ -668,16 +677,19 @@ class ServeDaemon:
 
     def _score(self, pending: list[_Pending]) -> list[list[float]]:
         """One probe for the whole batch; runs on a worker thread."""
-        trees = [tree for item in pending for tree in item.trees]
         n_taxa = max(item.n_taxa for item in pending)
-        with trace("serve.batch", requests=len(pending), trees=len(trees)):
-            values = self._table(n_taxa).average_rf_batch(trees).tolist()
+        with trace("serve.batch", requests=len(pending),
+                   trees=sum(item.n_trees for item in pending)):
+            table = self._table(n_taxa)
+            block = SplitBlock.concat(
+                [table.split_block(item.query) for item in pending])
+            values = table.average_rf_block(block).tolist()
         out: list[list[float]] = []
         offset = 0
         for item in pending:
             out.append([float(v)
-                        for v in values[offset:offset + len(item.trees)]])
-            offset += len(item.trees)
+                        for v in values[offset:offset + item.n_trees]])
+            offset += item.n_trees
         return out
 
     # -- probe-table cache (epoch-invalidated) ------------------------------

@@ -37,6 +37,7 @@ from repro.testing.oracles import (
     check_codec_roundtrip,
     check_differential_rf,
     check_differential_weighted,
+    check_scan_parity,
     check_self_rf_zero,
     check_serve_parity,
     check_shm_roundtrip,
@@ -80,6 +81,7 @@ CASE_CHECKS: dict[str, Callable[[TreeCase], list[Failure]]] = {
     "store-roundtrip": check_store_roundtrip,
     "codec-roundtrip": check_codec_roundtrip,
     "serve-parity": check_serve_parity,
+    "scan-parity": check_scan_parity,
 }
 
 

@@ -26,14 +26,19 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bipartitions.encoding import words_for_taxa
 from repro.bipartitions.extract import bipartition_masks, bipartitions_with_lengths
+from repro.bipartitions.scan import scan_newick_text
 from repro.core.bfhrf import bfhrf_average_rf, build_bfh
 from repro.core.day import day_rf
 from repro.core.parallel import dsmp_average_rf
 from repro.core.rf import max_rf, rf_from_mask_sets
 from repro.core.shmrf import shm_average_rf
-from repro.core.table import BipartitionTable, codecs
+from repro.core.table import BipartitionTable, codecs, masks_to_words, \
+    words_to_masks
 from repro.hashing.weighted import WeightedBipartitionHash
+from repro.newick.io import trees_from_string
+from repro.newick.writer import write_newick
 from repro.runtime import fork_available, get_method, methods
 from repro.runtime.shm import SharedBFH
 from repro.store import BFHStore, build_store
@@ -62,6 +67,7 @@ __all__ = [
     "check_caterpillar_max_rf",
     "check_store_roundtrip",
     "check_codec_roundtrip",
+    "check_scan_parity",
 ]
 
 _REL_TOL = 1e-9
@@ -521,6 +527,61 @@ def check_store_roundtrip(case: TreeCase) -> list[Failure]:
     return failures
 
 
+# Namespace padding for scan-parity: taxon indices then straddle the 64-
+# and 128-bit word boundaries.
+_SCAN_PADDING = (0, 61, 125)
+
+
+def check_scan_parity(case: TreeCase) -> list[Failure]:
+    """The columnar scanner vs the ``Tree`` path, tree by tree.
+
+    The case's trees are written as one Newick text (quoted hostile
+    labels, branch lengths when weighted).  It is scanned, and parsed
+    record by record, into two namespaces padded with the same labels so
+    the trees' taxa sit across a word boundary.  Every tree's scanned
+    rows must equal ``masks_to_words(sorted(bipartition_masks(t)))`` of
+    the parsed tree, with and without trivial splits, and its leaf count
+    must match.
+    """
+    trees = case.query if case.same_collection \
+        else list(case.query) + list(case.reference)
+    text = "".join(write_newick(t, include_lengths=case.weighted) + "\n"
+                   for t in trees)
+    rng = np.random.default_rng(derive_seed(case.seed, [0x5CA7]))
+    padding = [f"pad{i}" for i in
+               range(_SCAN_PADDING[int(rng.integers(len(_SCAN_PADDING)))])]
+    scan_ns, parse_ns = TaxonNamespace(padding), TaxonNamespace(padding)
+    scanned = scan_newick_text(text, scan_ns)
+    parsed = trees_from_string(text, parse_ns)
+    if scan_ns.labels != parse_ns.labels or scanned.n_trees != len(parsed):
+        return [Failure("scan-parity",
+                        f"scanned {scanned.n_trees} trees into "
+                        f"{len(scan_ns)} taxa; parsed {len(parsed)} trees "
+                        f"into {len(parse_ns)}")]
+    failures = []
+    n_words = words_for_taxa(len(parse_ns))
+    for include_trivial in (False, True):
+        block = scanned.block(n_words, include_trivial=include_trivial)
+        ends = np.cumsum(block.counts)
+        for i, tree in enumerate(parsed):
+            rows = block.words[ends[i] - block.counts[i]:ends[i]]
+            got = rows[np.lexsort(rows.T[::-1])]
+            want = masks_to_words(sorted(bipartition_masks(
+                tree, include_trivial=include_trivial)), n_words)
+            if not np.array_equal(got, want):
+                failures.append(Failure(
+                    "scan-parity",
+                    f"include_trivial={include_trivial}: scanned "
+                    f"{sorted(words_to_masks(got))}, parsed "
+                    f"{sorted(words_to_masks(want))}", index=i))
+    for i, tree in enumerate(parsed):
+        if scanned.leaf_counts[i] != tree.n_leaves:
+            failures.append(Failure(
+                "scan-parity", f"scanned {scanned.leaf_counts[i]} leaves, "
+                f"parsed {tree.n_leaves}", index=i))
+    return failures
+
+
 def check_codec_roundtrip(case: TreeCase) -> list[Failure]:
     """Every registered table codec must be exact, and a format migration
     must not move a single bit of any answer.
@@ -603,7 +664,6 @@ def check_serve_parity(case: TreeCase) -> list[Failure]:
     import time as _time
 
     from repro.core.api import average_rf
-    from repro.newick.writer import write_newick
     from repro.serve import ServeClient, ServeConfig, serving
 
     failures: list[Failure] = []

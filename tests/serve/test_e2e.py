@@ -16,6 +16,7 @@ from repro.core.bfhrf import bfhrf_average_rf
 from repro.newick import trees_from_string, write_newick
 from repro.serve import Endpoint, ServeClient, ServeConfig, serving
 from repro.store import BFHStore, build_store
+from repro.util.errors import ServeRequestError
 
 from tests.conftest import make_collection
 
@@ -92,6 +93,17 @@ class TestSingleQuery:
         assert metrics["counters"]["serve.batches"] >= 1
         assert metrics["histograms"]["serve.probe_seconds"]["count"] >= 1
         assert metrics["histograms"]["serve.queue_wait_seconds"]["count"] >= 1
+
+    def test_stats_time_the_parse_stage(self, tmp_path, store_dir, collection):
+        with serving(store_dir, _config(tmp_path)) as daemon:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
+                client.query(_text(collection[:2]))
+                with pytest.raises(ServeRequestError):
+                    client.query("((A,B);")
+                parse = client.stats()["metrics"]["histograms"][
+                    "serve.parse_seconds"]
+        assert parse["count"] == 2  # a failed parse is timed too
+        assert parse["sum"] > 0
 
 
 class TestConcurrentBatching:

@@ -95,6 +95,24 @@ class TestAvgRF:
         main(["avg-rf", quartet_file])
         assert "wall time" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--normalized"],
+                                       ["--include-trivial"],
+                                       ["--min-split-size", "3"]])
+    def test_scanned_files_match_the_reference_method(self, tmp_path, capsys,
+                                                      flags):
+        # The default method scores Newick files straight from the text;
+        # a split-size transform falls back to Trees.  Either way the
+        # output is byte-identical to bfhrf's.
+        query, reference = tmp_path / "q.nwk", tmp_path / "r.nwk"
+        query.write_text("((A,B),(C,D),E);\n((A,C),(B,(D,F)),E);\n")
+        reference.write_text("((A,B),(C,(D,F)),E);\n(A,B,C,D,E,F);\n")
+        outputs = []
+        for method in ([], ["--method", "bfhrf"]):
+            assert main(["avg-rf", str(query), "-r", str(reference)]
+                        + flags + method) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 class TestMatrix:
     def test_stdout(self, quartet_file, capsys):
