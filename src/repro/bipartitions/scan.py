@@ -117,8 +117,7 @@ class ScannedTrees:
     lo: np.ndarray
     hi: np.ndarray
 
-    @property
-    def n_trees(self) -> int:
+    def __len__(self) -> int:
         return len(self.tree_offsets) - 1
 
     @property
@@ -155,7 +154,7 @@ class ScannedTrees:
         flip = (anchor < clo) | (anchor >= chi)
         leaf_sets = prefix_xor[offsets[1:]] ^ prefix_xor[offsets[:-1]]
         words[flip] ^= leaf_sets[tree[flip]]
-        counts = np.bincount(tree, minlength=self.n_trees).astype(np.int64)
+        counts = np.bincount(tree, minlength=len(self)).astype(np.int64)
         return SplitBlock(words, counts)
 
     def _prefix_xor(self, n_words: int) -> np.ndarray:
@@ -171,7 +170,7 @@ class ScannedTrees:
 
     def _anchors(self) -> np.ndarray:
         """Leaf position of each tree's lowest taxon."""
-        if not self.n_trees:
+        if not len(self):
             return np.zeros(0, dtype=np.int64)
         lowest = np.minimum.reduceat(self.taxa, self.tree_offsets[:-1])
         return np.flatnonzero(self.taxa == np.repeat(lowest, self.leaf_counts))
@@ -356,34 +355,29 @@ def _reparse(record: str, namespace: TaxonNamespace,
 
 def scan_newick_text(text: str, namespace: TaxonNamespace) -> ScannedTrees:
     """Scan a block of Newick records, as ``trees_from_string`` reads it."""
-    records, trailing = _split(io.StringIO(text))
-    scanned = scan_records(records, namespace)
-    if trailing:
-        raise NewickParseError("trailing data without terminating ';'")
-    return scanned
+    return _scan_lines(io.StringIO(text), namespace)
 
 
 def scan_newick_file(path: str | os.PathLike,
                      namespace: TaxonNamespace) -> ScannedTrees:
     """Scan a Newick file (``.gz`` too), as ``read_newick_file`` reads it."""
     with open_tree_file(path, "r") as fh:
-        records, trailing = _split(fh)
-    scanned = scan_records(records, namespace, source=path)
+        return _scan_lines(fh, namespace, source=path)
+
+
+def _scan_lines(lines: Iterable[str], namespace: TaxonNamespace, *,
+                source: str | os.PathLike | None = None) -> ScannedTrees:
+    # The Tree readers parse record by record, so a bad record is
+    # reported ahead of unterminated trailing text; scanning before
+    # raising for the trailing text keeps that order.
+    records = []
+    trailing = False
+    for record, terminated in split_records(lines, comment_lines=True):
+        if not terminated:
+            trailing = True
+            break
+        records.append(record)
+    scanned = scan_records(records, namespace, source=source)
     if trailing:
         raise NewickParseError("trailing data without terminating ';'")
     return scanned
-
-
-def _split(lines: Iterable[str]) -> tuple[list[str], bool]:
-    """Terminated records, and whether unterminated text followed them.
-
-    The Tree readers parse record by record, so a bad record is reported
-    ahead of trailing text; scanning first and raising after keeps that
-    order.
-    """
-    records = []
-    for record, terminated in split_records(lines, comment_lines=True):
-        if not terminated:
-            return records, True
-        records.append(record)
-    return records, False

@@ -102,12 +102,12 @@ def _scan(source: str | os.PathLike, namespace: TaxonNamespace) -> ScannedTrees:
     if isinstance(source, str) and ";" in source:
         with trace("parse", format="newick-text", columnar=True) as span:
             scanned = scan_newick_text(source, namespace)
-            span.set(trees=scanned.n_trees)
+            span.set(trees=len(scanned))
         return scanned
     with trace("parse", source=os.fspath(source), format="newick",
                columnar=True) as span:
         scanned = scan_newick_file(source, namespace)
-        span.set(trees=scanned.n_trees)
+        span.set(trees=len(scanned))
     return scanned
 
 

@@ -154,20 +154,20 @@ def shm_average_rf_scanned(query: ScannedTrees, reference: ScannedTrees, *,
     ``reference`` for the Q-is-R setting; both must be scanned into one
     namespace of ``n_taxa`` taxa.
     """
-    if not reference.n_trees:
+    if not len(reference):
         raise CollectionError(_EMPTY_REFERENCE)
     with trace("bfh.build", workers=1) as span:
         rows = reference.block(words_for_taxa(n_taxa),
                                include_trivial=include_trivial)
         table = BipartitionTable.from_rows(
-            rows.words, n_taxa=n_taxa, n_trees=reference.n_trees,
+            rows.words, n_taxa=n_taxa, n_trees=len(reference),
             include_trivial=include_trivial)
         span.set(r=table.n_trees, unique=len(table))
     if _obs_enabled():
         _metric("bfh.bipartitions_hashed").inc(table.total)
-    if not query.n_trees:
+    if not len(query):
         return []
     vbfh = table.vectorized()
-    with trace("shmrf.query", q=query.n_trees, r=vbfh.n_trees, workers=1):
+    with trace("shmrf.query", q=len(query), r=vbfh.n_trees, workers=1):
         block = rows if query is reference else vbfh.split_block(query)
         return vbfh.average_rf_block(block).tolist()

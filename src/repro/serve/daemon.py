@@ -182,8 +182,7 @@ class _Listener:
 class _Pending:
     """One parsed query request waiting for the batcher."""
 
-    query: ScannedTrees | list[Tree]  # scanned Newick, or parsed NEXUS
-    n_trees: int
+    trees: ScannedTrees | list[Tree]  # scanned Newick, or parsed NEXUS
     n_taxa: int                      # namespace size the trees parsed under
     future: asyncio.Future
     enqueued_at: float = 0.0
@@ -405,7 +404,7 @@ class ServeDaemon:
             while not self._queue.empty():  # drain timeout elapsed
                 pending = self._queue.get_nowait()
                 self._queued_trees = max(
-                    0, self._queued_trees - pending.n_trees)
+                    0, self._queued_trees - len(pending.trees))
                 if not pending.future.done():
                     pending.future.set_exception(ServeError(
                         "daemon shut down before the query was scored"))
@@ -566,17 +565,16 @@ class ServeDaemon:
 
     # -- query path --------------------------------------------------------
 
-    def _parse(self, text: str) -> tuple[ScannedTrees | list[Tree], int, int]:
+    def _parse(self, text: str) -> tuple[ScannedTrees | list[Tree], int]:
         """Read query text in the store's namespace (bit-aligned masks):
-        Newick is scanned with no ``Tree``, NEXUS is parsed.  Returns the
-        query, its tree count and the namespace size."""
+        Newick is scanned with no ``Tree``, NEXUS is parsed."""
         with self._store_lock:
             ns = self._store.namespace()
         if text.lstrip().upper().startswith("#NEXUS"):
             trees = read_nexus_trees(text, ns)
-            return trees, len(trees), max(1, len(ns))
-        scanned = scan_newick_text(text, ns)
-        return scanned, scanned.n_trees, max(1, len(ns))
+        else:
+            trees = scan_newick_text(text, ns)
+        return trees, max(1, len(ns))
 
     async def _handle_query(self, rid: Any,
                             msg: dict[str, Any]) -> dict[str, Any]:
@@ -587,7 +585,7 @@ class ServeDaemon:
                                "text")
         t0 = time.perf_counter()
         try:
-            query, n_trees, n_taxa = await asyncio.to_thread(self._parse, text)
+            trees, n_taxa = await asyncio.to_thread(self._parse, text)
         except ReproError as exc:
             return error_reply(rid, "parse-error", str(exc))
         finally:
@@ -595,21 +593,21 @@ class ServeDaemon:
         with self._store_lock:
             reference_trees = self._store.n_trees
             generation = self._store.generation
-        if not n_trees:
+        if not trees:
             return ok_reply(rid, values=[], trees=0,
                             reference_trees=reference_trees,
                             generation=generation, epoch=self._epoch)
         cfg = self.config
         if (self._queued_trees
-                and self._queued_trees + n_trees > cfg.queue_max_trees):
+                and self._queued_trees + len(trees) > cfg.queue_max_trees):
             # Backpressure: more trees are already queued than one batch
             # drains; admitting more only grows latency unboundedly.
             return self._admission_reject(
                 rid, "queue_trees",
                 f"{self._queued_trees} trees already queued; admitting "
-                f"{n_trees} more would exceed the {cfg.queue_max_trees}"
+                f"{len(trees)} more would exceed the {cfg.queue_max_trees}"
                 "-tree backpressure cap — back off and retry")
-        pending = _Pending(query=query, n_trees=n_trees, n_taxa=n_taxa,
+        pending = _Pending(trees=trees, n_taxa=n_taxa,
                            future=self._loop.create_future(),
                            enqueued_at=time.monotonic())
         try:
@@ -619,7 +617,7 @@ class ServeDaemon:
                 rid, "queue_requests",
                 f"query queue is full ({cfg.queue_max_requests} pending "
                 "requests); back off and retry")
-        self._queued_trees += n_trees
+        self._queued_trees += len(trees)
         self._set_gauge("serve.queued_trees", self._queued_trees)
         try:
             values = await pending.future
@@ -631,7 +629,7 @@ class ServeDaemon:
         with self._store_lock:
             reference_trees = self._store.n_trees
             generation = self._store.generation
-        return ok_reply(rid, values=values, trees=n_trees,
+        return ok_reply(rid, values=values, trees=len(trees),
                         reference_trees=reference_trees,
                         generation=generation, epoch=self._epoch)
 
@@ -642,11 +640,11 @@ class ServeDaemon:
             pending = [await self._queue.get()]
             if cfg.batch_window_s > 0:
                 await asyncio.sleep(cfg.batch_window_s)
-            n_trees = pending[0].n_trees
+            n_trees = len(pending[0].trees)
             while n_trees < cfg.batch_max_trees and not self._queue.empty():
                 extra = self._queue.get_nowait()
                 pending.append(extra)
-                n_trees += extra.n_trees
+                n_trees += len(extra.trees)
             self._queued_trees = max(0, self._queued_trees - n_trees)
             self._set_gauge("serve.queued_trees", self._queued_trees)
             self._in_flight = True
@@ -679,17 +677,17 @@ class ServeDaemon:
         """One probe for the whole batch; runs on a worker thread."""
         n_taxa = max(item.n_taxa for item in pending)
         with trace("serve.batch", requests=len(pending),
-                   trees=sum(item.n_trees for item in pending)):
+                   trees=sum(len(item.trees) for item in pending)):
             table = self._table(n_taxa)
             block = SplitBlock.concat(
-                [table.split_block(item.query) for item in pending])
+                [table.split_block(item.trees) for item in pending])
             values = table.average_rf_block(block).tolist()
         out: list[list[float]] = []
         offset = 0
         for item in pending:
             out.append([float(v)
-                        for v in values[offset:offset + item.n_trees]])
-            offset += item.n_trees
+                        for v in values[offset:offset + len(item.trees)]])
+            offset += len(item.trees)
         return out
 
     # -- probe-table cache (epoch-invalidated) ------------------------------

@@ -553,9 +553,9 @@ def check_scan_parity(case: TreeCase) -> list[Failure]:
     scan_ns, parse_ns = TaxonNamespace(padding), TaxonNamespace(padding)
     scanned = scan_newick_text(text, scan_ns)
     parsed = trees_from_string(text, parse_ns)
-    if scan_ns.labels != parse_ns.labels or scanned.n_trees != len(parsed):
+    if scan_ns.labels != parse_ns.labels or len(scanned) != len(parsed):
         return [Failure("scan-parity",
-                        f"scanned {scanned.n_trees} trees into "
+                        f"scanned {len(scanned)} trees into "
                         f"{len(scan_ns)} taxa; parsed {len(parsed)} trees "
                         f"into {len(parse_ns)}")]
     failures = []

@@ -216,12 +216,12 @@ class TestFiles:
         with gzip.open(path, "wt") as fh:
             fh.write("((A,B),(C,D));\n((A,C),(B,D));\n")
         scanned = scan_newick_file(path, TaxonNamespace())
-        assert scanned.n_trees == 2
+        assert len(scanned) == 2
 
     def test_empty_file_raises_as_tree_path(self, tmp_path):
         path = tmp_path / "empty.nwk"
         path.write_text("\n# nothing here\n")
-        assert scan_newick_file(path, TaxonNamespace()).n_trees == 0
+        assert len(scan_newick_file(path, TaxonNamespace())) == 0
         with pytest.raises(CollectionError) as want:
             average_rf(path, method="bfhrf")
         with pytest.raises(CollectionError) as got:
