@@ -201,7 +201,7 @@ def _assert_same_error(path):
 class TestFiles:
     def test_parse_error_names_the_record(self, tmp_path):
         path = tmp_path / "bad.nwk"
-        path.write_text("(A,B);\n# comment\n(A,(B,C);\n(C" "\n")
+        path.write_text("(A,B);\n# comment\n(A,(B,C);\n(C\n")
         _assert_same_error(path)
         with pytest.raises(NewickParseError, match=r"tree record 2: "):
             scan_newick_file(path, TaxonNamespace())
