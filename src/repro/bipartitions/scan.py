@@ -78,10 +78,6 @@ for _char in LABEL_STOP:
 # A record whose only ';' ends it and that holds no quote or comment.
 _PLAIN = re.compile(r"[^;'\[\]]*;")
 _BARE = re.compile(BARE)
-# str.split() splits on every Unicode whitespace character, but only
-# [ \t\r\n] separates tokens; other whitespace is label text.
-_LABEL_SPACE = re.compile(r"[^\S \t\r\n]")
-_STRUCTURAL_TO_SPACE = str.maketrans("(),;:", "     ")
 
 
 @dataclass(frozen=True)
@@ -187,9 +183,7 @@ def _plain_tokens(text: str) -> tuple[np.ndarray, list[str]]:
     label = kinds == _LABEL
     token = kinds != 0
     token[1:] &= ~(label[1:] & label[:-1])  # a run of label bytes is one token
-    if _LABEL_SPACE.search(text):
-        return kinds[token], _BARE.findall(text)
-    return kinds[token], text.translate(_STRUCTURAL_TO_SPACE).split()
+    return kinds[token], _BARE.findall(text)
 
 
 def _record_tokens(record: str) -> tuple[np.ndarray, list[str]]:

@@ -19,7 +19,6 @@ from repro.core.consensus import consensus_tree
 from repro.core.day import day_rf
 from repro.core.matrix import average_from_matrix, rf_matrix
 from repro.core.rf import max_rf, robinson_foulds
-from repro.core.shmrf import shm_average_rf_scanned
 from repro.hashing.bfh import BipartitionFrequencyHash, MaskTransform
 from repro.newick.io import read_newick_file, trees_from_string
 from repro.observability.spans import trace
@@ -52,6 +51,47 @@ def _is_nexus_path(path: str | os.PathLike) -> bool:
         return False
 
 
+def _source_kind(source: TreesLike) -> str:
+    """Classify a collection argument, sniffing a path's header once.
+
+    One of ``"trees"`` (a tree sequence), ``"nexus-text"``, ``"nexus"``
+    (a NEXUS path), ``"newick"`` (a Newick path) or ``"newick-text"``.
+    """
+    if isinstance(source, (list, tuple)):
+        return "trees"
+    if isinstance(source, str) and source.lstrip().upper().startswith("#NEXUS"):
+        return "nexus-text"
+    if isinstance(source, os.PathLike) or (isinstance(source, str) and ";" not in source):
+        return "nexus" if _is_nexus_path(source) else "newick"
+    if isinstance(source, str):
+        return "newick-text"
+    raise TypeError(f"cannot interpret {type(source).__name__} as a tree collection")
+
+
+def _parse_span(source: str | os.PathLike, kind: str, **attrs):
+    if kind in ("nexus", "newick"):
+        return trace("parse", source=os.fspath(source), format=kind, **attrs)
+    return trace("parse", format=kind, **attrs)
+
+
+def _read_trees(source: TreesLike, kind: str,
+                namespace: TaxonNamespace | None = None) -> list[Tree]:
+    """:func:`as_trees` for a source already classified as ``kind``."""
+    from repro.newick.nexus import read_nexus_trees
+
+    if kind == "trees":
+        return list(source)
+    with _parse_span(source, kind) as span:
+        if kind in ("nexus", "nexus-text"):
+            trees = read_nexus_trees(source, namespace)
+        elif kind == "newick":
+            trees = read_newick_file(source, namespace)
+        else:
+            trees = trees_from_string(source, namespace)
+        span.set(trees=len(trees))
+    return trees
+
+
 def as_trees(source: TreesLike, namespace: TaxonNamespace | None = None) -> list[Tree]:
     """Coerce a collection argument into a list of trees.
 
@@ -60,53 +100,19 @@ def as_trees(source: TreesLike, namespace: TaxonNamespace | None = None) -> list
     auto-detected by its ``#NEXUS`` header), or a string containing
     Newick/NEXUS text.
     """
-    from repro.newick.nexus import read_nexus_trees
-
-    if isinstance(source, (list, tuple)):
-        return list(source)
-    if isinstance(source, str) and source.lstrip().upper().startswith("#NEXUS"):
-        with trace("parse", format="nexus-text") as span:
-            trees = read_nexus_trees(source, namespace)
-            span.set(trees=len(trees))
-        return trees
-    if isinstance(source, os.PathLike) or (isinstance(source, str) and ";" not in source):
-        if _is_nexus_path(source):
-            with trace("parse", source=os.fspath(source), format="nexus") as span:
-                trees = read_nexus_trees(source, namespace)
-                span.set(trees=len(trees))
-            return trees
-        with trace("parse", source=os.fspath(source), format="newick") as span:
-            trees = read_newick_file(source, namespace)
-            span.set(trees=len(trees))
-        return trees
-    if isinstance(source, str):
-        with trace("parse", format="newick-text") as span:
-            trees = trees_from_string(source, namespace)
-            span.set(trees=len(trees))
-        return trees
-    raise TypeError(f"cannot interpret {type(source).__name__} as a tree collection")
+    return _read_trees(source, _source_kind(source), namespace)
 
 
-def _scannable(source: TreesLike) -> bool:
-    """Whether ``source`` is Newick text or a Newick file path (the
-    columnar scanner's inputs; NEXUS and tree lists are parsed)."""
-    if isinstance(source, str) and source.lstrip().upper().startswith("#NEXUS"):
-        return False
-    if isinstance(source, os.PathLike) or (isinstance(source, str) and ";" not in source):
-        return not _is_nexus_path(source)
-    return isinstance(source, str)
+_SCANNABLE = ("newick", "newick-text")
 
 
-def _scan(source: str | os.PathLike, namespace: TaxonNamespace) -> ScannedTrees:
-    """:func:`as_trees` for the columnar scanner: same sources, same spans."""
-    if isinstance(source, str) and ";" in source:
-        with trace("parse", format="newick-text", columnar=True) as span:
-            scanned = scan_newick_text(source, namespace)
-            span.set(trees=len(scanned))
-        return scanned
-    with trace("parse", source=os.fspath(source), format="newick",
-               columnar=True) as span:
-        scanned = scan_newick_file(source, namespace)
+def _scan(source: str | os.PathLike, kind: str,
+          namespace: TaxonNamespace) -> ScannedTrees:
+    """:func:`_read_trees` for the columnar scanner: Newick sources only,
+    same spans."""
+    with _parse_span(source, kind, columnar=True) as span:
+        scanned = scan_newick_file(source, namespace) if kind == "newick" \
+            else scan_newick_text(source, namespace)
         span.set(trees=len(scanned))
     return scanned
 
@@ -157,9 +163,9 @@ def average_rf(query: TreesLike, reference: TreesLike | None = None, *,
         Collections (trees / path / Newick text).  ``reference=None``
         means ``Q is R``.  When both are paths or strings they are
         parsed into one shared namespace automatically.  Newick paths
-        and text are scored with no ``Tree`` built when the method's
-        ``scans_text`` flag is set (the default ``shm``), with one
-        worker and no transform (:mod:`repro.bipartitions.scan`).
+        and text are scored with no ``Tree`` built when the method has
+        a ``scan_runner`` (the default ``shm``), at ``n_workers=1`` with
+        no transform (:mod:`repro.bipartitions.scan`).
     method:
         One of the registered methods (see
         :func:`repro.runtime.methods`).  ``None`` resolves through
@@ -222,25 +228,28 @@ def average_rf(query: TreesLike, reference: TreesLike | None = None, *,
     spec = get_method(default_method_name() if method is None else method)
     spec.ensure_supported(disparate=reference is not None,
                           transform=transform is not None)
-    if (spec.scans_text and n_workers <= 1 and transform is None
-            and _scannable(query)
-            and (reference is None or _scannable(reference))):
+    query_kind = _source_kind(query)
+    reference_kind = None if reference is None else _source_kind(reference)
+    if (spec.scan_runner is not None and n_workers == 1 and transform is None
+            and query_kind in _SCANNABLE
+            and reference_kind in (None, *_SCANNABLE)):
         # Scored straight from the text: no Tree is built.
         ns = TaxonNamespace()
-        scanned = _scan(query, ns)
-        reference_scan = scanned if reference is None else _scan(reference, ns)
-        values = shm_average_rf_scanned(scanned, reference_scan,
-                                        n_taxa=max(1, len(ns)),
-                                        include_trivial=include_trivial)
+        scanned = _scan(query, query_kind, ns)
+        reference_scan = scanned if reference is None \
+            else _scan(reference, reference_kind, ns)
+        values = spec.scan_runner(scanned, reference_scan,
+                                  n_taxa=max(1, len(ns)),
+                                  include_trivial=include_trivial)
         return _normalize(values, scanned.leaf_counts) if normalized \
             else values
 
-    query_trees = as_trees(query)
+    query_trees = _read_trees(query, query_kind)
     if reference is None:
         reference_trees = query_trees
     else:
         ns = query_trees[0].taxon_namespace if query_trees else None
-        reference_trees = as_trees(reference, ns)
+        reference_trees = _read_trees(reference, reference_kind, ns)
     values = spec.run(query_trees, reference_trees, n_workers=n_workers,
                       include_trivial=include_trivial, transform=transform,
                       executor=executor)

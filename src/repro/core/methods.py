@@ -73,6 +73,13 @@ def _run_shm(query, reference, *, n_workers, include_trivial, transform,
                           transform=transform, executor=executor)
 
 
+def _scan_shm(query, reference, *, n_taxa, include_trivial):
+    from repro.core.shmrf import shm_average_rf_scanned
+
+    return shm_average_rf_scanned(query, reference, n_taxa=n_taxa,
+                                  include_trivial=include_trivial)
+
+
 register_method(
     "bfhrf", _run_bfhrf,
     summary="The paper's Algorithm 2: one streaming hash build, then "
@@ -118,4 +125,4 @@ register_method(
     memory_class="hash",
     shared_memory=True,
     fast_path=True,
-    scans_text=True)
+    scan_runner=_scan_shm)

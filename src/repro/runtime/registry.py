@@ -71,12 +71,15 @@ class MethodSpec:
         wins (see :func:`default_method_name`).  Flagging a method here
         promises bitwise-identical results to ``bfhrf`` — the parity
         oracles hold every fast path to that.
-    scans_text:
-        Newick file or text inputs scored single-worker with no
-        transform skip ``Tree`` construction: ``average_rf`` scans them
-        with :mod:`repro.bipartitions.scan` and scores them with
-        :func:`~repro.core.shmrf.shm_average_rf_scanned`, bit for bit
-        what the runner returns on the parsed trees.
+    scan_runner:
+        Scores scanned Newick text, as
+        ``scan_runner(query, reference, *, n_taxa, include_trivial)``
+        on two :class:`~repro.bipartitions.scan.ScannedTrees` of one
+        namespace.  When set, ``average_rf`` scans Newick file or text
+        inputs at ``n_workers=1`` with no transform
+        (:mod:`repro.bipartitions.scan`) and calls it instead of
+        ``runner``, so no ``Tree`` is built; it must return bit for bit
+        what ``runner`` returns on the parsed trees.
     """
 
     name: str
@@ -88,7 +91,7 @@ class MethodSpec:
     memory_class: str = "hash"
     shared_memory: bool = False
     fast_path: bool = False
-    scans_text: bool = False
+    scan_runner: Callable[..., list[float]] | None = None
 
     def __post_init__(self) -> None:
         if self.memory_class not in _MEMORY_CLASSES:
@@ -133,7 +136,8 @@ def register_method(name: str, runner: Callable[..., list[float]], *,
                     memory_class: str = "hash",
                     shared_memory: bool = False,
                     fast_path: bool = False,
-                    scans_text: bool = False) -> MethodSpec:
+                    scan_runner: Callable[..., list[float]] | None = None
+                    ) -> MethodSpec:
     """Register an average-RF method; returns its :class:`MethodSpec`.
 
     Re-registering a name replaces the previous entry (last wins), which
@@ -145,7 +149,7 @@ def register_method(name: str, runner: Callable[..., list[float]], *,
                       supports_workers=supports_workers,
                       memory_class=memory_class,
                       shared_memory=shared_memory,
-                      fast_path=fast_path, scans_text=scans_text)
+                      fast_path=fast_path, scan_runner=scan_runner)
     _REGISTRY[name] = spec
     return spec
 

@@ -267,12 +267,20 @@ class TestAverageRF:
         def no_trees(*args, **kwargs):
             raise AssertionError("built Trees")
 
-        monkeypatch.setattr(api, "as_trees", no_trees)
+        monkeypatch.setattr(api, "read_newick_file", no_trees)
+        monkeypatch.setattr(api, "trees_from_string", no_trees)
         assert average_rf(q, r) == [2.0]
+        assert average_rf("((A,B),(C,D));") == [0.0]
         with pytest.raises(AssertionError):
             average_rf(q, r, method="bfhrf")
-        with pytest.raises(AssertionError):
-            average_rf(q, r, n_workers=2)
+        for n_workers in (2, 0):
+            with pytest.raises(AssertionError):
+                average_rf(q, r, n_workers=n_workers)
+
+    def test_all_cpu_worker_count_keeps_the_tree_path_values(self, tmp_path):
+        q, r = self._files(tmp_path, "((A,B),(C,D),E);\n((A,C),(B,D),E);\n",
+                           "((A,C),(B,D),E);\n((A,B),(C,E),D);\n")
+        assert average_rf(q, r, n_workers=0) == average_rf(q, r)
 
 
 class TestSplitBlock:
