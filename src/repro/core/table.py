@@ -18,7 +18,7 @@ Keys live in two total orders:
 
 * **numeric order** — masks ascending as integers.  This is the on-disk
   order (delta compression needs it) and the order
-  :meth:`BipartitionTable.sorted_masks` yields.
+  :meth:`BipartitionTable.numeric_rows` yields.
 * **probe order** — rows sorted under the NumPy void-byte comparison the
   vectorized backend's ``searchsorted`` uses.  ``keys``/``counts`` are
   stored in this order so probes adopt them without re-sorting.
@@ -61,12 +61,13 @@ word boundaries, splitless references, and weighted multisets).
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from repro.bipartitions.encoding import pack_key, unpack_key, words_for_taxa
+from repro.bipartitions.encoding import unpack_key, words_for_taxa
 from repro.util.errors import BipartitionError, StoreCorruptError
 
 __all__ = [
@@ -78,7 +79,7 @@ __all__ = [
 ]
 
 _WORD_BITS = 64
-_WORD_MASK = (1 << _WORD_BITS) - 1
+_PACK_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -89,31 +90,34 @@ def masks_to_words(masks: Sequence[int], n_words: int) -> np.ndarray:
     """Pack arbitrary-precision masks into an ``(m, n_words)`` uint64 array.
 
     Word 0 is the *most significant*, so lexicographic order of rows
-    equals numeric order of masks.
+    equals numeric order of masks.  Each mask becomes its big-endian
+    bytes, which read as big-endian words are exactly that row (joined a
+    block of masks at a time, so the bytes objects never pile up).
     """
+    size = 8 * n_words
     out = np.empty((len(masks), n_words), dtype=np.uint64)
-    for row, mask in enumerate(masks):
-        if mask < 0 or mask >> (_WORD_BITS * n_words):
-            # Refuse to truncate: a dropped high word would make distinct
-            # splits collide silently — the worst failure class here.
-            raise ValueError(
-                f"mask {mask:#x} does not fit in {n_words} words")
-        for col in range(n_words):
-            shift = _WORD_BITS * (n_words - 1 - col)
-            out[row, col] = (mask >> shift) & _WORD_MASK
+    masks_left = iter(masks)
+    try:
+        for start in range(0, len(masks), _PACK_ROWS):
+            data = b"".join([mask.to_bytes(size, "big")
+                             for mask in islice(masks_left, _PACK_ROWS)])
+            out[start:start + len(data) // size] = np.frombuffer(
+                data, dtype=">u8").reshape(-1, n_words)
+    except OverflowError:
+        # Refuse to truncate: a dropped high word would make distinct
+        # splits collide silently — the worst failure class here.
+        bad = next(m for m in masks if m < 0 or m >> (_WORD_BITS * n_words))
+        raise ValueError(
+            f"mask {bad:#x} does not fit in {n_words} words") from None
     return out
 
 
 def words_to_masks(keys: np.ndarray) -> list[int]:
     """Inverse of :func:`masks_to_words`: rows back to Python ints."""
-    n_words = keys.shape[1]
-    out = []
-    for row in keys:
-        mask = 0
-        for col in range(n_words):
-            mask = (mask << _WORD_BITS) | int(row[col])
-        out.append(mask)
-    return out
+    size = 8 * keys.shape[1]
+    data = np.ascontiguousarray(keys, dtype=">u8").tobytes()
+    return [int.from_bytes(data[i:i + size], "big")
+            for i in range(0, len(data), size)]
 
 
 def probe_order(keys: np.ndarray) -> np.ndarray:
@@ -226,15 +230,11 @@ class BipartitionTable:
         """Masks as Python ints in row (probe) order."""
         return words_to_masks(self.keys)
 
-    def sorted_masks(self) -> list[int]:
-        """Masks ascending numerically — the codec/on-disk order."""
-        return sorted(self.masks())
-
-    def sorted_items(self) -> Iterator[tuple[int, int]]:
-        """``(mask, count)`` pairs in ascending numeric mask order."""
-        counts = self.to_counts()
-        for mask in sorted(counts):
-            yield mask, counts[mask]
+    def numeric_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, counts)`` in ascending numeric mask order — the
+        codec/on-disk order (one lexsort, word 0 as the primary key)."""
+        order = np.lexsort(self.keys.T[::-1])
+        return self.keys[order], self.counts[order]
 
     def to_counts(self) -> dict[int, int]:
         """The frequency dict (the store's in-memory overlay form)."""
@@ -403,18 +403,20 @@ def default_codec_name() -> str:
 # Shared section helpers.
 # ---------------------------------------------------------------------------
 
-def _encode_weight_runs(table: BipartitionTable) -> bytes:
+def _encode_weight_runs(weights: dict[int, list[float]] | None,
+                        keys: np.ndarray, counts: np.ndarray) -> bytes:
     """Per-key sorted f64 branch-length runs, ascending key order.
 
+    ``keys``/``counts`` are the table's :meth:`~BipartitionTable.numeric_rows`.
     Identical bytes in both codecs (floats must round-trip exactly, so
     there is nothing lossless-and-simple to squeeze out of them); the
     keys/counts sections are where the codecs differ.
     """
-    if table.weights is None:
+    if weights is None:
         return b""
     parts = []
-    for mask, count in table.sorted_items():
-        run = sorted(table.weights.get(mask, ()))
+    for mask, count in zip(words_to_masks(keys), counts.tolist()):
+        run = sorted(weights.get(mask, ()))
         if len(run) != count:
             raise StoreCorruptError(
                 f"split {mask:#x}: {len(run)} weights for frequency {count}")
@@ -465,12 +467,12 @@ def _build_decoded(masks: list[int], freqs: list[int],
 # ---------------------------------------------------------------------------
 
 def _raw_encode(table: BipartitionTable) -> TableSections:
-    n_words = table.n_words
-    items = list(table.sorted_items())
-    keys = b"".join(pack_key(mask, n_words) for mask, _ in items)
-    counts = struct.pack(f"<{len(items)}Q", *(c for _, c in items))
-    return TableSections(keys=keys, counts=counts,
-                         weights=_encode_weight_runs(table))
+    keys, counts = table.numeric_rows()
+    # Each key little-endian as a whole: least significant word first.
+    return TableSections(keys=keys[:, ::-1].astype("<u8").tobytes(),
+                         counts=counts.astype("<u8").tobytes(),
+                         weights=_encode_weight_runs(table.weights, keys,
+                                                     counts))
 
 
 def _raw_decode(sections: TableSections, *, n_taxa: int, entries: int,
@@ -521,12 +523,19 @@ def _encode_varint(value: int, out: bytearray) -> None:
             return
 
 
-def _decode_varint(data: bytes, offset: int) -> tuple[int, int]:
+def _decode_varint(data: bytes, offset: int,
+                   max_bytes: int | None = None) -> tuple[int, int]:
     result = 0
     shift = 0
+    # Bounded per byte: an unbounded varint decodes in quadratic time,
+    # since each byte shifts into an ever longer int.
+    stop = len(data) if max_bytes is None else min(len(data),
+                                                    offset + max_bytes)
     while True:
-        if offset >= len(data):
-            raise BipartitionError("truncated varint in compressed mask")
+        if offset >= stop:
+            if offset >= len(data):
+                raise BipartitionError("truncated varint in compressed mask")
+            raise BipartitionError(f"varint longer than {max_bytes} bytes")
         byte = data[offset]
         offset += 1
         result |= (byte & 0x7F) << shift
@@ -616,35 +625,196 @@ _DELTA = 0x00      # varint(mask - prev_mask) follows
 _COMPRESSED = 0x01  # varint(length) + compress_mask blob follows
 
 
-def _succinct_encode_keys(masks: list[int], n_taxa: int) -> bytes:
-    leaf_mask = (1 << max(1, n_taxa)) - 1
-    out = bytearray()
-    prev = -1
-    for mask in masks:
-        delta = bytearray()
-        _encode_varint(mask - prev, delta)
-        framed = None
-        if 0 <= mask <= leaf_mask:
-            # Gap compression is leaf-set-relative; a mask above the
-            # declared taxon count (wider table than namespace) still
-            # encodes exactly via the delta arm.
-            blob = compress_mask(mask, leaf_mask)
-            framed = bytearray()
-            _encode_varint(len(blob), framed)
-            framed.extend(blob)
-        if framed is None or len(delta) <= len(framed):
-            out.append(_DELTA)
-            out.extend(delta)
-        else:
-            out.append(_COMPRESSED)
-            out.extend(framed)
-        prev = mask
-    return bytes(out)
+# The encoder works on a table's packed words, a chunk of rows at a time
+# (so peak memory does not grow with the table), and writes exactly the
+# bytes the per-key definition gives: ``varint(mask - prev)`` when that
+# is no longer than the framed ``compress_mask(mask, leaf_mask)`` blob,
+# else the blob.
+_CHUNK_WORDS = 1 << 12
+_BYTE_ONES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                           axis=1).sum(axis=1)
+_BYTE_BITS = np.array([value.bit_length() for value in range(256)])
+
+
+def _subtract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``a - b`` of MSW-first word rows, modulo ``2**(64 * w)``."""
+    out = np.empty_like(a)
+    borrow = np.zeros(len(a), dtype=bool)
+    for col in range(a.shape[1] - 1, -1, -1):
+        x, y = a[:, col], b[:, col]
+        out[:, col] = x - y - borrow
+        borrow = (x < y) | ((x == y) & borrow)
+    return out
+
+
+def _word_digits(words: np.ndarray) -> np.ndarray:
+    """Base-128 digits of MSW-first word rows, least significant first."""
+    n_words = words.shape[1]
+    low_first = words[:, ::-1]
+    start = 7 * np.arange(-(-_WORD_BITS * n_words // 7))
+    col = start // _WORD_BITS
+    shift = (start % _WORD_BITS).astype(np.uint64)
+    digits = low_first[:, col]
+    digits >>= shift
+    # A digit starting in a word's top six bits ends in the next word.
+    spill = np.flatnonzero((shift > 57) & (col + 1 < n_words))
+    digits[:, spill] |= (low_first[:, col[spill] + 1]
+                         << (np.uint64(_WORD_BITS) - shift[spill]))
+    digits &= np.uint64(0x7F)
+    return digits.astype(np.uint8)
+
+
+def _int_digits(values: np.ndarray) -> np.ndarray:
+    """Base-128 digits of non-negative int64 values, least significant
+    first."""
+    top = int(values.max()) if values.size else 0
+    shifts = 7 * np.arange(max(1, -(-top.bit_length() // 7)), dtype=np.int64)
+    return ((values[:, None] >> shifts) & 0x7F).astype(np.uint8)
+
+
+def _leb128(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LEB128 varints of values given as ``(k, D)`` base-128 digits.
+
+    Returns the k varints back to back and each one's length (zero is
+    one byte), the bytes :func:`_encode_varint` writes.
+    """
+    width = digits.shape[1]
+    place = np.arange(width, dtype=np.min_scalar_type(width))
+    lengths = np.maximum(1, ((digits != 0) * (place + 1)).max(axis=1)
+                         ).astype(np.int64)
+    more = (place < (lengths - 1)[:, None]).astype(np.uint8) << 7
+    return (digits | more)[place < lengths[:, None]], lengths
+
+
+def _select(part: tuple[np.ndarray, np.ndarray],
+            keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep only the records ``keep`` marks of a ``(bytes, lengths)``
+    part; the others get length 0."""
+    flat, lengths = part
+    return flat[np.repeat(keep, lengths)], np.where(keep, lengths, 0)
+
+
+def _interleave(parts: list[tuple[np.ndarray, np.ndarray]]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Lay records out part after part: record 0's parts, then record 1's.
+
+    Each part is ``(bytes, lengths)``: record r owns ``lengths[r]`` bytes
+    of it, stored back to back in record order.  Returns the laid-out
+    bytes and each record's total length.
+    """
+    lengths = np.stack([part_lengths for _, part_lengths in parts], axis=1)
+    starts = (np.cumsum(lengths.ravel()) - lengths.ravel()).reshape(
+        lengths.shape)
+    out = np.empty(int(lengths.sum()), dtype=np.uint8)
+    for col, (flat, part_lengths) in enumerate(parts):
+        begins = np.cumsum(part_lengths) - part_lengths
+        out[np.repeat(starts[:, col] - begins, part_lengths)
+            + np.arange(len(flat))] = flat
+    return out, lengths.sum(axis=1)
+
+
+def _gap_varints(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a 0/1 matrix, the varints of the gaps between its set
+    bits (the first gap counts from -1): a GAPS blob after its tag."""
+    row, pos = np.nonzero(bits)
+    gaps = np.diff(pos, prepend=-1)
+    first = np.ones(len(row), dtype=bool)
+    first[1:] = row[1:] != row[:-1]
+    gaps[first] = pos[first] + 1
+    flat, lengths = _leb128(_int_digits(gaps))
+    return flat, np.bincount(row, weights=lengths,
+                             minlength=len(bits)).astype(np.int64)
+
+
+def _framed_blobs(big: np.ndarray, raw_bytes: np.ndarray,
+                  leaf_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """``varint(len(blob)) + compress_mask(mask, leaf_mask)`` for each
+    row of big-endian mask bytes, as a ``(bytes, lengths)`` part."""
+    bits = np.unpackbits(big[:, ::-1], axis=1, bitorder="little")
+    ones = bits.sum(axis=1, dtype=np.int64)
+    # RAW comes first and wins ties, so GAPS (CGAPS) can only win with
+    # fewer set (clear leaf) bits than RAW has bytes; no other row gets
+    # its gaps built.
+    sparse = ones < raw_bytes
+    dense = leaf_bits - ones < raw_bytes
+    gaps = _gap_varints(bits * sparse[:, None])
+    cgaps = _gap_varints((bits[:, :leaf_bits] ^ 1) * dense[:, None])
+    never = np.iinfo(np.int64).max
+    sizes = np.stack([1 + raw_bytes, np.where(sparse, 1 + gaps[1], never),
+                      np.where(dense, 1 + cgaps[1], never)], axis=1)
+    form = np.argmin(sizes, axis=1)  # the first shortest, as compress_mask
+    raw_keep = np.arange(big.shape[1]) >= (big.shape[1] - raw_bytes)[:, None]
+    return _interleave([
+        _leb128(_int_digits(sizes[np.arange(len(big)), form])),
+        (form.astype(np.uint8), np.ones(len(big), dtype=np.int64)),
+        _select((big[raw_keep], raw_bytes), form == _RAW),
+        _select(gaps, form == _GAPS),
+        _select(cgaps, form == _CGAPS),
+    ])
+
+
+def _encode_key_chunk(rows: np.ndarray, deltas: np.ndarray,
+                      leaf_bits: int) -> bytes:
+    """The key records of consecutive numeric-order rows; ``deltas`` are
+    each row minus the key before it, one word wider."""
+    delta = _leb128(_word_digits(deltas))
+    big = np.ascontiguousarray(rows, dtype=">u8").view(np.uint8)
+    ones = _BYTE_ONES[big].sum(axis=1, dtype=np.int64)
+    top = np.argmax(big != 0, axis=1)  # the first nonzero big-endian byte
+    raw_bytes = np.where(ones > 0, big.shape[1] - top, 1)
+    bit_length = np.where(ones > 0, 8 * raw_bytes - 8
+                          + _BYTE_BITS[big[np.arange(len(big)), top]], 0)
+    # Gap compression is leaf-set-relative; a mask above the declared
+    # taxon count (wider table than namespace) takes the delta arm.  A
+    # framed blob is a length byte plus a tag plus at least the raw
+    # bytes, one gap byte per set bit, or one per clear leaf bit; a
+    # delta no longer than that needs no blob built.
+    bound = 2 + np.minimum(raw_bytes, np.minimum(ones, leaf_bits - ones))
+    cand = np.flatnonzero((bit_length <= leaf_bits) & (delta[1] > bound))
+    framed = _framed_blobs(big[cand], raw_bytes[cand], leaf_bits)
+    wins = delta[1][cand] > framed[1]  # a tie keeps the delta
+    compressed = np.zeros(len(rows), dtype=bool)
+    compressed[cand[wins]] = True
+    framed_bytes, framed_lengths = _select(framed, wins)
+    lengths = np.zeros(len(rows), dtype=np.int64)
+    lengths[cand] = framed_lengths
+    out, _ = _interleave([
+        (compressed.astype(np.uint8), np.ones(len(rows), dtype=np.int64)),
+        _select(delta, ~compressed),
+        (framed_bytes, lengths),
+    ])
+    return out.tobytes()
+
+
+def _succinct_encode_keys(rows: np.ndarray, n_taxa: int) -> bytes:
+    """The key section of numeric-order rows (a ``_DELTA`` or
+    ``_COMPRESSED`` tag per key, then its varint or framed blob)."""
+    n_keys, n_words = rows.shape
+    leaf_bits = max(1, n_taxa)
+    step = max(1, _CHUNK_WORDS // (n_words + 1))
+    # Deltas get one spare top word: the first key's delta is mask + 1
+    # (the key before the first is -1), which overflows n_words when
+    # the mask is all ones.
+    before = np.full((1, n_words + 1), np.iinfo(np.uint64).max,
+                     dtype=np.uint64)
+    parts = []
+    for i in range(0, n_keys, step):
+        chunk = rows[i:i + step]
+        wide = np.zeros((len(chunk), n_words + 1), dtype=np.uint64)
+        wide[:, 1:] = chunk
+        deltas = _subtract(wide, np.concatenate((before, wide[:-1])))
+        parts.append(_encode_key_chunk(chunk, deltas, leaf_bits))
+        before = wide[-1:]
+    return b"".join(parts)
 
 
 def _succinct_decode_keys(blob: bytes, entries: int,
                           n_taxa: int) -> list[int]:
     leaf_mask = (1 << max(1, n_taxa)) - 1
+    n_bits = _WORD_BITS * words_for_taxa(n_taxa)
+    # The longest valid varint is the first key's delta, mask + 1, which
+    # is at most 2**n_bits: n_bits + 1 bits in 7-bit groups.
+    max_varint = n_bits // 7 + 1
     masks: list[int] = []
     prev = -1
     offset = 0
@@ -655,10 +825,10 @@ def _succinct_decode_keys(blob: bytes, entries: int,
             tag = blob[offset]
             offset += 1
             if tag == _DELTA:
-                delta, offset = _decode_varint(blob, offset)
+                delta, offset = _decode_varint(blob, offset, max_varint)
                 mask = prev + delta
             elif tag == _COMPRESSED:
-                length, offset = _decode_varint(blob, offset)
+                length, offset = _decode_varint(blob, offset, max_varint)
                 end = offset + length
                 if end > len(blob):
                     raise StoreCorruptError(
@@ -668,6 +838,9 @@ def _succinct_decode_keys(blob: bytes, entries: int,
             else:
                 raise StoreCorruptError(
                     f"succinct key section has unknown tag {tag:#x}")
+            if mask >> n_bits:
+                raise StoreCorruptError(
+                    f"succinct key is wider than the table's {n_bits} bits")
             if mask <= prev:
                 raise StoreCorruptError(
                     "succinct keys are not strictly ascending")
@@ -682,18 +855,16 @@ def _succinct_decode_keys(blob: bytes, entries: int,
     return masks
 
 
-def _succinct_encode_counts(freqs: list[int]) -> bytes:
-    out = bytearray()
-    i = 0
-    while i < len(freqs):
-        value = freqs[i]
-        run = 1
-        while i + run < len(freqs) and freqs[i + run] == value:
-            run += 1
-        _encode_varint(value, out)
-        _encode_varint(run, out)
-        i += run
-    return bytes(out)
+def _succinct_encode_counts(freqs: np.ndarray) -> bytes:
+    """Run-length ``(varint value, varint run)`` pairs."""
+    if not len(freqs):
+        return b""
+    starts = np.flatnonzero(np.diff(freqs)) + 1
+    runs = np.diff(starts, prepend=0, append=len(freqs))
+    values = freqs[np.concatenate(([0], starts))]
+    out, _ = _interleave([_leb128(_int_digits(values)),
+                          _leb128(_int_digits(runs))])
+    return out.tobytes()
 
 
 def _succinct_decode_counts(blob: bytes, entries: int) -> list[int]:
@@ -720,11 +891,11 @@ def _succinct_decode_counts(blob: bytes, entries: int) -> list[int]:
 
 
 def _succinct_encode(table: BipartitionTable) -> TableSections:
-    items = list(table.sorted_items())
+    keys, counts = table.numeric_rows()
     return TableSections(
-        keys=_succinct_encode_keys([m for m, _ in items], table.n_taxa),
-        counts=_succinct_encode_counts([c for _, c in items]),
-        weights=_encode_weight_runs(table))
+        keys=_succinct_encode_keys(keys, table.n_taxa),
+        counts=_succinct_encode_counts(counts),
+        weights=_encode_weight_runs(table.weights, keys, counts))
 
 
 def _succinct_decode(sections: TableSections, *, n_taxa: int, entries: int,

@@ -1,5 +1,6 @@
 """BipartitionTable codecs: seeded round-trip properties, the packing
 regression pin, the §IX mask codec, pinned succinct-v1 output bytes,
+the vectorized succinct-v1 encoder against its per-key reference,
 registry semantics, and loud malformed-input failures.
 
 The exactness bar (ISSUE 9): every codec decode must reproduce the
@@ -288,6 +289,161 @@ class TestSuccinctGoldenBytes:
         assert digests == self.GOLDEN[n_taxa]
 
 
+def _varint(value: int, out: bytearray) -> None:
+    while True:
+        byte, value = value & 0x7F, value >> 7
+        out.append(byte | (0x80 if value else 0))
+        if not value:
+            return
+
+
+def reference_succinct_sections(table: BipartitionTable) -> TableSections:
+    """succinct-v1 as defined key by key: the per-key ``compress_mask``
+    loop the vectorized encoder replaced, kept as the byte oracle."""
+    counts = table.to_counts()
+    masks = sorted(counts)
+    leaf_mask = (1 << max(1, table.n_taxa)) - 1
+    keys, prev = bytearray(), -1
+    for mask in masks:
+        delta, framed = bytearray(), None
+        _varint(mask - prev, delta)
+        if 0 <= mask <= leaf_mask:
+            blob = compress_mask(mask, leaf_mask)
+            framed = bytearray()
+            _varint(len(blob), framed)
+            framed.extend(blob)
+        if framed is None or len(delta) <= len(framed):
+            keys += b"\x00" + delta
+        else:
+            keys += b"\x01" + framed
+        prev = mask
+    runs = bytearray()
+    freqs = [counts[m] for m in masks]
+    i = 0
+    while i < len(freqs):
+        run = 1
+        while i + run < len(freqs) and freqs[i + run] == freqs[i]:
+            run += 1
+        _varint(freqs[i], runs)
+        _varint(run, runs)
+        i += run
+    weights = b""
+    if table.weights is not None:
+        weights = b"".join(struct.pack(f"<{counts[m]}d",
+                                       *sorted(table.weights[m]))
+                           for m in masks)
+    return TableSections(keys=bytes(keys), counts=bytes(runs),
+                         weights=weights)
+
+
+def assert_encodes_like_reference(table: BipartitionTable) -> None:
+    got = get_codec("succinct-v1").encode(table)
+    want = reference_succinct_sections(table)
+    assert got.keys == want.keys
+    assert got.counts == want.counts
+    assert got.weights == want.weights
+
+
+def table_of(masks, n_taxa: int) -> BipartitionTable:
+    return BipartitionTable.from_counts(
+        {mask: 1 + i % 3 for i, mask in enumerate(sorted(masks))},
+        n_taxa=n_taxa, n_trees=3)
+
+
+def bits_at(positions) -> int:
+    return sum(1 << p for p in positions)
+
+
+class TestEncoderMatchesReference:
+    """The vectorized succinct-v1 encoder writes the per-key bytes."""
+
+    @pytest.mark.parametrize("n_taxa", BOUNDARY_TAXA)
+    def test_seeded_tables(self, n_taxa):
+        for trial in range(4):
+            assert_encodes_like_reference(
+                random_table(n_taxa, _SEED + 7 * trial + n_taxa,
+                             entries=120))
+
+    @pytest.mark.parametrize("n_taxa", [5, 65, 129, 130])
+    def test_weighted_tables(self, n_taxa):
+        assert_encodes_like_reference(
+            random_table(n_taxa, _SEED + n_taxa, weighted=True))
+
+    @pytest.mark.parametrize("n_taxa", [5, 63, 70, 129, 449])
+    def test_masks_above_declared_taxa_take_the_delta_arm(self, n_taxa):
+        """At 449 taxa (8 words) the delta varints run past bit 384, so
+        every word-straddling 7-bit group is written at least once."""
+        n_bits = 64 * words_for_taxa(n_taxa)
+        rng = random.Random(_SEED + n_taxa)
+        masks = {rng.getrandbits(n_bits) for _ in range(30)}
+        masks |= {1 << (n_bits - 1), (1 << n_bits) - 1, 1 << n_taxa, 3}
+        assert_encodes_like_reference(table_of(masks, n_taxa))
+
+    def test_sparse_wide_masks_write_multibyte_gaps(self):
+        """Gaps of 128+ bits are two varint bytes, of 16384+ three."""
+        for n_taxa in (260, 300, 20_000):
+            leaf_mask = (1 << n_taxa) - 1
+            rng = random.Random(_SEED + n_taxa)
+            masks = {bits_at(rng.sample(range(n_taxa), rng.randint(1, 4)))
+                     for _ in range(40)}
+            masks |= {leaf_mask ^ bits_at(rng.sample(range(n_taxa), 2))
+                      for _ in range(20)}
+            masks |= {bits_at((0, n_taxa - 1)), bits_at((3, 250))}
+            if n_taxa > 16_384:
+                masks.add(bits_at((0, 17_000)))
+                assert compress_mask(bits_at((0, 17_000)), leaf_mask)[3] \
+                    & 0x80  # the gap 17000 takes three bytes
+            assert compress_mask(bits_at((3, 250)), leaf_mask)[2] & 0x80
+            assert_encodes_like_reference(table_of(masks, n_taxa))
+
+    def test_delta_wins_a_tie_with_the_framed_blob(self):
+        leaf_mask = (1 << 64) - 1
+        mask = 1 << 20  # delta 2**20 + 1: 3 bytes; GAPS blob 2 bytes
+        assert 1 + len(compress_mask(mask, leaf_mask)) == 3
+        sections = get_codec("succinct-v1").encode(table_of({mask}, 64))
+        assert sections.keys[0] == 0x00  # the delta arm
+        assert_encodes_like_reference(table_of({mask}, 64))
+
+    @pytest.mark.parametrize("shape", ["raw-vs-gaps", "raw-vs-cgaps"])
+    def test_first_shortest_blob_form_wins_a_tie(self, shape):
+        n_taxa = 260
+        leaf_mask = (1 << n_taxa) - 1
+        if shape == "raw-vs-gaps":
+            # 25 set bits a byte apart: RAW and GAPS are both 26 bytes.
+            mask, size = bits_at(range(0, 193, 8)), 26
+        else:
+            # 33 clear bits 7 apart: RAW and CGAPS are both 34 bytes.
+            mask, size = leaf_mask ^ bits_at(range(0, 225, 7)), 34
+        blob = compress_mask(mask, leaf_mask)
+        assert blob[0] == 0x00 and len(blob) == size  # RAW, listed first
+        sections = get_codec("succinct-v1").encode(table_of({1, mask},
+                                                            n_taxa))
+        assert sections.keys[2] == 0x01  # second key: the framed blob
+        assert_encodes_like_reference(table_of({1, mask}, n_taxa))
+
+    def test_empty_and_single_key_tables(self):
+        assert_encodes_like_reference(table_of(set(), 8))
+        for n_taxa in BOUNDARY_TAXA:
+            leaf_mask = (1 << n_taxa) - 1
+            full = (1 << 64 * words_for_taxa(n_taxa)) - 1
+            for mask in (0, 1, leaf_mask, leaf_mask - 1, 1 << (n_taxa - 1),
+                         full):
+                assert_encodes_like_reference(table_of({mask}, n_taxa))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.integers(0, (1 << 64 * words_for_taxa(n)) - 1),
+                max_size=40),
+        st.lists(st.integers(1, 1 << 40), min_size=1, max_size=40))))
+    def test_property_random_mask_sets(self, case):
+        n_taxa, masks, freqs = case
+        counts = {mask: freqs[i % len(freqs)]
+                  for i, mask in enumerate(sorted(masks))}
+        assert_encodes_like_reference(BipartitionTable.from_counts(
+            counts, n_taxa=n_taxa, n_trees=1))
+
+
 class TestRegistry:
     def test_builtins_registered_with_permanent_tags(self):
         assert get_codec("raw-u64").tag == 1
@@ -384,6 +540,23 @@ class TestMalformedSuccinctSections:
             self._decode(TableSections(keys=keys, counts=counts, weights=b""),
                          2)
 
+    @pytest.mark.parametrize("keys", [
+        b"\x00" + bytes([0x81] + [0x80] * 17 + [0x04]),  # delta to 2**128
+        b"\x01\x12\x00\x01" + bytes(16),  # RAW blob of 2**128
+    ], ids=["delta", "blob"])
+    def test_key_wider_than_the_table_rejected(self, keys):
+        with pytest.raises(StoreCorruptError, match="wider than"):
+            self._decode(TableSections(keys=keys, counts=b"\x01\x01",
+                                       weights=b""), 1)
+
+    def test_overlong_varint_rejected(self):
+        """An unbounded key varint is refused once it outgrows any valid
+        key, not decoded (that takes quadratic time)."""
+        keys = b"\x00" + b"\x80" * 200_000 + b"\x01"
+        with pytest.raises(StoreCorruptError, match="longer than 19 bytes"):
+            self._decode(TableSections(keys=keys, counts=b"\x01\x01",
+                                       weights=b""), 1)
+
     def test_zero_count_run_rejected(self):
         keys = b"\x00\x05"
         with pytest.raises(StoreCorruptError, match="invalid run"):
@@ -407,8 +580,10 @@ class TestMalformedSuccinctSections:
 class TestTableViews:
     def test_probe_and_numeric_orders_hold_the_same_multiset(self):
         table = random_table(129, _SEED)
-        assert sorted(table.masks()) == table.sorted_masks()
-        assert dict(table.sorted_items()) == table.to_counts()
+        keys, counts = table.numeric_rows()
+        masks = words_to_masks(keys)
+        assert masks == sorted(table.masks())
+        assert dict(zip(masks, counts.tolist())) == table.to_counts()
 
     def test_vectorized_adoption_is_zero_copy(self):
         table = random_table(64, _SEED)
@@ -425,6 +600,12 @@ class TestTableViews:
     def test_overflowing_mask_never_truncates_silently(self):
         with pytest.raises(ValueError, match="does not fit"):
             masks_to_words([1 << 64], 1)
+        with pytest.raises(ValueError, match="0x1" + "0" * 32):
+            masks_to_words([1, 1 << 128, 2], 2)
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(ValueError, match="-0x1 does not fit"):
+            masks_to_words([3, -1], 2)
 
     def test_masks_above_declared_taxa_still_roundtrip(self):
         """Partial-coverage cases declare fewer taxa than the namespace
