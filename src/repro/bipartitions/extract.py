@@ -1,11 +1,15 @@
 """Extracting ``B(T)`` — the bipartition set of a tree (paper §II-B).
 
-One postorder pass computes, for every node, the bitmask of taxa under
-it (OR of the children's masks); each non-root edge then induces the
-split ``subtree | rest``.  That is the paper's ``O(n²)``-bit procedure:
-``O(n)`` edges, each an ``n``-bit mask.
+Every node's bitmask of taxa under it is the OR of its children's masks;
+each non-root edge then induces the split ``subtree | rest``.  That is
+the paper's ``O(n²)``-bit procedure: ``O(n)`` edges, each an ``n``-bit
+mask.  The two split extractors compute the masks in one pass over the
+nodes in reversed level order (children before parents) with a queue of
+values: the children of successive nodes sit in successive runs of the
+level order, so a node takes its children's masks from the front of the
+queue and appends its own.
 
-Two views are offered:
+Three views are offered:
 
 * :func:`bipartition_masks` — the fast set-of-ints form used by every
   core algorithm.
@@ -13,11 +17,16 @@ Two views are offered:
   weighted RF variants.
 * :func:`tree_bipartitions` — rich :class:`Bipartition` objects for the
   public API.
+
+:func:`subtree_masks` maps each node to its mask for callers that need
+to look a node up (branch support).
 """
 
 from __future__ import annotations
 
-from repro.bipartitions.encoding import Bipartition, is_trivial, normalize_mask
+from collections import deque
+
+from repro.bipartitions.encoding import Bipartition
 from repro.trees.node import Node
 from repro.trees.tree import Tree
 from repro.util.errors import TreeStructureError
@@ -76,56 +85,62 @@ def bipartition_masks(tree: Tree, *, include_trivial: bool = False) -> set[int]:
     5
     """
     # This is the library's hottest loop (every algorithm extracts B(T)
-    # for every tree), so the traversal, trivial test, and normalization
-    # are inlined rather than composed from the helper functions —
-    # profiling showed the helper-call overhead roughly doubled the cost.
-    root = tree.root
-    stack = [root]
-    order: list = []
-    push_order = order.append
-    while stack:
-        node = stack.pop()
-        push_order(node)
-        stack.extend(node.children)
-
-    masks: dict[int, int] = {}
-    leaf_mask = 0
+    # for every tree), so the per-node and per-split work (the mask OR,
+    # trivial test, and normalization) is inlined rather than composed
+    # from the helper functions — profiling showed the helper-call
+    # overhead roughly doubled the cost.
+    values: deque[int] = deque()
+    push = values.append
+    pull = values.popleft
+    # Every internal node's mask (the root's too), and each leaf's when
+    # pendant splits are wanted.
     raw: list[int] = []
     push_raw = raw.append
-    pop_mask = masks.pop
-    for node in reversed(order):
+    for node in reversed(_level_order(tree)):
         children = node.children
-        if not children:
+        if children:
+            # The oldest values not yet taken are this node's children.
+            if len(children) == 2:
+                m = pull() | pull()
+            else:
+                m = 0
+                for _ in children:
+                    m |= pull()
+            push_raw(m)
+        else:
             taxon = node.taxon
             if taxon is None:
                 raise TreeStructureError("leaf without a taxon")
             m = 1 << taxon.index
-            leaf_mask |= m
-        else:
-            m = 0
-            for child in children:
-                m |= pop_mask(id(child))
-        masks[id(node)] = m
-        if node is not root:
-            push_raw(m)
+            if include_trivial:
+                push_raw(m)
+        push(m)
 
+    leaf_mask = pull()  # the root's mask: every leaf's bit
     anchor = leaf_mask & -leaf_mask
-    n_total = leaf_mask.bit_count()
-    result: set[int] = set()
-    add = result.add
     if include_trivial:
-        for m in raw:
-            if m == 0 or m == leaf_mask:
-                continue  # edge below a redundant root carries no split
-            add(m if m & anchor else m ^ leaf_mask)
-    else:
-        lo, hi = 2, n_total - 2
-        for m in raw:
-            ones = m.bit_count()
-            if ones < lo or ones > hi:
-                continue  # trivial (or degenerate unifurcation edge)
-            add(m if m & anchor else m ^ leaf_mask)
-    return result
+        # The root's own mask carries no split, and neither does the
+        # edge below a redundant (unary) root.
+        return {m if m & anchor else m ^ leaf_mask
+                for m in raw if m != leaf_mask}
+    # Unifurcations above a leaf have one taxon on a side; the root and
+    # its unary chain have none on the other.
+    lo, hi = 2, leaf_mask.bit_count() - 2
+    return {m if m & anchor else m ^ leaf_mask
+            for m in raw if lo <= m.bit_count() <= hi}
+
+
+def _level_order(tree: Tree) -> list[Node]:
+    """Nodes level by level, each node's children in one run, the runs
+    in their parents' order.  Reversed, every node comes after all of
+    its children, and each node's children are the next run of values
+    first in, first out.  One ``extend`` per node: cheaper than a
+    preorder's pop, append and extend."""
+    order = [tree.root]
+    grow = order.extend
+    for node in order:  # visits what the loop appends
+        grow(node.children)
+    return order
 
 
 def bipartitions_with_lengths(tree: Tree, *, include_trivial: bool = False,
@@ -137,29 +152,36 @@ def bipartitions_with_lengths(tree: Tree, *, include_trivial: bool = False,
     subdivides one unrooted edge).  Missing lengths count as
     ``default_length``.
     """
-    masks: dict[int, int] = {}
+    values: deque[int] = deque()
+    push = values.append
+    pull = values.popleft
+    # Edge mask -> summed length.  Only a unary chain shares a mask, and
+    # its lengths add from the deepest edge up, as in a postorder.
     raw: dict[int, float] = {}
-    leaf_mask = 0
     root = tree.root
-    for node in tree.postorder():
-        if node.is_leaf:
-            m = node.taxon.bit  # validated by bipartition_masks path
-            leaf_mask |= m
-        else:
+    for node in reversed(_level_order(tree)):
+        children = node.children
+        if children:
             m = 0
-            for child in node.children:
-                m |= masks.pop(id(child))
-        masks[id(node)] = m
+            for _ in children:
+                m |= pull()
+        else:
+            taxon = node.taxon
+            if taxon is None:
+                raise TreeStructureError("leaf without a taxon")
+            m = 1 << taxon.index
+        push(m)
         if node is not root:
             raw[m] = raw.get(m, 0.0) + (node.length if node.length is not None else default_length)
+    leaf_mask = pull()
+    anchor = leaf_mask & -leaf_mask
+    lo, hi = (1, leaf_mask.bit_count() - 1) if include_trivial \
+        else (2, leaf_mask.bit_count() - 2)
     result: dict[int, float] = {}
     for m, length in raw.items():
-        if m == leaf_mask or m == 0:
-            continue
-        if not include_trivial and is_trivial(m, leaf_mask):
-            continue
-        norm = normalize_mask(m, leaf_mask)
-        result[norm] = result.get(norm, 0.0) + length
+        if lo <= m.bit_count() <= hi:
+            norm = m if m & anchor else m ^ leaf_mask
+            result[norm] = result.get(norm, 0.0) + length
     return result
 
 

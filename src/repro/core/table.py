@@ -23,9 +23,11 @@ Keys live in two total orders:
   vectorized backend's ``searchsorted`` uses.  ``keys``/``counts`` are
   stored in this order so probes adopt them without re-sorting.
 
-``from_counts`` converts numeric → probe once at construction; codecs
-convert probe → numeric once at encode.  Exactness is unaffected: both
-are total orders over the same multiset.
+``from_counts`` sorts into probe order once at construction; codecs
+convert probe → numeric once at encode, and decoders numeric → probe
+once.  Rows already in numeric order (a compaction's shard slice) are
+encoded as they are.  Exactness is unaffected: both are total orders
+over the same multiset.
 
 Codecs
 ------
@@ -63,11 +65,11 @@ from __future__ import annotations
 import struct
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
-from repro.bipartitions.encoding import unpack_key, words_for_taxa
+from repro.bipartitions.encoding import words_for_taxa
 from repro.util.errors import BipartitionError, StoreCorruptError
 
 __all__ = [
@@ -114,10 +116,20 @@ def masks_to_words(masks: Sequence[int], n_words: int) -> np.ndarray:
 
 def words_to_masks(keys: np.ndarray) -> list[int]:
     """Inverse of :func:`masks_to_words`: rows back to Python ints."""
-    size = 8 * keys.shape[1]
-    data = np.ascontiguousarray(keys, dtype=">u8").tobytes()
-    return [int.from_bytes(data[i:i + size], "big")
-            for i in range(0, len(data), size)]
+    rows = np.ascontiguousarray(keys, dtype=">u8").view(
+        np.dtype((np.void, 8 * keys.shape[1]))).ravel().tolist()
+    return list(map(int.from_bytes, rows, repeat("big")))
+
+
+def _ascending_rows(keys: np.ndarray) -> bool:
+    """Whether MSW-first word rows are strictly ascending as integers."""
+    above = np.zeros(len(keys) - 1 if len(keys) else 0, dtype=bool)
+    tied = np.ones_like(above)
+    for col in range(keys.shape[1]):
+        before, after = keys[:-1, col], keys[1:, col]
+        above |= tied & (after > before)
+        tied &= after == before
+    return bool(above.all())
 
 
 def probe_order(keys: np.ndarray) -> np.ndarray:
@@ -179,11 +191,12 @@ class BipartitionTable:
                     include_trivial: bool = False,
                     weights: dict[int, list[float]] | None = None
                     ) -> "BipartitionTable":
-        """Build from a frequency dict (one numeric sort + one probe sort)."""
-        masks = sorted(counts)
-        keys = masks_to_words(masks, words_for_taxa(n_taxa))
-        freqs = np.array([counts[m] for m in masks], dtype=np.int64)
-        if len(masks):
+        """Build from a frequency dict (one probe sort, from the dict's
+        own order)."""
+        keys = masks_to_words(list(counts), words_for_taxa(n_taxa))
+        freqs = np.fromiter(counts.values(), dtype=np.int64,
+                            count=len(counts))
+        if len(counts):
             order = probe_order(keys)
             keys = np.ascontiguousarray(keys[order])
             freqs = np.ascontiguousarray(freqs[order])
@@ -232,14 +245,18 @@ class BipartitionTable:
 
     def numeric_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """``(keys, counts)`` in ascending numeric mask order — the
-        codec/on-disk order (one lexsort, word 0 as the primary key)."""
+        codec/on-disk order (one lexsort, word 0 as the primary key).
+
+        A table whose rows are already in that order (a compaction's
+        shard slice) is returned as it is."""
+        if _ascending_rows(self.keys):
+            return self.keys, self.counts
         order = np.lexsort(self.keys.T[::-1])
         return self.keys[order], self.counts[order]
 
     def to_counts(self) -> dict[int, int]:
         """The frequency dict (the store's in-memory overlay form)."""
-        return {mask: int(freq)
-                for mask, freq in zip(self.masks(), self.counts)}
+        return dict(zip(self.masks(), self.counts.tolist()))
 
     def to_bfh(self):
         """Materialize as a dict-backed hash (verification aid)."""
@@ -432,7 +449,7 @@ def _decode_weight_runs(blob: bytes, masks: list[int],
         end = offset + freq * 8
         if end > len(blob):
             raise StoreCorruptError("weight section is truncated")
-        weights[mask] = list(struct.unpack_from(f"<{freq}d", blob, offset))
+        weights[mask] = sorted(struct.unpack_from(f"<{freq}d", blob, offset))
         offset = end
     if offset != len(blob):
         raise StoreCorruptError(
@@ -440,25 +457,24 @@ def _decode_weight_runs(blob: bytes, masks: list[int],
     return weights
 
 
-def _check_ascending(masks: list[int]) -> None:
-    if any(b <= a for a, b in zip(masks, masks[1:])):
+def _build_decoded(keys: np.ndarray, freqs: np.ndarray, weights_blob: bytes,
+                   *, n_taxa: int, weighted: bool, include_trivial: bool,
+                   n_trees: int, total: int | None) -> BipartitionTable:
+    """The table of decoded numeric-order rows (put into probe order)."""
+    if not _ascending_rows(keys):
         raise StoreCorruptError("snapshot keys are not strictly ascending")
-
-
-def _build_decoded(masks: list[int], freqs: list[int],
-                   weights_blob: bytes, *, n_taxa: int, weighted: bool,
-                   include_trivial: bool, n_trees: int,
-                   total: int | None) -> BipartitionTable:
-    _check_ascending(masks)
     weights = None
     if weighted:
-        weights = _decode_weight_runs(weights_blob, masks, freqs)
+        weights = _decode_weight_runs(weights_blob, words_to_masks(keys),
+                                      freqs.tolist())
     elif weights_blob:
         raise StoreCorruptError(
             "unweighted snapshot carries a weight section")
-    counts = dict(zip(masks, freqs))
-    return BipartitionTable.from_counts(
-        counts, n_taxa=n_taxa, n_trees=n_trees, total=total,
+    order = probe_order(keys)
+    return BipartitionTable(
+        np.ascontiguousarray(keys[order]), np.ascontiguousarray(freqs[order]),
+        n_taxa=n_taxa, n_trees=n_trees,
+        total=sum(freqs.tolist()) if total is None else total,
         include_trivial=include_trivial, weights=weights)
 
 
@@ -487,10 +503,13 @@ def _raw_decode(sections: TableSections, *, n_taxa: int, entries: int,
         raise StoreCorruptError(
             f"raw-u64 count section is {len(sections.counts)} bytes, "
             f"expected {entries * 8}")
-    masks = [unpack_key(sections.keys[i * key_bytes:(i + 1) * key_bytes])
-             for i in range(entries)]
-    freqs = list(struct.unpack(f"<{entries}Q", sections.counts))
-    return _build_decoded(masks, freqs, sections.weights, n_taxa=n_taxa,
+    keys = np.frombuffer(sections.keys, dtype="<u8").reshape(
+        entries, key_bytes // 8)[:, ::-1].astype(np.uint64)
+    counts = np.frombuffer(sections.counts, dtype="<u8")
+    if entries and counts.max() >> np.uint64(63):
+        raise StoreCorruptError("raw-u64 count does not fit int64")
+    return _build_decoded(keys, counts.astype(np.int64), sections.weights,
+                          n_taxa=n_taxa,
                           weighted=weighted, include_trivial=include_trivial,
                           n_trees=n_trees, total=total)
 
@@ -523,19 +542,12 @@ def _encode_varint(value: int, out: bytearray) -> None:
             return
 
 
-def _decode_varint(data: bytes, offset: int,
-                   max_bytes: int | None = None) -> tuple[int, int]:
+def _decode_varint(data: bytes, offset: int) -> tuple[int, int]:
     result = 0
     shift = 0
-    # Bounded per byte: an unbounded varint decodes in quadratic time,
-    # since each byte shifts into an ever longer int.
-    stop = len(data) if max_bytes is None else min(len(data),
-                                                    offset + max_bytes)
     while True:
-        if offset >= stop:
-            if offset >= len(data):
-                raise BipartitionError("truncated varint in compressed mask")
-            raise BipartitionError(f"varint longer than {max_bytes} bytes")
+        if offset >= len(data):
+            raise BipartitionError("truncated varint in compressed mask")
         byte = data[offset]
         offset += 1
         result |= (byte & 0x7F) << shift
@@ -808,51 +820,256 @@ def _succinct_encode_keys(rows: np.ndarray, n_taxa: int) -> bytes:
     return b"".join(parts)
 
 
-def _succinct_decode_keys(blob: bytes, entries: int,
-                          n_taxa: int) -> list[int]:
-    leaf_mask = (1 << max(1, n_taxa)) - 1
-    n_bits = _WORD_BITS * words_for_taxa(n_taxa)
+# Decoding works on a whole section at once.  Every tag byte (0 or 1) and
+# every varint's last byte lacks the continuation bit, so each record
+# starts at one of those bytes, and its varint ends at the next one.
+# The record that would start at each such byte is measured for all of
+# them together; following those links from byte 0 (pointer doubling)
+# finds the real starts.  Delta digits, RAW bytes and gap bits then sum
+# into 32-bit limbs per key, and a cumulative sum restarted at each
+# compressed (absolute) key turns the deltas into keys.
+_LIMB = 32
+_LIMB_MASK = (1 << _LIMB) - 1
+
+
+def _varint_values(data: np.ndarray, begins: np.ndarray, lengths: np.ndarray,
+                   digits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The varints of ``lengths`` bytes at ``begins`` from their first
+    ``digits`` (at most 9) base-128 digits, and which of them have a
+    nonzero digit after those, so are at least ``2**(7 * digits)``.
+    One pass per byte of the longest varint."""
+    values = np.zeros(len(begins), dtype=np.int64)
+    big = np.zeros(len(begins), dtype=bool)
+    for j in range(int(lengths.max(initial=0))):
+        present = lengths > j
+        digit = np.where(present, data[np.where(present, begins + j, 0)]
+                         & 0x7F, 0)
+        if j < digits:
+            values |= digit.astype(np.int64) << (7 * j)
+        else:
+            big |= digit != 0
+    return values, big
+
+
+def _ranges(begins: np.ndarray, lengths: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every byte of back-to-back ranges: its range, its offset in the
+    range, and its position."""
+    which = np.repeat(np.arange(len(begins)), lengths)
+    offset = np.arange(len(which)) - np.repeat(np.cumsum(lengths) - lengths,
+                                               lengths)
+    return which, offset, begins[which] + offset
+
+
+def _carry(limbs: np.ndarray) -> None:
+    """Normalize columns of signed limb sums (one limb per row, least
+    significant first) in place: every limb but the top one into
+    ``[0, 2**32)``."""
+    for limb in range(len(limbs) - 1):
+        limbs[limb + 1] += limbs[limb] >> _LIMB
+        limbs[limb] &= _LIMB_MASK
+
+
+def _record_starts(data: np.ndarray, entries: int, n_bits: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each of ``entries`` key records starts, its varint's length
+    and where the record ends.  A record is a tag byte and a varint: the
+    delta, or the length of the compressed blob that follows it."""
+    size = len(data)
+    if data[0] >= 0x80:
+        raise StoreCorruptError(
+            f"succinct key section has unknown tag {int(data[0]):#x}")
     # The longest valid varint is the first key's delta, mask + 1, which
     # is at most 2**n_bits: n_bits + 1 bits in 7-bit groups.
     max_varint = n_bits // 7 + 1
-    masks: list[int] = []
-    prev = -1
-    offset = 0
-    try:
-        for _ in range(entries):
-            if offset >= len(blob):
-                raise StoreCorruptError("succinct key section is truncated")
-            tag = blob[offset]
-            offset += 1
-            if tag == _DELTA:
-                delta, offset = _decode_varint(blob, offset, max_varint)
-                mask = prev + delta
-            elif tag == _COMPRESSED:
-                length, offset = _decode_varint(blob, offset, max_varint)
-                end = offset + length
-                if end > len(blob):
-                    raise StoreCorruptError(
-                        "succinct key section is truncated")
-                mask = decompress_mask(blob[offset:end], leaf_mask)
-                offset = end
-            else:
-                raise StoreCorruptError(
-                    f"succinct key section has unknown tag {tag:#x}")
-            if mask >> n_bits:
-                raise StoreCorruptError(
-                    f"succinct key is wider than the table's {n_bits} bits")
-            if mask <= prev:
-                raise StoreCorruptError(
-                    "succinct keys are not strictly ascending")
-            masks.append(mask)
-            prev = mask
-    except BipartitionError as exc:
+    at = np.flatnonzero(data < 0x80)  # the bytes a record can start at
+    tag = data[at]
+    # Just past each record's varint, which ends at the next such byte
+    # (past the end of the data when there is none).
+    after = np.append(at[1:], size) + 1
+    var_len = after - at - 1
+    bad = (tag > _COMPRESSED) | (after > size) | (var_len > max_varint)
+    comp = np.flatnonzero((tag == _COMPRESSED) & ~bad)
+    # Any blob length above the section's size is truncated, however
+    # many digits it has.
+    blob_len, huge = _varint_values(data, at[comp] + 1, var_len[comp],
+                                    max(1, -(-size.bit_length() // 7)))
+    after[comp] += blob_len
+    bad[comp] |= huge | (after[comp] > size)
+    # The next record starts where this one ends, at a byte that can
+    # start one: two on after a delta, found after a blob.  Any other
+    # successor ends the chain.
+    follow = np.arange(2, len(at) + 2)
+    chain = np.zeros(len(at), dtype=bool)
+    chain[:-2] = at[2:] == after[:-2]
+    follow[comp] = np.searchsorted(at, after[comp])
+    chain[comp] = np.append(at, -1)[follow[comp]] == after[comp]
+    jump = np.append(np.where(chain & ~bad, follow, len(at)), len(at))
+    starts = np.zeros(1, dtype=np.int64)
+    while len(starts) < entries:
+        starts = np.concatenate((starts, jump[starts]))
+        if len(starts) < entries:
+            jump = jump[jump]
+    starts = starts[:entries]
+    ended = starts == len(at)
+    last = starts[np.argmax(ended) - 1] if ended.any() else starts[-1]
+    if bad[last]:
+        if tag[last] > _COMPRESSED:
+            raise StoreCorruptError(
+                f"succinct key section has unknown tag {int(tag[last]):#x}")
+        if var_len[last] > max_varint and after[last] <= size:
+            raise StoreCorruptError(
+                "succinct key section is malformed (varint longer than "
+                f"{max_varint} bytes)")
+        raise StoreCorruptError("succinct key section is truncated")
+    if ended.any():
+        if after[last] >= size:
+            raise StoreCorruptError("succinct key section is truncated")
+        raise StoreCorruptError("succinct key section has unknown tag "
+                                f"{int(data[after[last]]):#x}")
+    if after[last] != size:
         raise StoreCorruptError(
-            f"succinct key section is malformed ({exc})") from exc
-    if offset != len(blob):
+            f"succinct key section has {size - after[last]} trailing bytes")
+    return at[starts], var_len[starts], after[starts]
+
+
+def _gap_bits(data: np.ndarray, begins: np.ndarray, lengths: np.ndarray,
+              n_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The set bits of GAPS payloads as ``(payload, position)`` pairs.
+    Each gap is bounded before it becomes a position, so a corrupt gap
+    costs no memory."""
+    if not lengths.any():
+        return begins[:0], begins[:0]
+    if (data[(begins + lengths - 1)[lengths > 0]] >= 0x80).any():
         raise StoreCorruptError(
-            f"succinct key section has {len(blob) - offset} trailing bytes")
-    return masks
+            "succinct key section is malformed (truncated varint in "
+            "compressed mask)")
+    which, _, where = _ranges(begins, lengths)
+    byte = data[where]
+    last = byte < 0x80
+    # Every payload ends a varint, so no varint spans two payloads.
+    varint = np.cumsum(last) - last
+    first_byte = np.flatnonzero(np.r_[True, last[:-1]])
+    digit = np.arange(len(where)) - first_byte[varint]
+    # Every valid gap is below 2**35, more than any table's width.
+    if ((digit >= 5) & ((byte & 0x7F) != 0)).any():
+        raise StoreCorruptError(
+            f"succinct key has a set bit beyond its {n_bits} bits")
+    low = digit < 5
+    gaps = np.bincount(
+        varint[low], minlength=int(last.sum()),
+        weights=((byte[low] & 0x7F).astype(np.int64)
+                 << (7 * digit[low])).astype(np.float64)).astype(np.int64)
+    owner = which[last]
+    first = np.r_[True, owner[1:] != owner[:-1]]
+    step = np.minimum(gaps, n_bits + 1)
+    total = np.cumsum(step)
+    bit = total - (total - step)[first][np.cumsum(first) - 1] - 1
+    if (bit < 0).any() or (bit >= n_bits).any():
+        raise StoreCorruptError(
+            f"succinct key has a set bit outside its {n_bits} bits")
+    keep = gaps > 0  # a zero gap sets its bit again
+    return owner[keep], bit[keep]
+
+
+def _succinct_decode_keys(blob: bytes, entries: int,
+                          n_taxa: int) -> np.ndarray:
+    """The key rows, in numeric order, of a succinct-v1 key section."""
+    n_words = words_for_taxa(n_taxa)
+    n_bits = _WORD_BITS * n_words
+    data = np.frombuffer(blob, dtype=np.uint8)
+    if not entries:
+        if len(data):
+            raise StoreCorruptError(
+                f"succinct key section has {len(data)} trailing bytes")
+        return np.zeros((0, n_words), dtype=np.uint64)
+    if 2 * entries > len(data):  # every record takes two bytes or more
+        raise StoreCorruptError("succinct key section is truncated")
+    starts, var_len, ends = _record_starts(data, entries, n_bits)
+    delta = data[starts] == _DELTA
+    # Limbs, least significant first, each a row over the keys; one spare
+    # limb catches what overflows the table's width.
+    n_limbs = 2 * n_words + 1
+    # Delta digits through a window of the widest varint, one row per
+    # digit place.
+    width = int(var_len[delta].max(initial=0))
+    window = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((data, np.zeros(width, dtype=np.uint8))), width)
+    digits = np.ascontiguousarray((window[starts[delta] + 1] & 0x7F).T)
+    lengths = var_len[delta]
+    deltas = np.zeros((n_limbs, len(lengths)), dtype=np.int64)
+    for place, digit in enumerate(digits):
+        deltas[7 * place >> 5] += np.where(
+            lengths > place, digit, 0).astype(np.int64) << (7 * place & 31)
+    _carry(deltas)
+    steps = np.zeros((n_limbs, entries), dtype=np.int64)
+    steps[:, delta] = deltas
+    comp = np.flatnonzero(~delta)
+    absolute = _compressed_keys(data, starts[comp] + 1 + var_len[comp],
+                                ends[comp], n_taxa, n_limbs)
+    # Key i is its last compressed key plus the deltas since; the key
+    # before the first is -1.  In place, a limb at a time: the arrays
+    # here are the decoder's largest.
+    out = np.cumsum(steps, axis=1, out=steps)
+    base = np.zeros((n_limbs, len(comp) + 1), dtype=np.int64)
+    base[0, 0] = -1
+    base[:, 1:] = absolute - out[:, comp]
+    segments = np.diff(comp, prepend=0, append=entries)
+    for limb, offsets in zip(out, base):
+        limb += np.repeat(offsets, segments)
+    _carry(out)
+    spill = out[2 * n_words]
+    if (spill < 0).any():
+        raise StoreCorruptError("succinct keys are not strictly ascending")
+    if spill.any():
+        raise StoreCorruptError(
+            f"succinct key is wider than the table's {n_bits} bits")
+    limbs = out[:2 * n_words].view(np.uint64)
+    words = limbs[0::2] | (limbs[1::2] << np.uint64(_LIMB))
+    return np.ascontiguousarray(words[::-1].T)
+
+
+def _compressed_keys(data: np.ndarray, blob_at: np.ndarray,
+                     blob_end: np.ndarray, n_taxa: int,
+                     n_limbs: int) -> np.ndarray:
+    """The keys of compressed records, as limb rows, from their blobs at
+    ``blob_at:blob_end``."""
+    n_bits = _WORD_BITS * words_for_taxa(n_taxa)
+    blob_len = blob_end - blob_at
+    if (blob_len == 0).any():
+        raise StoreCorruptError(
+            "succinct key section is malformed (empty compressed mask)")
+    form = data[blob_at]
+    if (form > _CGAPS).any():
+        raise StoreCorruptError(
+            "succinct key section is malformed (unknown compression tag "
+            f"{int(form.max()):#x})")
+    raw = np.flatnonzero(form == _RAW)
+    key, offset, where = _ranges(blob_at[raw] + 1, blob_len[raw] - 1)
+    bit = 8 * (blob_len[raw][key] - 2 - offset)
+    wide = bit >= n_bits
+    if data[where[wide]].any():
+        raise StoreCorruptError(
+            f"succinct key is wider than the table's {n_bits} bits")
+    gapped = np.flatnonzero(form != _RAW)
+    gap_key, gap_bit = _gap_bits(data, blob_at[gapped] + 1,
+                                 blob_len[gapped] - 1, n_bits)
+    keys = np.concatenate((raw[key[~wide]], gapped[gap_key]))
+    bits = np.concatenate((bit[~wide], gap_bit))
+    values = np.concatenate((data[where[~wide]].astype(np.int64),
+                             np.ones(len(gap_key), dtype=np.int64)))
+    # Each key is the sum of its terms value * 2**bit: RAW bytes and gap
+    # bits, every sum below 2**40, exact in bincount's float weights.
+    limbs = np.bincount(
+        (bits >> 5) * len(form) + keys, minlength=n_limbs * len(form),
+        weights=(values << (bits & 31)).astype(np.float64)
+    ).astype(np.int64).reshape(n_limbs, len(form))
+    _carry(limbs)
+    leaf = (1 << max(1, n_taxa)) - 1
+    cgaps = form == _CGAPS
+    for limb in range(n_limbs):
+        limbs[limb, cgaps] ^= (leaf >> (_LIMB * limb)) & _LIMB_MASK
+    return limbs
 
 
 def _succinct_encode_counts(freqs: np.ndarray) -> bytes:
@@ -867,27 +1084,44 @@ def _succinct_encode_counts(freqs: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def _succinct_decode_counts(blob: bytes, entries: int) -> list[int]:
-    freqs: list[int] = []
-    offset = 0
-    try:
-        while len(freqs) < entries:
-            if offset >= len(blob):
-                raise StoreCorruptError(
-                    "succinct count section is truncated")
-            value, offset = _decode_varint(blob, offset)
-            run, offset = _decode_varint(blob, offset)
-            if value <= 0 or run <= 0 or len(freqs) + run > entries:
-                raise StoreCorruptError(
-                    "succinct count section has an invalid run")
-            freqs.extend([value] * run)
-    except BipartitionError as exc:
+# A count is a positive int64, at most ten 7-bit digits; bounding the
+# varints keeps a corrupt section's decode linear.
+_COUNT_VARINT = 10
+
+
+def _succinct_decode_counts(blob: bytes, entries: int) -> np.ndarray:
+    """The counts, in key order, of a succinct-v1 count section."""
+    data = np.frombuffer(blob, dtype=np.uint8)
+    ends = np.flatnonzero(data < 0x80)
+    begins = np.r_[0, ends + 1][:len(ends)]
+    values, big = _varint_values(
+        data, begins, np.minimum(ends + 1 - begins, _COUNT_VARINT + 1), 9)
+    pairs = len(values) // 2
+    counts, runs = values[:2 * pairs:2], values[1:2 * pairs:2]
+    # The pairs up to the one that fills the table; what follows is
+    # trailing.  A run too long to read counts as overfilling.
+    filled = np.cumsum(np.where(big[1:2 * pairs:2], entries + 1,
+                                np.minimum(runs, entries + 1)))
+    used = int(np.searchsorted(filled, entries)) + 1 if entries else 0
+    if used > pairs:
+        raise StoreCorruptError("succinct count section is truncated")
+    if used:
+        if (ends[:2 * used] + 1 - begins[:2 * used]).max() > _COUNT_VARINT:
+            raise StoreCorruptError(
+                "succinct count section is malformed (varint longer than "
+                f"{_COUNT_VARINT} bytes)")
+        if big[:2 * used].any():
+            raise StoreCorruptError("succinct count does not fit int64")
+        if (counts[:used] <= 0).any() or (runs[:used] <= 0).any() \
+                or filled[used - 1] > entries:
+            raise StoreCorruptError(
+                "succinct count section has an invalid run")
+    consumed = int(ends[2 * used - 1]) + 1 if used else 0
+    if consumed != len(data):
         raise StoreCorruptError(
-            f"succinct count section is malformed ({exc})") from exc
-    if offset != len(blob):
-        raise StoreCorruptError(
-            f"succinct count section has {len(blob) - offset} trailing bytes")
-    return freqs
+            f"succinct count section has {len(data) - consumed} trailing "
+            "bytes")
+    return np.repeat(counts[:used], runs[:used])
 
 
 def _succinct_encode(table: BipartitionTable) -> TableSections:
@@ -901,9 +1135,9 @@ def _succinct_encode(table: BipartitionTable) -> TableSections:
 def _succinct_decode(sections: TableSections, *, n_taxa: int, entries: int,
                      weighted: bool, include_trivial: bool, n_trees: int = 0,
                      total: int | None = None) -> BipartitionTable:
-    masks = _succinct_decode_keys(sections.keys, entries, n_taxa)
+    keys = _succinct_decode_keys(sections.keys, entries, n_taxa)
     freqs = _succinct_decode_counts(sections.counts, entries)
-    return _build_decoded(masks, freqs, sections.weights, n_taxa=n_taxa,
+    return _build_decoded(keys, freqs, sections.weights, n_taxa=n_taxa,
                           weighted=weighted, include_trivial=include_trivial,
                           n_trees=n_trees, total=total)
 

@@ -22,8 +22,7 @@ from repro.store.format import (
 )
 from repro.store.shards import (
     parallel_build_tables,
-    partition_counts,
-    partition_table,
+    partition_rows,
     shard_boundaries,
     shard_of,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "read_journal",
     "shard_boundaries",
     "shard_of",
-    "partition_counts",
-    "partition_table",
+    "partition_rows",
     "parallel_build_tables",
 ]

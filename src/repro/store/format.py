@@ -64,6 +64,8 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 # The mask↔bytes packing helpers are canonical in bipartitions.encoding
 # (one definition shared by snapshots, journal records, and the in-memory
 # word arrays); they are re-exported here because the store's public API
@@ -152,104 +154,47 @@ def _atomic_write(path: Path, blob: bytes) -> None:
     tmp.replace(path)
 
 
-def _write_snapshot_v1(path: Path, counts: dict[int, int], *, n_taxa: int,
-                       fingerprint: bytes, include_trivial: bool,
-                       weights: dict[int, list[float]] | None) -> int:
-    """The legacy fixed-width layout — kept so compat fixtures (and stores
-    that choose to stay v1) can still be *written*, not just read."""
-    flags = _snapshot_flags(include_trivial, weights is not None)
-    n_words = words_for_taxa(n_taxa)
-    keys = sorted(counts)
-    parts = [_SNAP_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, flags,
-                               n_taxa, n_words, len(keys), fingerprint)]
-    parts.append(b"".join(pack_key(key, n_words) for key in keys))
-    parts.append(struct.pack(f"<{len(keys)}Q", *(counts[key] for key in keys)))
-    if weights is not None:
-        for key in keys:
-            entry = sorted(weights.get(key, ()))
-            if len(entry) != counts[key]:
-                raise StoreCorruptError(
-                    f"split {key:#x}: {len(entry)} weights for frequency "
-                    f"{counts[key]}")
-            parts.append(struct.pack(f"<{len(entry)}d", *entry))
-    body = b"".join(parts)
-    _atomic_write(path, body + _CRC.pack(zlib.crc32(body)))
-    return len(keys)
-
-
-def write_snapshot(path: str | Path, counts: dict[int, int], *, n_taxa: int,
-                   fingerprint: bytes, include_trivial: bool = False,
+def write_snapshot(path: str | Path, keys: np.ndarray, counts: np.ndarray, *,
+                   n_taxa: int, fingerprint: bytes,
+                   include_trivial: bool = False,
                    weights: dict[int, list[float]] | None = None,
                    codec: str | None = None) -> int:
     """Write one shard snapshot; returns the number of entries written.
 
-    ``codec`` selects the table codec for a v2 snapshot (default: the
-    registry's promoted write codec); the special name ``"v1"`` writes
-    the legacy v1 layout instead.
+    ``keys``/``counts`` are the shard's rows in ascending numeric order
+    (a slice of :meth:`~repro.core.table.BipartitionTable.numeric_rows`);
+    ``weights`` maps each of their masks to its branch lengths and may
+    hold other masks too.  ``codec`` selects the table codec for a v2
+    snapshot (default: the registry's promoted write codec); the special
+    name ``"v1"`` writes the legacy v1 layout, whose body is the
+    raw-u64 sections.
     """
     path = Path(path)
     if codec is None:
         codec = default_codec_name()
-    if codec == "v1":
-        return _write_snapshot_v1(path, counts, n_taxa=n_taxa,
-                                  fingerprint=fingerprint,
-                                  include_trivial=include_trivial,
-                                  weights=weights)
-    spec = get_codec(codec)
-    table = BipartitionTable.from_counts(
-        counts, n_taxa=n_taxa, n_trees=0, include_trivial=include_trivial,
-        weights=weights)
-    sections = spec.encode(table)
-    header = _SNAP_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION_V2,
-                               _snapshot_flags(include_trivial,
-                                               weights is not None),
-                               n_taxa, words_for_taxa(n_taxa), len(counts),
-                               fingerprint)
-    ext = _V2_EXT.pack(spec.tag, 0, len(sections.keys), len(sections.counts),
-                       len(sections.weights))
-    body = header + ext + sections.keys + sections.counts + sections.weights
+    legacy = codec == "v1"
+    spec = get_codec("raw-u64" if legacy else codec)
+    # Codecs read a table only through numeric_rows(), which hands rows
+    # already in numeric order back as they are: no sort here.
+    sections = spec.encode(BipartitionTable(
+        keys, counts, n_taxa=n_taxa, n_trees=0, total=int(counts.sum()),
+        include_trivial=include_trivial, weights=weights))
+    header = _SNAP_HEADER.pack(
+        SNAPSHOT_MAGIC, SNAPSHOT_VERSION if legacy else SNAPSHOT_VERSION_V2,
+        _snapshot_flags(include_trivial, weights is not None), n_taxa,
+        words_for_taxa(n_taxa), len(keys), fingerprint)
+    if not legacy:
+        header += _V2_EXT.pack(spec.tag, 0, len(sections.keys),
+                               len(sections.counts), len(sections.weights))
+    body = header + sections.keys + sections.counts + sections.weights
     _atomic_write(path, body + _CRC.pack(zlib.crc32(body)))
-    return len(counts)
-
-
-def _read_v1_body(body: bytes, path, *, n_taxa: int, n_words: int,
-                  entries: int, weighted: bool
-                  ) -> tuple[dict[int, int], dict[int, list[float]] | None]:
-    offset = _SNAP_HEADER.size
-    key_bytes = n_words * 8
-    need = offset + entries * (key_bytes + 8)
-    if len(body) < need:
-        raise StoreCorruptError(f"snapshot {path} is shorter than its "
-                                f"declared {entries} entries")
-    keys = [unpack_key(body[offset + i * key_bytes:
-                            offset + (i + 1) * key_bytes])
-            for i in range(entries)]
-    offset += entries * key_bytes
-    freqs = struct.unpack_from(f"<{entries}Q", body, offset)
-    offset += entries * 8
-    if any(b > a for a, b in zip(keys[1:], keys)):
-        raise StoreCorruptError(f"snapshot {path} keys are not sorted")
-    counts = dict(zip(keys, freqs))
-    if len(counts) != entries:
-        raise StoreCorruptError(f"snapshot {path} contains duplicate keys")
-    weights: dict[int, list[float]] | None = None
-    if weighted:
-        weights = {}
-        for key, freq in zip(keys, freqs):
-            if offset + freq * 8 > len(body):
-                raise StoreCorruptError(
-                    f"snapshot {path} weight block is truncated")
-            weights[key] = list(struct.unpack_from(f"<{freq}d", body, offset))
-            offset += freq * 8
-    if offset != len(body):
-        raise StoreCorruptError(f"snapshot {path} has {len(body) - offset} "
-                                "trailing bytes")
-    return counts, weights
+    return len(keys)
 
 
 def read_snapshot(path: str | Path) -> SnapshotData:
     """Decode one shard snapshot (v1 or v2), verifying magic, version,
-    codec tag, and CRC."""
+    codec tag, and CRC.  A v1 body is the raw-u64 sections, so both
+    versions decode through the codec registry."""
     blob = Path(path).read_bytes()
     if len(blob) < _SNAP_HEADER.size + _CRC.size:
         raise StoreCorruptError(f"snapshot {path} is truncated "
@@ -271,30 +216,27 @@ def read_snapshot(path: str | Path) -> SnapshotData:
             f"{n_taxa} taxa")
     weighted = bool(flags & FLAG_WEIGHTED)
     include_trivial = bool(flags & FLAG_INCLUDE_TRIVIAL)
-    if version == SNAPSHOT_VERSION:
-        counts, weights = _read_v1_body(body, path, n_taxa=n_taxa,
-                                        n_words=n_words, entries=entries,
-                                        weighted=weighted)
-        return SnapshotData(
-            counts=counts, weights=weights, n_taxa=n_taxa,
-            fingerprint=fingerprint, include_trivial=include_trivial,
-            weighted=weighted, version=version, codec="raw-u64",
-            keys_bytes=entries * n_words * 8, counts_bytes=entries * 8,
-            weights_bytes=len(body) - _SNAP_HEADER.size
-            - entries * (n_words * 8 + 8))
     offset = _SNAP_HEADER.size
-    if len(body) < offset + _V2_EXT.size:
-        raise StoreCorruptError(f"snapshot {path} is shorter than its "
-                                "v2 section header")
-    tag, _reserved, keys_len, counts_len, weights_len = \
-        _V2_EXT.unpack_from(body, offset)
-    offset += _V2_EXT.size
-    if len(body) - offset != keys_len + counts_len + weights_len:
-        raise StoreCorruptError(
-            f"snapshot {path}: section lengths do not match the body "
-            f"({len(body) - offset} bytes for "
-            f"{keys_len}+{counts_len}+{weights_len})")
-    spec = codec_by_tag(tag)
+    if version == SNAPSHOT_VERSION:
+        spec = get_codec("raw-u64")
+        keys_len, counts_len = entries * n_words * 8, entries * 8
+        weights_len = len(body) - offset - keys_len - counts_len
+        if weights_len < 0:
+            raise StoreCorruptError(f"snapshot {path} is shorter than its "
+                                    f"declared {entries} entries")
+    else:
+        if len(body) < offset + _V2_EXT.size:
+            raise StoreCorruptError(f"snapshot {path} is shorter than its "
+                                    "v2 section header")
+        tag, _reserved, keys_len, counts_len, weights_len = \
+            _V2_EXT.unpack_from(body, offset)
+        offset += _V2_EXT.size
+        if len(body) - offset != keys_len + counts_len + weights_len:
+            raise StoreCorruptError(
+                f"snapshot {path}: section lengths do not match the body "
+                f"({len(body) - offset} bytes for "
+                f"{keys_len}+{counts_len}+{weights_len})")
+        spec = codec_by_tag(tag)
     sections = TableSections(
         keys=body[offset:offset + keys_len],
         counts=body[offset + keys_len:offset + keys_len + counts_len],

@@ -11,18 +11,22 @@ journal overlay until the next compaction rebalances.
 
 Builds fan out over the :mod:`repro.runtime` executor exactly like
 parallel :func:`~repro.core.bfhrf.build_bfh`: workers count tree
-ranges, the parent folds the partial tables together with the
-associative BFH merge, then partitions the merged table into shard
-ranges.
+ranges and the parent folds the partial tables together with the
+associative BFH merge.  Compaction then cuts one table of the state,
+in numeric key order, into shard row ranges (:func:`partition_rows`).
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.bipartitions.extract import bipartition_masks, bipartitions_with_lengths
+from repro.core.table import words_to_masks
 from repro.hashing.bfh import BipartitionFrequencyHash
 from repro.observability.metrics import histogram as _histogram
 from repro.observability.spans import trace
@@ -32,8 +36,17 @@ from repro.runtime.executor import Executor, get_executor, get_payload, \
 from repro.runtime.shm import SharedTreeCollection
 from repro.trees.tree import Tree
 
-__all__ = ["shard_boundaries", "shard_of", "partition_counts",
-           "partition_table", "parallel_build_tables"]
+__all__ = ["shard_boundaries", "shard_of", "partition_rows",
+           "parallel_build_tables"]
+
+
+def _cuts(n_keys: int, n_shards: int) -> list[int]:
+    """Where shards ``1 .. n_shards - 1`` start in ``n_keys`` sorted keys
+    (near-equal contiguous ranges; shards left empty share a cut)."""
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    return sorted({i * n_keys // n_shards for i in range(1, n_shards)}) \
+        if n_keys else []
 
 
 def shard_boundaries(sorted_keys: Sequence[int], n_shards: int) -> list[int]:
@@ -41,14 +54,9 @@ def shard_boundaries(sorted_keys: Sequence[int], n_shards: int) -> list[int]:
     near-equal contiguous ranges.  Shard ``i`` owns keys in
     ``[boundary[i-1], boundary[i])`` with open outer ends, so every
     possible future key routes somewhere."""
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if n_shards == 1 or not sorted_keys:
-        return []
     bounds: list[int] = []
-    for i in range(1, n_shards):
-        cut = (i * len(sorted_keys)) // n_shards
-        key = sorted_keys[min(cut, len(sorted_keys) - 1)]
+    for cut in _cuts(len(sorted_keys), n_shards):
+        key = sorted_keys[cut]
         if not bounds or key > bounds[-1]:
             bounds.append(key)
     return bounds
@@ -59,41 +67,16 @@ def shard_of(key: int, boundaries: Sequence[int]) -> int:
     return bisect_right(boundaries, key)
 
 
-def partition_counts(counts: dict[int, int],
-                     boundaries: Sequence[int]) -> list[dict[int, int]]:
-    """Split a frequency table into per-shard tables by key range."""
-    shards: list[dict[int, int]] = [{} for _ in range(len(boundaries) + 1)]
-    if len(shards) == 1:
-        shards[0].update(counts)
-        return shards
-    for key, freq in counts.items():
-        shards[shard_of(key, boundaries)][key] = freq
-    return shards
-
-
-def partition_table(table, boundaries: Sequence[int]) -> list:
-    """Split a canonical :class:`~repro.core.table.BipartitionTable` into
-    per-shard tables by key range.
-
-    The shard tables keep the parent's metadata (``n_taxa``/``n_trees``/
-    flags) but count only their own key range — concatenating their
-    count dicts reproduces the parent exactly, which is what the codec
-    round-trip tests assert shard-by-shard.
-    """
-    from repro.core.table import BipartitionTable
-
-    parts = partition_counts(table.to_counts(), boundaries)
-    shards = []
-    for part in parts:
-        weights = None
-        if table.weights is not None:
-            weights = {mask: list(table.weights.get(mask, []))
-                       for mask in part}
-        shards.append(BipartitionTable.from_counts(
-            part, n_taxa=table.n_taxa, n_trees=table.n_trees,
-            total=sum(part.values()), include_trivial=table.include_trivial,
-            weights=weights))
-    return shards
+def partition_rows(keys: np.ndarray, n_shards: int
+                   ) -> tuple[list[int], list[slice]]:
+    """Cut a table's distinct keys, as numeric-order word rows
+    (:meth:`~repro.core.table.BipartitionTable.numeric_rows`), into
+    shards: ``(boundaries, row slices)``, one slice per shard, with the
+    boundaries :func:`shard_boundaries` gives for the same keys."""
+    cuts = _cuts(len(keys), n_shards)
+    edges = [0, *cuts, len(keys)]
+    return (words_to_masks(keys[cuts]),
+            [slice(lo, hi) for lo, hi in zip(edges, edges[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -104,24 +87,31 @@ def _count_slice(trees: Sequence[Tree], lo: int, hi: int, *,
                  include_trivial: bool, weighted: bool
                  ) -> tuple[dict[int, int], dict[int, list[float]] | None,
                             int, int]:
-    """Count one tree slice: partial ``(counts, weights, n_trees, total)``."""
-    counts: dict[int, int] = {}
+    """Count one tree slice: partial ``(counts, weights, n_trees, total)``.
+
+    Each tree's split set streams into the counter and is dropped, so
+    memory holds one tree's splits at a time, never the slice's.
+    """
+    counts: Counter[int] = Counter()
     weights: dict[int, list[float]] | None = {} if weighted else None
     total = 0
     n = 0
     for tree in trees[lo:hi]:
         if weighted:
-            for mask, length in bipartitions_with_lengths(
-                    tree, include_trivial=include_trivial).items():
-                counts[mask] = counts.get(mask, 0) + 1
+            lengths = bipartitions_with_lengths(
+                tree, include_trivial=include_trivial)
+            counts.update(lengths.keys())
+            for mask, length in lengths.items():
                 weights.setdefault(mask, []).append(length)
-                total += 1
+            total += len(lengths)
         else:
-            for mask in bipartition_masks(tree, include_trivial=include_trivial):
-                counts[mask] = counts.get(mask, 0) + 1
-                total += 1
+            masks = bipartition_masks(tree, include_trivial=include_trivial)
+            counts.update(masks)
+            total += len(masks)
         n += 1
-    return counts, weights, n, total
+    # A plain dict: the store updates it key by key, and the interpreter
+    # only specializes item stores on exact dicts.
+    return dict(counts), weights, n, total
 
 
 def _count_range(bounds: tuple[int, int]):

@@ -64,8 +64,7 @@ from repro.store.format import (
     snapshot_sections,
     write_snapshot,
 )
-from repro.store.shards import parallel_build_tables, partition_counts, \
-    shard_boundaries
+from repro.store.shards import parallel_build_tables, partition_rows
 from repro.bipartitions.extract import bipartition_masks, bipartitions_with_lengths
 from repro.trees.taxon import TaxonNamespace
 from repro.trees.tree import Tree
@@ -552,14 +551,15 @@ class BFHStore:
         if n_eff < n_store:
             raise StoreError(
                 f"cannot pack {n_store}-taxon keys into {n_eff} taxa")
-        weights = None
-        if self.weighted:
-            weights = {mask: list(lengths)
-                       for mask, lengths in self._weights.items()}
+        return self._state_table(n_eff)
+
+    def _state_table(self, n_taxa: int) -> BipartitionTable:
+        # from_counts copies each weight multiset, so the table never
+        # aliases the store's own lists.
         return BipartitionTable.from_counts(
-            self._counts, n_taxa=n_eff, n_trees=self.n_trees,
+            self._counts, n_taxa=n_taxa, n_trees=self.n_trees,
             total=self.total, include_trivial=self.include_trivial,
-            weights=weights)
+            weights=self._weights if self.weighted else None)
 
     def weighted_hash(self) -> WeightedBipartitionHash:
         """Materialize the weighted (branch-score) view.
@@ -604,9 +604,10 @@ class BFHStore:
     def compact(self, n_shards: int | None = None) -> None:
         """Fold the journal into a new generation of key-range snapshots.
 
-        Shard boundaries are rebalanced over the current sorted key set;
-        the atomic manifest replace is the commit point, after which the
-        journal is empty.
+        The state becomes one table; shard boundaries are rebalanced over
+        its keys in numeric order, and each shard is written from its
+        slice of those rows.  The atomic manifest replace is the commit
+        point, after which the journal is empty.
         """
         if n_shards is None:
             n_shards = max(1, len(self._shards))
@@ -616,27 +617,23 @@ class BFHStore:
         old_files = [entry["file"] for entry in self._shards]
         old_files.append(_journal_name(old_generation))
         generation = old_generation + 1
-        keys = sorted(self._counts)
-        boundaries = shard_boundaries(keys, n_shards)
-        parts = partition_counts(self._counts, boundaries)
-        fingerprint = namespace_fingerprint(self._labels)
         n_taxa = len(self._labels)
+        table = self._state_table(n_taxa)
+        keys, counts = table.numeric_rows()
+        boundaries, parts = partition_rows(keys, n_shards)
+        fingerprint = namespace_fingerprint(self._labels)
         with trace("store.compact", generation=generation,
                    shards=len(parts)) as span:
             shard_entries = []
-            for index, part in enumerate(parts):
+            for index, rows in enumerate(parts):
                 name = _shard_name(generation, index)
                 with trace("store.shard", shard=index) as shard_span:
-                    weights = None
-                    if self.weighted:
-                        weights = {mask: self._weights.get(mask, [])
-                                   for mask in part}
                     t0 = time.perf_counter()
                     entries = write_snapshot(
-                        self.path / name, part, n_taxa=n_taxa,
-                        fingerprint=fingerprint,
+                        self.path / name, keys[rows], counts[rows],
+                        n_taxa=n_taxa, fingerprint=fingerprint,
                         include_trivial=self.include_trivial,
-                        weights=weights, codec=self.snapshot_codec)
+                        weights=table.weights, codec=self.snapshot_codec)
                     if _obs_enabled():
                         _histogram("store.shard_write_seconds").observe(
                             time.perf_counter() - t0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.bfhrf import bfhrf_average_rf
@@ -148,10 +149,11 @@ class TestCompactionAtomicity:
         store = BFHStore.open(store_dir)
         expected_trees = store.n_trees
         # Simulate the pre-commit half of a compaction crash.
+        from repro.core.table import masks_to_words
         from repro.store.format import namespace_fingerprint, write_snapshot
         write_snapshot(store_dir / "shard-000099-000.snap",
-                       {1: 1}, n_taxa=5,
-                       fingerprint=namespace_fingerprint(store.labels))
+                       masks_to_words([1], 1), np.ones(1, dtype=np.int64),
+                       n_taxa=5, fingerprint=namespace_fingerprint(store.labels))
         reopened = BFHStore.open(store_dir)
         assert reopened.n_trees == expected_trees
         assert reopened.generation == store.generation

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
 import pytest
 
+from repro.core.table import masks_to_words
 from repro.store.format import (
     JOURNAL_HEADER_SIZE,
     OP_ADD,
@@ -28,6 +30,14 @@ from repro.store.format import (
 from repro.util.errors import StoreCorruptError
 
 FP = namespace_fingerprint([f"T{i}" for i in range(8)])
+
+
+def rows(counts: dict[int, int], n_taxa: int):
+    """A frequency dict as the numeric-order rows a snapshot is written
+    from."""
+    masks = sorted(counts)
+    return (masks_to_words(masks, words_for_taxa(n_taxa)),
+            np.array([counts[m] for m in masks], dtype=np.int64))
 
 
 class TestKeyPacking:
@@ -56,7 +66,8 @@ class TestSnapshotRoundtrip:
     def test_counts_roundtrip_at_word_boundaries(self, tmp_path, n_taxa):
         counts = {1: 3, (1 << (n_taxa - 1)) | 1: 1, (1 << n_taxa) - 2: 7}
         path = tmp_path / "s.snap"
-        assert write_snapshot(path, counts, n_taxa=n_taxa, fingerprint=FP) == 3
+        assert write_snapshot(path, *rows(counts, n_taxa), n_taxa=n_taxa,
+                              fingerprint=FP) == 3
         data = read_snapshot(path)
         assert data.counts == counts
         assert data.n_taxa == n_taxa
@@ -67,24 +78,26 @@ class TestSnapshotRoundtrip:
         counts = {3: 2, 12: 1}
         weights = {3: [2.5, 0.5], 12: [1.0]}
         path = tmp_path / "w.snap"
-        write_snapshot(path, counts, n_taxa=4, fingerprint=FP, weights=weights)
+        write_snapshot(path, *rows(counts, 4), n_taxa=4, fingerprint=FP,
+                       weights=weights)
         data = read_snapshot(path)
         assert data.weighted
         assert data.weights == {3: [0.5, 2.5], 12: [1.0]}
 
     def test_weight_count_mismatch_rejected_at_write(self, tmp_path):
         with pytest.raises(StoreCorruptError, match="weights for frequency"):
-            write_snapshot(tmp_path / "bad.snap", {3: 2}, n_taxa=4,
+            write_snapshot(tmp_path / "bad.snap", *rows({3: 2}, 4), n_taxa=4,
                            fingerprint=FP, weights={3: [1.0]})
 
     def test_empty_snapshot(self, tmp_path):
         path = tmp_path / "e.snap"
-        write_snapshot(path, {}, n_taxa=0, fingerprint=FP)
+        write_snapshot(path, *rows({}, 0), n_taxa=0, fingerprint=FP)
         assert read_snapshot(path).counts == {}
 
     def test_bitflip_fails_crc(self, tmp_path):
         path = tmp_path / "s.snap"
-        write_snapshot(path, {1: 1, 6: 2}, n_taxa=4, fingerprint=FP)
+        write_snapshot(path, *rows({1: 1, 6: 2}, 4), n_taxa=4,
+                       fingerprint=FP)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0x40
         path.write_bytes(bytes(blob))
@@ -93,7 +106,8 @@ class TestSnapshotRoundtrip:
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "s.snap"
-        write_snapshot(path, {1: 1, 6: 2}, n_taxa=4, fingerprint=FP)
+        write_snapshot(path, *rows({1: 1, 6: 2}, 4), n_taxa=4,
+                       fingerprint=FP)
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 5])
         with pytest.raises(StoreCorruptError):

@@ -5,13 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bfhrf import build_bfh
+from repro.core.table import masks_to_words, words_to_masks
 from repro.runtime import fork_available
 from repro.store.shards import (
     parallel_build_tables,
-    partition_counts,
+    partition_rows,
     shard_boundaries,
     shard_of,
 )
+
+
+def rows_of(keys: list[int]):
+    """Sorted distinct masks as the numeric-order word rows compaction cuts."""
+    return masks_to_words(keys, 2)
 
 from tests.conftest import make_collection
 
@@ -23,12 +29,26 @@ class TestBoundaries:
 
     def test_boundaries_balance_entry_counts(self):
         keys = list(range(0, 1000, 7))
-        bounds = shard_boundaries(keys, 4)
+        bounds, parts = partition_rows(rows_of(keys), 4)
+        assert bounds == shard_boundaries(keys, 4)
         assert len(bounds) == 3
-        sizes = [len(part) for part in
-                 partition_counts({k: 1 for k in keys}, bounds)]
+        sizes = [part.stop - part.start for part in parts]
         assert sum(sizes) == len(keys)
         assert max(sizes) - min(sizes) <= len(keys) // 4 + 1
+
+    def test_row_partition_matches_key_boundaries(self):
+        """Wide keys, more shards than keys, and no keys at all: the row
+        slices tile the rows and agree with ``shard_boundaries``."""
+        wide = [1, 5, 1 << 64, (1 << 64) + 3, (1 << 100) | 7, 1 << 127]
+        for keys in (wide, wide[:2], [], list(range(9))):
+            for n_shards in (1, 2, 3, 4, 7):
+                bounds, parts = partition_rows(rows_of(keys), n_shards)
+                assert bounds == shard_boundaries(keys, n_shards)
+                assert len(parts) == len(bounds) + 1
+                assert parts[0].start == 0 and parts[-1].stop == len(keys)
+                assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+                assert sum((words_to_masks(rows_of(keys)[part])
+                            for part in parts), []) == keys
 
     def test_duplicate_heavy_key_space_collapses_boundaries(self):
         keys = [5] * 10 + [9]
@@ -43,11 +63,11 @@ class TestBoundaries:
 class TestRouting:
     def test_every_key_routes_to_exactly_one_shard(self):
         keys = list(range(50))
-        bounds = shard_boundaries(keys, 3)
-        parts = partition_counts({k: k + 1 for k in keys}, bounds)
-        assert sum(len(p) for p in parts) == 50
+        rows = rows_of(keys)
+        bounds, parts = partition_rows(rows, 3)
+        assert sum(p.stop - p.start for p in parts) == 50
         for i, part in enumerate(parts):
-            for key in part:
+            for key in words_to_masks(rows[part]):
                 assert shard_of(key, bounds) == i
 
     def test_future_keys_route_into_open_ends(self):
