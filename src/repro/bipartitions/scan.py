@@ -12,9 +12,9 @@ covering ``[lo, hi)`` is ``P[hi] ^ P[lo]``, and a tree's leaf set is
 
 :func:`scan_records` keeps, per collection, only the leaf taxon indices,
 each tree's leaf offsets and the interval of every non-root group.
-Parentheses are matched by a stable sort by depth: at each depth, opens
-and closes alternate, so the i-th open and the i-th close at one depth
-are a pair.  :meth:`ScannedTrees.block` then turns the intervals into
+Parentheses are matched by one sort by (depth, position): at each
+depth, opens and closes alternate, so each open pairs with the close
+after it.  :meth:`ScannedTrees.block` then turns the intervals into
 the same per-tree ``(m, n_words)`` rows ``bipartition_masks`` and
 ``masks_to_words`` give, in a few NumPy passes:
 
@@ -35,27 +35,31 @@ namespace that grew after the scan (the reference file adding taxa)
 just packs wider.
 
 The scanner accepts exactly what :func:`~repro.newick.parser.parse_newick`
-accepts.  Records without quotes or comments are classified byte by byte
-with a lookup table built from the parser's ``LABEL_STOP``; other records
-go through the parser's own ``_TOKEN``.  The grammar is then checked on
-the token kinds of every record at once.  A record the scanner rejects is
-re-run through ``parse_newick``, so the error type, message and position
-are the parser's own.
+accepts.  The records are encoded to UTF-8 as one text, and one pass
+over its bytes finds the plain records: those whose only ';', quote or
+comment bracket is the ';' that ends them.  Their bytes are classified
+one by one with a lookup table built from the parser's ``LABEL_STOP``;
+other records go through the parser's own ``_TOKEN``, and their unquoted
+labels are appended to the text.  Every label is a byte span of that
+text.  Equal leaf labels are grouped by sorting the spans 8 bytes at a
+time, so only distinct labels become strings.  The grammar is then
+checked on the token kinds of every record at once.  A record the
+scanner rejects is re-run through ``parse_newick``, so the error type,
+message and position are the parser's own.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate
 
 import numpy as np
 
 from repro.newick.io import open_tree_file, split_records
-from repro.newick.parser import BARE, LABEL_STOP, _TOKEN, parse_newick, unquote
+from repro.newick.parser import LABEL_STOP, _TOKEN, parse_newick, unquote
 from repro.observability.metrics import counter as _metric
 from repro.observability.state import enabled as _obs_enabled
 from repro.trees.taxon import TaxonNamespace
@@ -68,16 +72,36 @@ __all__ = ["SplitBlock", "ScannedTrees", "scan_records", "scan_newick_text",
 # closes a record that has no ';' (end of input or a lexical error).
 _START, _OPEN, _CLOSE, _COMMA, _SEMI, _COLON, _LABEL, _END = range(8)
 _STRUCTURAL = {"(": _OPEN, ")": _CLOSE, ",": _COMMA, ";": _SEMI, ":": _COLON}
+_STEP = np.zeros(8, dtype=np.int8)  # depth change
+_STEP[[_OPEN, _CLOSE]] = 1, -1
+_STARTS_SUBTREE = np.zeros(8, dtype=bool)  # a leaf or '(' may follow
+_STARTS_SUBTREE[[_START, _OPEN, _COMMA]] = True
 
-# Byte classes of a record without quotes or comments: whitespace is 0,
-# structural characters are their token kind, everything else (every
-# byte of a multi-byte character included) is label text.
+# The grammar: _RULES[prev << 3 | kind] says when a token may follow
+# the token before it.  ',' and ')' need an open group, ';' none, and
+# ':' may not follow a branch length.
+_NEVER, _ALWAYS, _AT_TOP, _NESTED, _NOT_AFTER_LENGTH = range(5)
+_RULES = np.full((8, 8), _NEVER, dtype=np.uint8)
+_RULES[[_START, _OPEN, _COMMA], _OPEN] = _ALWAYS
+_RULES[[_START, _OPEN, _COMMA, _COLON, _CLOSE], _LABEL] = _ALWAYS
+_RULES[[_LABEL, _CLOSE], _SEMI] = _AT_TOP
+_RULES[[_LABEL, _CLOSE], _COMMA] = _NESTED
+_RULES[[_LABEL, _CLOSE], _CLOSE] = _NESTED
+_RULES[[_LABEL, _CLOSE], _COLON] = _NOT_AFTER_LENGTH
+_RULES = _RULES.ravel()
+
+# Byte classes: whitespace is 0, structural characters are their token
+# kind, quotes and comment brackets are _QUOTING, and everything else
+# (every byte of a multi-byte character included) is label text.
+_QUOTING = 8
 _BYTE_KIND = np.full(256, _LABEL, dtype=np.uint8)
 for _char in LABEL_STOP:
     _BYTE_KIND[ord(_char)] = _STRUCTURAL.get(_char, 0)
-# A record whose only ';' ends it and that holds no quote or comment.
-_PLAIN = re.compile(r"[^;'\[\]]*;")
-_BARE = re.compile(BARE)
+_BYTE_KIND[list(b"'[]")] = _QUOTING
+_SEMI_BYTE = ord(";")
+# In memory order, byte k of _PAD[n] is 0xFF for k >= n and 0 otherwise.
+_PAD = np.frombuffer(b"".join(b"\0" * k + b"\xff" * (8 - k)
+                              for k in range(9)), dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -118,7 +142,7 @@ class ScannedTrees:
 
     @property
     def leaf_counts(self) -> np.ndarray:
-        return np.diff(self.tree_offsets)
+        return self.tree_offsets[1:] - self.tree_offsets[:-1]
 
     def block(self, n_words: int, *, include_trivial: bool = False) -> SplitBlock:
         """Each tree's normalized, distinct split rows at ``n_words`` width."""
@@ -145,12 +169,15 @@ class ScannedTrees:
         tree = np.searchsorted(offsets, clo, side="right") - 1
 
         prefix_xor = self._prefix_xor(n_words)
-        words = prefix_xor[chi] ^ prefix_xor[clo]
+        words = np.take(prefix_xor, chi, axis=0)
+        words ^= np.take(prefix_xor, clo, axis=0)
         anchor = self._anchors()[tree]
         flip = (anchor < clo) | (anchor >= chi)
         leaf_sets = prefix_xor[offsets[1:]] ^ prefix_xor[offsets[:-1]]
-        words[flip] ^= leaf_sets[tree[flip]]
-        counts = np.bincount(tree, minlength=len(self)).astype(np.int64)
+        np.bitwise_xor(words, np.take(leaf_sets, tree, axis=0), out=words,
+                       where=flip[:, None])
+        counts = np.bincount(tree, minlength=len(self)).astype(np.int64,
+                                                               copy=False)
         return SplitBlock(words, counts)
 
     def _prefix_xor(self, n_words: int) -> np.ndarray:
@@ -160,8 +187,9 @@ class ScannedTrees:
             raise ValueError(
                 f"taxon {int(taxa.max())} does not fit in {n_words} words")
         out = np.zeros((len(taxa) + 1, n_words), dtype=np.uint64)
-        bits = np.left_shift(np.uint64(1), (taxa % 64).astype(np.uint64))
-        out[np.arange(1, len(taxa) + 1), n_words - 1 - taxa // 64] = bits
+        bits = np.left_shift(np.uint64(1), (taxa & 63).astype(np.uint64))
+        out.reshape(-1)[np.arange(n_words, n_words * (len(taxa) + 1), n_words)
+                        + (n_words - 1 - (taxa >> 6))] = bits
         return np.bitwise_xor.accumulate(out, axis=0)
 
     def _anchors(self) -> np.ndarray:
@@ -175,16 +203,6 @@ class ScannedTrees:
 # ---------------------------------------------------------------------------
 # Tokens
 # ---------------------------------------------------------------------------
-
-def _plain_tokens(text: str) -> tuple[np.ndarray, list[str]]:
-    """Token kinds and labels of records without quotes or comments."""
-    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    kinds = _BYTE_KIND[data]
-    label = kinds == _LABEL
-    token = kinds != 0
-    token[1:] &= ~(label[1:] & label[:-1])  # a run of label bytes is one token
-    return kinds[token], _BARE.findall(text)
-
 
 def _record_tokens(record: str) -> tuple[np.ndarray, list[str]]:
     """Token kinds and labels of one record, as ``parse_newick`` reads it:
@@ -205,30 +223,171 @@ def _record_tokens(record: str) -> tuple[np.ndarray, list[str]]:
     return np.array(kinds, dtype=np.uint8), labels
 
 
-def _tokens(records: list[str]) -> tuple[np.ndarray, list[str]]:
-    kinds: list[np.ndarray] = []
-    labels: list[str] = []
-    run: list[str] = []
+def _tokens(records: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                         np.ndarray, str | None]:
+    """Token kinds of every record, a text, the ``[start, end)`` byte
+    span in that text of each label token, in token order, and a
+    character no record holds (``None`` if they hold every one).
 
-    def flush() -> None:
-        if run:
-            run_kinds, run_labels = _plain_tokens("".join(run))
-            kinds.append(run_kinds)
-            labels.extend(run_labels)
-            run.clear()
+    The text is the records' UTF-8 bytes, then the unquoted labels of
+    records that hold quotes or comments, then 8 bytes of padding.
+    """
+    joined = "".join(records)
+    separator = next((char for char in map(chr, range(0x110000))
+                      if char not in joined), None)
+    data = joined.encode("utf-8", "surrogatepass")
+    sizes = list(map(len, records)) if len(data) == len(joined) else [
+        len(record.encode("utf-8", "surrogatepass")) for record in records]
+    bounds = np.fromiter(accumulate(sizes, initial=0), dtype=np.int64,
+                         count=len(records) + 1)
+    padded = _padded(data)
+    text = padded[:-8]
 
-    for record in records:
-        if _PLAIN.fullmatch(record):
-            run.append(record)
+    # A record is plain when its one ';', quote or comment bracket is the
+    # ';' that ends it; its bytes are then classified one by one.
+    byte_kinds = np.take(_BYTE_KIND, text)
+    marks = np.flatnonzero((byte_kinds == _SEMI) | (byte_kinds == _QUOTING))
+    cuts = np.searchsorted(marks, bounds)
+    # (An empty first record reads its last byte from the padding.)
+    plain = (cuts[1:] - cuts[:-1] == 1) \
+        & (padded[bounds[1:] - 1] == _SEMI_BYTE)
+    all_plain = plain.all()
+    if not all_plain:
+        byte_kinds[np.repeat(~plain, sizes)] = 0
+    label = byte_kinds == _LABEL
+    token = byte_kinds != 0
+    token[1:] &= ~(label[1:] & label[:-1])  # a run of label bytes is one token
+    kinds = np.compress(token, byte_kinds)
+    # Label runs start and end where the byte class changes; every plain
+    # record ends with ';', so every run ends inside the text.
+    edges = np.flatnonzero(label[1:] != label[:-1]) + 1
+    if len(label) and label[0]:
+        edges = np.concatenate(([0], edges))
+    starts, ends = edges[0::2], edges[1::2]
+    if all_plain:
+        return kinds, padded, starts, ends, separator
+
+    # Other records go through the parser's own tokenizer; their labels,
+    # unquoted, are appended to the text and joined to the spans there.
+    odd = np.flatnonzero(~plain)
+    token_cuts = np.searchsorted(np.flatnonzero(token), bounds[odd]).tolist()
+    label_cuts = np.searchsorted(starts, bounds[odd]).tolist()
+    kind_parts, start_parts, end_parts = [], [], []
+    extra: list[bytes] = []
+    token_at = label_at = 0
+    for i, token_cut, label_cut in zip(odd.tolist(), token_cuts, label_cuts):
+        record_kinds, labels = _record_tokens(records[i])
+        kind_parts += [kinds[token_at:token_cut], record_kinds]
+        start_parts.append(starts[label_at:label_cut])
+        end_parts.append(ends[label_at:label_cut])
+        start_parts.append(np.full(len(labels), -1, dtype=np.int64))
+        end_parts.append(start_parts[-1])
+        extra += [name.encode("utf-8", "surrogatepass") for name in labels]
+        token_at, label_at = token_cut, label_cut
+    kind_parts.append(kinds[token_at:])
+    start_parts.append(starts[label_at:])
+    end_parts.append(ends[label_at:])
+    starts = np.concatenate(start_parts)
+    ends = np.concatenate(end_parts)
+    sizes = np.fromiter(map(len, extra), dtype=np.int64, count=len(extra))
+    appended = starts < 0
+    ends[appended] = len(data) + np.cumsum(sizes)
+    starts[appended] = ends[appended] - sizes
+    return (np.concatenate(kind_parts), _padded(data + b"".join(extra)),
+            starts, ends, separator)
+
+
+# ---------------------------------------------------------------------------
+# Labels
+# ---------------------------------------------------------------------------
+
+def _padded(data: bytes) -> np.ndarray:
+    return np.frombuffer(data + b"\xff" * 8, dtype=np.uint8)
+
+
+def _words(text: np.ndarray, starts: np.ndarray,
+           sizes: np.ndarray) -> np.ndarray:
+    """Bytes ``[start, start + 8)`` of each span as one uint64, with the
+    bytes at and past the span's end set to 0xFF.
+
+    UTF-8 never produces 0xFF (not even with ``surrogatepass``), so two
+    spans give equal words exactly when they agree on those 8 bytes and
+    on whether, and where, they end within them.
+    """
+    windows = np.ndarray((len(text) - 7,), np.uint64, text, 0, (1,))
+    words = windows[starts]
+    words |= _PAD[np.minimum(sizes, 8)]
+    return words
+
+
+def _intern(text: np.ndarray, starts: np.ndarray,
+            ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal label spans of ``text``.
+
+    Returns each span's group, numbered ``0..G-1``, and one span of
+    each group.  Spans are sorted by their first word; only spans
+    still tied with another and not yet compared to their end are
+    sorted again, by their next word within their group.  So the work
+    and the memory are bounded by the total label bytes, however long
+    the longest label is.
+    """
+    n = len(starts)
+    sizes = ends - starts
+    longest = int(sizes.max(initial=0))
+    group = np.empty(n, dtype=np.int64)
+    n_groups = 0
+    active, at, left = np.arange(n), starts, sizes
+    offset = 0
+    while len(active):
+        words = _words(text, at, left)
+        if offset:
+            tied = group[active]
+            order = np.lexsort((words, tied))
+            tied = tied[order]
         else:
-            flush()
-            record_kinds, record_labels = _record_tokens(record)
-            kinds.append(record_kinds)
-            labels.extend(record_labels)
-    flush()
-    if not kinds:
-        return np.zeros(0, dtype=np.uint8), labels
-    return np.concatenate(kinds), labels
+            order = np.argsort(words)
+        active, words = active[order], words[order]
+        head = np.ones(len(active), dtype=bool)
+        head[1:] = words[1:] != words[:-1]
+        if offset:
+            head[1:] |= tied[1:] != tied[:-1]
+        rank = np.cumsum(head)
+        rank -= 1
+        group[active] = rank + n_groups
+        n_groups += int(rank[-1]) + 1
+        offset += 8
+        if offset > longest:
+            break
+        active = active[(np.bincount(rank)[rank] > 1)
+                        & (sizes[active] >= offset)]
+        at, left = starts[active] + offset, sizes[active] - offset
+    if offset > 8:  # groups split after the first word left gaps
+        live = np.zeros(n_groups, dtype=bool)
+        live[group] = True
+        n_groups = int(live.sum())
+        group = (np.cumsum(live) - 1)[group]
+    some = np.empty(n_groups, dtype=np.int64)
+    some[group] = np.arange(n)
+    return group, some
+
+
+def _strings(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+             separator: str | None) -> list[str]:
+    """The text of each span, decoded in one call and split on
+    ``separator``, a character no span holds."""
+    if not len(starts):
+        return []
+    sizes = ends - starts + 1  # each span and the byte after it
+    stops = np.cumsum(sizes)
+    picked = text[np.repeat(starts - stops + sizes, sizes)
+                  + np.arange(stops[-1])]
+    picked[stops - 1] = 0xFF  # never in UTF-8, so it marks the cuts
+    joined = picked[:-1].tobytes()
+    if separator is None:  # the records hold every character
+        return [piece.decode("utf-8", "surrogatepass")
+                for piece in joined.split(b"\xff")]
+    return joined.replace(b"\xff", separator.encode("utf-8", "surrogatepass")
+                          ).decode("utf-8", "surrogatepass").split(separator)
 
 
 # ---------------------------------------------------------------------------
@@ -248,82 +407,102 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
     readers do.
     """
     records = list(records)
-    kinds, labels = _tokens(records)
+    kinds, text, label_starts, label_ends, separator = _tokens(records)
     ends = np.flatnonzero((kinds == _SEMI) | (kinds == _END))
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
-    record_of = np.repeat(np.arange(len(records)), ends - starts + 1)
+    record_tokens = ends - starts + 1
+    record_of = np.repeat(np.arange(len(records)), record_tokens)
 
     # The grammar as rules on (previous kind, kind, depth).
     prev = np.empty_like(kinds)
     prev[1:] = kinds[:-1]
     prev[starts] = _START
     is_label = kinds == _LABEL
-    opens_subtree = (prev == _START) | (prev == _OPEN) | (prev == _COMMA)
-    leaf = is_label & opens_subtree
+    leaf = is_label & np.take(_STARTS_SUBTREE, prev)
     length = is_label & (prev == _COLON)
     after_length = np.zeros_like(length)
     after_length[1:] = length[:-1]
-    ends_subtree = (prev == _LABEL) | (prev == _CLOSE)
-    step = (kinds == _OPEN).astype(np.int64) - (kinds == _CLOSE)
-    depth = np.cumsum(step)
+    step = np.take(_STEP, kinds)
+    depth = np.cumsum(step, dtype=np.int64)
     before = depth - step
-    before -= np.repeat(before[starts], ends - starts + 1)
-    ok = ((kinds == _OPEN) & opens_subtree) | leaf | length \
-        | (is_label & (prev == _CLOSE)) \
-        | ((kinds == _COLON) & ends_subtree & ~after_length) \
-        | ((kinds == _SEMI) & ends_subtree & (before == 0)) \
-        | (((kinds == _COMMA) | (kinds == _CLOSE)) & ends_subtree
-           & (before > 0))
+    before -= np.repeat(before[starts], record_tokens)
+    rule = np.take(_RULES, (prev << 3) | kinds)
+    ok = (rule == _ALWAYS) | ((rule == _AT_TOP) & (before == 0)) \
+        | ((rule == _NESTED) & (before > 0)) \
+        | ((rule == _NOT_AFTER_LENGTH) & ~after_length)
     bad = np.zeros(len(records), dtype=bool)
     bad[record_of[~ok]] = True
 
-    label_is_leaf = leaf[is_label]
-    leaf_labels = labels if label_is_leaf.all() \
-        else list(compress(labels, label_is_leaf))
-    lengths = list(compress(labels, length[is_label]))
-    try:
-        list(map(float, lengths))
-    except ValueError:
-        for at, text in zip(np.flatnonzero(length), lengths):
-            try:
-                float(text)
-            except ValueError:
-                bad[record_of[at]] = True
+    if length.any():
+        in_length = length[is_label]
+        lengths = _strings(text, label_starts[in_length],
+                           label_ends[in_length], separator)
+        try:
+            list(map(float, lengths))
+        except ValueError:
+            for at, value in zip(np.flatnonzero(length), lengths):
+                try:
+                    float(value)
+                except ValueError:
+                    bad[record_of[at]] = True
 
-    # Provisional indices: new labels are numbered in order of first
-    # appearance, as TaxonNamespace.require numbers them.
+    # Each distinct leaf label is decoded once and looked up in the
+    # namespace; new labels are numbered in order of first appearance,
+    # as TaxonNamespace.require numbers them.
+    in_leaf = leaf[is_label]
+    leaf_starts, leaf_ends = label_starts[in_leaf], label_ends[in_leaf]
+    group, some = _intern(text, leaf_starts, leaf_ends)
+    names = _strings(text, leaf_starts[some], leaf_ends[some], separator)
+    ids = np.fromiter(namespace.indices(names), dtype=np.int64,
+                      count=len(names))
     base = len(namespace)
-    index = {label: i for i, label in enumerate(namespace.labels)}
-    fresh = [label for label in dict.fromkeys(leaf_labels) if label not in index]
-    index.update(zip(fresh, range(base, base + len(fresh))))
-    taxa = np.fromiter(map(index.__getitem__, leaf_labels), dtype=np.int64,
-                       count=len(leaf_labels))
+    new = np.flatnonzero(ids < 0)
+    fresh: list[str] = []
+    if len(new):
+        first = np.full(len(names), len(group), dtype=np.int64)
+        np.minimum.at(first, group, np.arange(len(group)))
+        new = new[np.argsort(first[new])]
+        ids[new] = np.arange(base, base + len(new))
+        fresh = [names[i] for i in new.tolist()]
+    taxa = ids[group]
     leaf_record = record_of[leaf]
-    if "" in index:
-        bad[leaf_record[taxa == index[""]]] = True
-    keys = np.sort(leaf_record * max(1, len(index)) + taxa)
-    bad[keys[1:][keys[1:] == keys[:-1]] // max(1, len(index))] = True
+    if "" in names:  # '' names no taxon
+        bad[leaf_record[group == names.index("")]] = True
+    n_ids = max(1, base + len(new))
+    keys = np.sort(leaf_record * n_ids + taxa)
+    bad[keys[1:][keys[1:] == keys[:-1]] // n_ids] = True
 
     if bad.any():
-        first = int(np.argmax(bad))
-        seen = taxa[:np.searchsorted(leaf_record, first)]
+        first_bad = int(np.argmax(bad))
+        seen = taxa[:np.searchsorted(leaf_record, first_bad)]
         known = int(seen.max()) + 1 - base if len(seen) else 0
         for label in fresh[:max(0, known)]:
             namespace.require(label)
-        _reparse(records[first], namespace, source, first)
+        _reparse(records[first_bad], namespace, source, first_bad)
     for label in fresh:
         namespace.require(label)
 
     # All records are valid, so every one starts and ends at depth 0.
-    opens = np.flatnonzero(kinds == _OPEN)
-    closes = np.flatnonzero(kinds == _CLOSE)
-    opens = opens[np.argsort(depth[opens], kind="stable")]
-    closes = closes[np.argsort(depth[closes], kind="stable")]
-    nonroot = depth[opens] > 1
-    leaves_before = np.cumsum(leaf) - leaf
-    lo = leaves_before[opens[nonroot]]
-    hi = leaves_before[closes[nonroot]]
+    # At one depth opens and closes alternate, so sorting them by
+    # (depth, position) pairs each open with the close after it.
+    parens = np.flatnonzero(step)
+    level = depth[parens]
+    level += kinds[parens] == _CLOSE
+    shift = len(kinds).bit_length()
+    if 2 * shift < 63:  # sort (level, position) packed in one int64
+        level <<= shift
+        level |= parens
+        level.sort()
+        parens = level & ((1 << shift) - 1)
+        level >>= shift
+    else:
+        order = np.lexsort((parens, level))
+        level, parens = level[order], parens[order]
+    nonroot = level[0::2] > 1
+    leaves_upto = np.cumsum(leaf)  # at a paren: the leaves before it
+    lo = leaves_upto[parens[0::2][nonroot]]
+    hi = leaves_upto[parens[1::2][nonroot]]
     tree_offsets = np.zeros(len(records) + 1, dtype=np.int64)
     np.cumsum(np.bincount(leaf_record, minlength=len(records)),
               out=tree_offsets[1:])

@@ -22,12 +22,15 @@ Keys live in two total orders:
 * **probe order** — rows sorted under the NumPy void-byte comparison the
   vectorized backend's ``searchsorted`` uses.  ``keys``/``counts`` are
   stored in this order so probes adopt them without re-sorting.
+  :func:`probe_order` produces it with a lexsort over the byteswapped
+  words, not a void sort: a word's bytes in memory order, read
+  big-endian, are the byteswapped word.
 
-``from_counts`` sorts into probe order once at construction; codecs
-convert probe → numeric once at encode, and decoders numeric → probe
-once.  Rows already in numeric order (a compaction's shard slice) are
-encoded as they are.  Exactness is unaffected: both are total orders
-over the same multiset.
+``from_counts`` and ``from_rows`` sort into probe order once at
+construction; codecs convert probe → numeric once at encode, and
+decoders numeric → probe once.  Rows already in numeric order (a
+compaction's shard slice) are encoded as they are.  Exactness is
+unaffected: both are total orders over the same multiset.
 
 Codecs
 ------
@@ -63,6 +66,7 @@ word boundaries, splitless references, and weighted multisets).
 from __future__ import annotations
 
 import struct
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -133,16 +137,19 @@ def _ascending_rows(keys: np.ndarray) -> bool:
 
 
 def probe_order(keys: np.ndarray) -> np.ndarray:
-    """Argsort of rows under the probe (void-byte) comparison.
+    """Stable argsort of rows under the probe (void-byte) comparison.
 
-    Void scalars compare as raw bytes — little-endian within each uint64
-    on this platform, which is *not* numeric order.  Probes only need
-    the table and the query to share one total order, and this is the
-    one ``np.searchsorted`` gets for free.
+    Void scalars compare as raw bytes in memory order, which on a
+    little-endian machine is *not* numeric order.  Probes only need the
+    table and the query to share one total order, and this is the one
+    ``np.searchsorted`` over void views gets for free.  A word's bytes
+    in memory order, read big-endian, are the word byteswapped (on a
+    little-endian machine), so one lexsort over the swapped words, word
+    0 as the primary key, gives that order without a void sort.
     """
-    void = keys.view(
-        np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).ravel()
-    return np.argsort(void)
+    if sys.byteorder == "little":
+        keys = keys.byteswap()
+    return np.lexsort(keys.T[::-1])
 
 
 class BipartitionTable:
@@ -198,8 +205,8 @@ class BipartitionTable:
                             count=len(counts))
         if len(counts):
             order = probe_order(keys)
-            keys = np.ascontiguousarray(keys[order])
-            freqs = np.ascontiguousarray(freqs[order])
+            keys = np.take(keys, order, axis=0)
+            freqs = np.take(freqs, order)
         if weights is not None:
             weights = {mask: sorted(lengths)
                        for mask, lengths in weights.items()}
@@ -212,16 +219,21 @@ class BipartitionTable:
                   include_trivial: bool = False) -> "BipartitionTable":
         """Count packed split rows, one row per (tree, split) occurrence.
 
-        Sorting the rows as void scalars puts the distinct keys straight
-        into probe order, so no frequency dict is built.
+        The rows are sorted into probe order once; each run of equal
+        rows is one key, and its length is the key's count, so no
+        frequency dict is built.
         """
-        n_words = words_for_taxa(n_taxa)
-        void = np.ascontiguousarray(rows, dtype=np.uint64).view(
-            np.dtype((np.void, 8 * n_words))).ravel()
-        keys, counts = np.unique(void, return_counts=True)
-        return cls(np.ascontiguousarray(keys).view(np.uint64).reshape(-1, n_words),
-                   counts.astype(np.int64), n_taxa=n_taxa, n_trees=n_trees,
-                   total=len(rows), include_trivial=include_trivial)
+        rows = np.ascontiguousarray(rows, dtype=np.uint64)
+        rows = np.take(rows, probe_order(rows), axis=0)
+        head = np.ones(len(rows), dtype=bool)  # first row of its run
+        head[1:] = False
+        for col in rows.T:
+            head[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(head)
+        return cls(np.take(rows, starts, axis=0),
+                   np.diff(starts, append=len(rows)).astype(np.int64),
+                   n_taxa=n_taxa, n_trees=n_trees, total=len(rows),
+                   include_trivial=include_trivial)
 
     @classmethod
     def from_bfh(cls, bfh, n_taxa: int) -> "BipartitionTable":
@@ -472,7 +484,7 @@ def _build_decoded(keys: np.ndarray, freqs: np.ndarray, weights_blob: bytes,
             "unweighted snapshot carries a weight section")
     order = probe_order(keys)
     return BipartitionTable(
-        np.ascontiguousarray(keys[order]), np.ascontiguousarray(freqs[order]),
+        np.take(keys, order, axis=0), np.take(freqs, order),
         n_taxa=n_taxa, n_trees=n_trees,
         total=sum(freqs.tolist()) if total is None else total,
         include_trivial=include_trivial, weights=weights)
@@ -605,13 +617,22 @@ def compress_mask(mask: int, leaf_mask: int | None = None) -> bytes:
     return min(candidates, key=len)
 
 
-def _decode_gaps(data: bytes) -> int:
+def _decode_gaps(data: bytes, width: int | None) -> int:
+    """The mask of a GAPS/CGAPS blob; with ``width``, no bit may lie at
+    or past it (checked before the shift, so a huge gap cannot make a
+    huge int)."""
     mask = 0
     pos = -1
     offset = 1
     while offset < len(data):
         gap, offset = _decode_varint(data, offset)
+        if gap < 1:
+            raise BipartitionError("zero gap in compressed mask")
         pos += gap
+        if width is not None and pos >= width:
+            raise BipartitionError(
+                f"compressed mask sets bit {pos}, past the leaf mask's "
+                f"{width} bits")
         mask |= 1 << pos
     return mask
 
@@ -621,15 +642,16 @@ def decompress_mask(data: bytes, leaf_mask: int | None = None) -> int:
     if not data:
         raise BipartitionError("empty compressed mask")
     tag = data[0]
+    width = None if leaf_mask is None else leaf_mask.bit_length()
     if tag == _RAW:
         return int.from_bytes(data[1:], "big")
     if tag == _GAPS:
-        return _decode_gaps(data)
+        return _decode_gaps(data, width)
     if tag == _CGAPS:
         if leaf_mask is None:
             raise BipartitionError(
                 "complement-coded mask needs the leaf_mask it was encoded with")
-        return _decode_gaps(data) ^ leaf_mask
+        return _decode_gaps(data, width) ^ leaf_mask
     raise BipartitionError(f"unknown compression tag {tag:#x}")
 
 

@@ -100,6 +100,7 @@ from repro.serve.protocol import (
 )
 from repro.store.format import words_for_taxa
 from repro.store.store import BFHStore
+from repro.trees.taxon import TaxonNamespace
 from repro.trees.tree import Tree
 from repro.util.errors import ReproError, ServeError, ServeProtocolError, \
     StoreError
@@ -567,9 +568,11 @@ class ServeDaemon:
 
     def _parse(self, text: str) -> tuple[ScannedTrees | list[Tree], int]:
         """Read query text in the store's namespace (bit-aligned masks):
-        Newick is scanned with no ``Tree``, NEXUS is parsed."""
+        Newick is scanned with no ``Tree``, NEXUS is parsed.  Only the
+        label list is copied under the store lock."""
         with self._store_lock:
-            ns = self._store.namespace()
+            labels = self._store.labels
+        ns = TaxonNamespace(labels)
         if text.lstrip().upper().startswith("#NEXUS"):
             trees = read_nexus_trees(text, ns)
         else:

@@ -59,6 +59,7 @@ complete record with a bad CRC is corruption and fails loudly.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -149,9 +150,14 @@ def _snapshot_flags(include_trivial: bool, weighted: bool) -> int:
 
 
 def _atomic_write(path: Path, blob: bytes) -> None:
+    """Write ``blob`` to a temporary file, fsync it, then rename it over
+    ``path``: the data is on disk before any manifest can name it."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(blob)
-    tmp.replace(path)
+    with open(tmp, "wb") as fh:
+        fh.write(blob)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def write_snapshot(path: str | Path, keys: np.ndarray, counts: np.ndarray, *,

@@ -753,7 +753,7 @@ class BFHStore:
             fh.write("\n")
             fh.flush()
             os.fsync(fh.fileno())
-        tmp.replace(target)
+        os.replace(tmp, target)
         self._fsync_dir()
 
     # -- introspection -------------------------------------------------------

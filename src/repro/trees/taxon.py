@@ -15,6 +15,8 @@ BFHRF implementation, which this repo rebuilds from scratch.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
+from operator import attrgetter
 
 from repro.util.errors import TaxonError
 
@@ -43,6 +45,10 @@ class Taxon:
     def bit(self) -> int:
         """The single-bit mask for this taxon (``1 << index``)."""
         return 1 << self.index
+
+
+_ABSENT = Taxon("", -1, 0)
+_index = attrgetter("index")
 
 
 class TaxonNamespace:
@@ -97,6 +103,10 @@ class TaxonNamespace:
     def get(self, label: str) -> Taxon | None:
         """Return the taxon for ``label`` or ``None`` if absent."""
         return self._by_label.get(label)
+
+    def indices(self, labels: Iterable[str]) -> Iterator[int]:
+        """The index of each label, or -1 for a label not in the namespace."""
+        return map(_index, map(self._by_label.get, labels, repeat(_ABSENT)))
 
     def __getitem__(self, key: str | int) -> Taxon:
         if isinstance(key, str):

@@ -106,6 +106,44 @@ class TestSingleQuery:
         assert parse["sum"] > 0
 
 
+class _OwnedLock:
+    """A lock that knows which thread holds it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.owner = None
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.owner = threading.get_ident()
+
+    def __exit__(self, *exc):
+        self.owner = None
+        self._lock.release()
+
+
+def test_query_namespace_is_built_off_the_store_lock(
+        tmp_path, store_dir, collection, monkeypatch):
+    """The parse stage copies the store's labels under the lock and builds
+    the query namespace outside it."""
+    import repro.serve.daemon as daemon_module
+
+    daemon = daemon_module.ServeDaemon(store_dir, _config(tmp_path))
+    daemon._store = BFHStore.open(store_dir)
+    daemon._store_lock = lock = _OwnedLock()
+    held = []
+    real = daemon_module.TaxonNamespace
+
+    def namespace(labels=()):
+        held.append(lock.owner == threading.get_ident())
+        return real(labels)
+
+    monkeypatch.setattr(daemon_module, "TaxonNamespace", namespace)
+    scanned, n_taxa = daemon._parse(_text(collection[:2]))
+    assert held == [False]
+    assert len(scanned) == 2 and n_taxa == len(daemon._store.labels)
+
+
 class TestConcurrentBatching:
     N_CLIENTS = 6
 

@@ -10,6 +10,7 @@ than serve silently wrong frequencies.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -157,6 +158,39 @@ class TestCompactionAtomicity:
         reopened = BFHStore.open(store_dir)
         assert reopened.n_trees == expected_trees
         assert reopened.generation == store.generation
+
+    def test_new_shards_are_fsynced_before_the_manifest_replace(
+            self, store_dir, monkeypatch):
+        """A committed manifest must never name shard data that is not on
+        disk: each new shard is fsynced before its own rename, and all of
+        that happens before manifest.json is replaced."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino,
+                           os.path.basename(dst)))
+            real_replace(src, dst)
+
+        store = BFHStore.open(store_dir)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store.compact(3)
+        replaced = [(at, event) for at, event in enumerate(events)
+                    if event[0] == "replace"]
+        names = [event[2] for _, event in replaced]
+        assert names[-1] == "manifest.json"
+        commit = replaced[-1][0]
+        shards = [(at, event) for at, event in replaced
+                  if event[2].endswith(".snap")]
+        assert len(shards) == 3
+        for at, (_, inode, _) in shards:
+            assert at < commit
+            assert ("fsync", inode) in events[:at]
 
     def test_manifest_commit_point(self, store_dir):
         trees = trees_from_string(NWK)

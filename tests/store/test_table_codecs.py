@@ -242,6 +242,23 @@ class TestMaskCodec:
         with pytest.raises(BipartitionError):
             decompress_mask(b"\x01\x80")  # truncated varint
 
+    def test_zero_gap_is_a_typed_error(self):
+        # A gap of 0 would put the first bit at position -1.
+        with pytest.raises(BipartitionError, match="zero gap"):
+            decompress_mask(b"\x01\x00")
+
+    def test_bit_past_the_leaf_mask_is_rejected(self):
+        with pytest.raises(BipartitionError, match="past the leaf mask"):
+            decompress_mask(b"\x01\x05", 0b1111)  # bit 4 of a 4-bit set
+        # A gap of 2**62 is refused before it is shifted into a huge int.
+        gap, varint = 1 << 62, bytearray()
+        while gap >= 0x80:
+            varint.append(gap & 0x7F | 0x80)
+            gap >>= 7
+        varint.append(gap)
+        with pytest.raises(BipartitionError, match="past the leaf mask"):
+            decompress_mask(b"\x02" + bytes(varint), (1 << 64) - 1)
+
 
 class TestSuccinctGoldenBytes:
     """The succinct-v1 output bytes, pinned by SHA-256 per section.
