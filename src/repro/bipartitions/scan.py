@@ -42,8 +42,9 @@ one by one with a lookup table built from the parser's ``LABEL_STOP``;
 other records go through the parser's own ``_TOKEN``, and their unquoted
 labels are appended to the text.  Every label is a byte span of that
 text.  Equal leaf labels are grouped by sorting the spans 8 bytes at a
-time, so only distinct labels become strings.  The grammar is then
-checked on the token kinds of every record at once.  A record the
+time, so only distinct labels become strings, sliced from the text's
+string at character offsets.  The grammar is then checked on the token
+kinds of every record at once, with lookup tables.  A record the
 scanner rejects is re-run through ``parse_newick``, so the error type,
 message and position are the parser's own.
 """
@@ -74,12 +75,24 @@ _START, _OPEN, _CLOSE, _COMMA, _SEMI, _COLON, _LABEL, _END = range(8)
 _STRUCTURAL = {"(": _OPEN, ")": _CLOSE, ",": _COMMA, ";": _SEMI, ":": _COLON}
 _STEP = np.zeros(8, dtype=np.int8)  # depth change
 _STEP[[_OPEN, _CLOSE]] = 1, -1
-_STARTS_SUBTREE = np.zeros(8, dtype=bool)  # a leaf or '(' may follow
-_STARTS_SUBTREE[[_START, _OPEN, _COMMA]] = True
+_LAST = np.zeros(8, dtype=bool)  # the last token of a record
+_LAST[[_SEMI, _END]] = True
+
+# Tables on a token's kind and the kind before it, indexed by
+# prev << 3 | kind: a label is a leaf where a subtree may start, and a
+# branch length after ':'.
+_PAIRS = np.zeros((8, 8), dtype=bool)
+_LEAF = _PAIRS.copy()
+_LEAF[[_START, _OPEN, _COMMA], _LABEL] = True
+_LEAF = _LEAF.ravel()
+_LENGTH = _PAIRS.copy()
+_LENGTH[_COLON, _LABEL] = True
+_LENGTH = _LENGTH.ravel()
 
 # The grammar: _RULES[prev << 3 | kind] says when a token may follow
-# the token before it.  ',' and ')' need an open group, ';' none, and
-# ':' may not follow a branch length.
+# the token before it, and _ALLOWED[rule << 2 | nested << 1 | after a
+# length] whether it does.  ',' and ')' need an open group, ';' none,
+# and ':' may not follow a branch length.
 _NEVER, _ALWAYS, _AT_TOP, _NESTED, _NOT_AFTER_LENGTH = range(5)
 _RULES = np.full((8, 8), _NEVER, dtype=np.uint8)
 _RULES[[_START, _OPEN, _COMMA], _OPEN] = _ALWAYS
@@ -89,6 +102,12 @@ _RULES[[_LABEL, _CLOSE], _COMMA] = _NESTED
 _RULES[[_LABEL, _CLOSE], _CLOSE] = _NESTED
 _RULES[[_LABEL, _CLOSE], _COLON] = _NOT_AFTER_LENGTH
 _RULES = _RULES.ravel()
+_ALLOWED = np.zeros((5, 2, 2), dtype=bool)
+_ALLOWED[_ALWAYS] = True
+_ALLOWED[_AT_TOP, 0] = True
+_ALLOWED[_NESTED, 1] = True
+_ALLOWED[_NOT_AFTER_LENGTH, :, 0] = True
+_ALLOWED = _ALLOWED.ravel()
 
 # Byte classes: whitespace is 0, structural characters are their token
 # kind, quotes and comment brackets are _QUOTING, and everything else
@@ -98,6 +117,7 @@ _BYTE_KIND = np.full(256, _LABEL, dtype=np.uint8)
 for _char in LABEL_STOP:
     _BYTE_KIND[ord(_char)] = _STRUCTURAL.get(_char, 0)
 _BYTE_KIND[list(b"'[]")] = _QUOTING
+_MARK = (_BYTE_KIND == _SEMI) | (_BYTE_KIND == _QUOTING)
 _SEMI_BYTE = ord(";")
 # In memory order, byte k of _PAD[n] is 0xFF for k >= n and 0 otherwise.
 _PAD = np.frombuffer(b"".join(b"\0" * k + b"\xff" * (8 - k)
@@ -223,18 +243,16 @@ def _record_tokens(record: str) -> tuple[np.ndarray, list[str]]:
     return np.array(kinds, dtype=np.uint8), labels
 
 
-def _tokens(records: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                         np.ndarray, str | None]:
-    """Token kinds of every record, a text, the ``[start, end)`` byte
-    span in that text of each label token, in token order, and a
-    character no record holds (``None`` if they hold every one).
+def _tokens(records: list[str]) -> tuple[np.ndarray, str, np.ndarray,
+                                         np.ndarray, np.ndarray]:
+    """Token kinds of every record, a text as a string and as padded
+    UTF-8 bytes, and the ``[start, end)`` byte span in that text of each
+    label token, in token order.
 
-    The text is the records' UTF-8 bytes, then the unquoted labels of
-    records that hold quotes or comments, then 8 bytes of padding.
+    The text is the records, then the unquoted labels of records that
+    hold quotes or comments; 8 bytes of padding follow its bytes.
     """
     joined = "".join(records)
-    separator = next((char for char in map(chr, range(0x110000))
-                      if char not in joined), None)
     data = joined.encode("utf-8", "surrogatepass")
     sizes = list(map(len, records)) if len(data) == len(joined) else [
         len(record.encode("utf-8", "surrogatepass")) for record in records]
@@ -246,7 +264,7 @@ def _tokens(records: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     # A record is plain when its one ';', quote or comment bracket is the
     # ';' that ends it; its bytes are then classified one by one.
     byte_kinds = np.take(_BYTE_KIND, text)
-    marks = np.flatnonzero((byte_kinds == _SEMI) | (byte_kinds == _QUOTING))
+    marks = np.flatnonzero(np.take(_MARK, text))
     cuts = np.searchsorted(marks, bounds)
     # (An empty first record reads its last byte from the padding.)
     plain = (cuts[1:] - cuts[:-1] == 1) \
@@ -265,7 +283,7 @@ def _tokens(records: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         edges = np.concatenate(([0], edges))
     starts, ends = edges[0::2], edges[1::2]
     if all_plain:
-        return kinds, padded, starts, ends, separator
+        return kinds, joined, padded, starts, ends
 
     # Other records go through the parser's own tokenizer; their labels,
     # unquoted, are appended to the text and joined to the spans there.
@@ -273,7 +291,7 @@ def _tokens(records: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     token_cuts = np.searchsorted(np.flatnonzero(token), bounds[odd]).tolist()
     label_cuts = np.searchsorted(starts, bounds[odd]).tolist()
     kind_parts, start_parts, end_parts = [], [], []
-    extra: list[bytes] = []
+    names: list[str] = []
     token_at = label_at = 0
     for i, token_cut, label_cut in zip(odd.tolist(), token_cuts, label_cuts):
         record_kinds, labels = _record_tokens(records[i])
@@ -282,19 +300,20 @@ def _tokens(records: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         end_parts.append(ends[label_at:label_cut])
         start_parts.append(np.full(len(labels), -1, dtype=np.int64))
         end_parts.append(start_parts[-1])
-        extra += [name.encode("utf-8", "surrogatepass") for name in labels]
+        names += labels
         token_at, label_at = token_cut, label_cut
     kind_parts.append(kinds[token_at:])
     start_parts.append(starts[label_at:])
     end_parts.append(ends[label_at:])
     starts = np.concatenate(start_parts)
     ends = np.concatenate(end_parts)
+    extra = [name.encode("utf-8", "surrogatepass") for name in names]
     sizes = np.fromiter(map(len, extra), dtype=np.int64, count=len(extra))
     appended = starts < 0
     ends[appended] = len(data) + np.cumsum(sizes)
     starts[appended] = ends[appended] - sizes
-    return (np.concatenate(kind_parts), _padded(data + b"".join(extra)),
-            starts, ends, separator)
+    return (np.concatenate(kind_parts), joined + "".join(names),
+            _padded(data + b"".join(extra)), starts, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -371,23 +390,21 @@ def _intern(text: np.ndarray, starts: np.ndarray,
     return group, some
 
 
-def _strings(text: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-             separator: str | None) -> list[str]:
-    """The text of each span, decoded in one call and split on
-    ``separator``, a character no span holds."""
-    if not len(starts):
-        return []
-    sizes = ends - starts + 1  # each span and the byte after it
-    stops = np.cumsum(sizes)
-    picked = text[np.repeat(starts - stops + sizes, sizes)
-                  + np.arange(stops[-1])]
-    picked[stops - 1] = 0xFF  # never in UTF-8, so it marks the cuts
-    joined = picked[:-1].tobytes()
-    if separator is None:  # the records hold every character
-        return [piece.decode("utf-8", "surrogatepass")
-                for piece in joined.split(b"\xff")]
-    return joined.replace(b"\xff", separator.encode("utf-8", "surrogatepass")
-                          ).decode("utf-8", "surrogatepass").split(separator)
+def _strings(string: str, text: np.ndarray, starts: np.ndarray,
+             ends: np.ndarray) -> list[str]:
+    """Byte spans of the padded UTF-8 ``text`` as slices of ``string``,
+    the same text decoded.
+
+    A character is one UTF-8 lead byte and its continuation bytes
+    (0x80-0xBF; a lone surrogate under ``surrogatepass`` too), so a
+    byte offset less the continuation bytes before it is the character
+    offset.  When the text is ASCII the two offsets are one.
+    """
+    if len(string) + 8 < len(text):
+        follow = np.flatnonzero((text & 0xC0) == 0x80)
+        starts = starts - np.searchsorted(follow, starts)
+        ends = ends - np.searchsorted(follow, ends)
+    return [string[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +424,8 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
     readers do.
     """
     records = list(records)
-    kinds, text, label_starts, label_ends, separator = _tokens(records)
-    ends = np.flatnonzero((kinds == _SEMI) | (kinds == _END))
+    kinds, string, text, label_starts, label_ends = _tokens(records)
+    ends = np.flatnonzero(np.take(_LAST, kinds))
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
     record_tokens = ends - starts + 1
@@ -418,26 +435,25 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
     prev = np.empty_like(kinds)
     prev[1:] = kinds[:-1]
     prev[starts] = _START
+    pair = (prev << 3) | kinds
     is_label = kinds == _LABEL
-    leaf = is_label & np.take(_STARTS_SUBTREE, prev)
-    length = is_label & (prev == _COLON)
+    leaf = np.take(_LEAF, pair)
+    length = np.take(_LENGTH, pair)
     after_length = np.zeros_like(length)
     after_length[1:] = length[:-1]
     step = np.take(_STEP, kinds)
     depth = np.cumsum(step, dtype=np.int64)
     before = depth - step
     before -= np.repeat(before[starts], record_tokens)
-    rule = np.take(_RULES, (prev << 3) | kinds)
-    ok = (rule == _ALWAYS) | ((rule == _AT_TOP) & (before == 0)) \
-        | ((rule == _NESTED) & (before > 0)) \
-        | ((rule == _NOT_AFTER_LENGTH) & ~after_length)
+    ok = np.take(_ALLOWED, np.take(_RULES, pair) * 4 + (before > 0) * 2
+                 + after_length)
     bad = np.zeros(len(records), dtype=bool)
     bad[record_of[~ok]] = True
 
     if length.any():
         in_length = length[is_label]
-        lengths = _strings(text, label_starts[in_length],
-                           label_ends[in_length], separator)
+        lengths = _strings(string, text, label_starts[in_length],
+                           label_ends[in_length])
         try:
             list(map(float, lengths))
         except ValueError:
@@ -453,15 +469,14 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
     in_leaf = leaf[is_label]
     leaf_starts, leaf_ends = label_starts[in_leaf], label_ends[in_leaf]
     group, some = _intern(text, leaf_starts, leaf_ends)
-    names = _strings(text, leaf_starts[some], leaf_ends[some], separator)
+    names = _strings(string, text, leaf_starts[some], leaf_ends[some])
     ids = np.fromiter(namespace.indices(names), dtype=np.int64,
                       count=len(names))
     base = len(namespace)
     new = np.flatnonzero(ids < 0)
     fresh: list[str] = []
     if len(new):
-        first = np.full(len(names), len(group), dtype=np.int64)
-        np.minimum.at(first, group, np.arange(len(group)))
+        first = np.unique(group, return_index=True)[1]
         new = new[np.argsort(first[new])]
         ids[new] = np.arange(base, base + len(new))
         fresh = [names[i] for i in new.tolist()]

@@ -9,6 +9,7 @@ and bound its memory on long labels.
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 from hypothesis import example, given, settings
@@ -91,15 +92,40 @@ class TestAcrossRecords:
         assert ns.labels == want.labels
 
 
-def test_labels_decode_alike_without_a_free_separator():
-    # Records that hold every character leave no separator to split the
-    # decoded labels on; each label is then decoded on its own.
-    records = ["('it''s',\ud800,é,A\x00,'',x);", "(B:1.5,'日 本');"]
-    _, text, starts, ends, separator = _tokens(records)
-    assert separator == "\x01"
-    want = ["it's", "\ud800", "é", "A\x00", "", "x", "B", "1.5", "日 本"]
-    assert _strings(text, starts, ends, separator) == want
-    assert _strings(text, starts, ends, None) == want
+def test_labels_decode_alike():
+    # Byte spans become character spans of the decoded text: a lone
+    # surrogate is three bytes and one character, as is '日'.
+    records = ["(日本,\ud800b,é:2,x);", "('it''s',\ud800,é,A\x00,'',x);",
+               "(B:1.5,'日 本');"]
+    _, string, text, starts, ends = _tokens(records)
+    want = ["日本", "\ud800b", "é", "2", "x",
+            "it's", "\ud800", "é", "A\x00", "", "x", "B", "1.5", "日 本"]
+    assert _strings(string, text, starts, ends) == want
+
+
+def test_every_character_scans_in_linear_time():
+    # Each of the first 65,536 code points (lone surrogates and line
+    # breaks too), in one quoted label after a 1M-character label: a
+    # scan that searched the text once per code point would read it
+    # 65,536 times.
+    every = "".join(map(chr, range(0x10000)))
+    text = "(" + "\uffff" * 2 ** 20 + "," + format_label(every) + ");\n"
+    ns = TaxonNamespace()
+    t0 = time.perf_counter()
+    scan_newick_text(text, ns)
+    assert time.perf_counter() - t0 < 1.5
+    assert ns.labels == ["\uffff" * 2 ** 20, every]
+
+
+def test_every_label_character_alone():
+    bare = [chr(code) for code in range(0x10000)
+            if format_label(chr(code)) == chr(code) and not chr(code).isspace()]
+    text = "(" + ",".join(bare) + ");\n"
+    ns, want = TaxonNamespace(), TaxonNamespace()
+    scanned = scan_newick_text(text, ns)
+    trees_from_string(text, want)
+    assert ns.labels == want.labels == bare
+    assert scanned.taxa.tolist() == list(range(len(bare)))
 
 
 class TestLongLabels:
