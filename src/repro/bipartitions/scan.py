@@ -75,24 +75,16 @@ _START, _OPEN, _CLOSE, _COMMA, _SEMI, _COLON, _LABEL, _END = range(8)
 _STRUCTURAL = {"(": _OPEN, ")": _CLOSE, ",": _COMMA, ";": _SEMI, ":": _COLON}
 _STEP = np.zeros(8, dtype=np.int8)  # depth change
 _STEP[[_OPEN, _CLOSE]] = 1, -1
-_LAST = np.zeros(8, dtype=bool)  # the last token of a record
-_LAST[[_SEMI, _END]] = True
-
-# Tables on a token's kind and the kind before it, indexed by
-# prev << 3 | kind: a label is a leaf where a subtree may start, and a
-# branch length after ':'.
-_PAIRS = np.zeros((8, 8), dtype=bool)
-_LEAF = _PAIRS.copy()
+# _LEAF[prev << 3 | kind]: a label where a subtree may start is a leaf.
+_LEAF = np.zeros((8, 8), dtype=bool)
 _LEAF[[_START, _OPEN, _COMMA], _LABEL] = True
 _LEAF = _LEAF.ravel()
-_LENGTH = _PAIRS.copy()
-_LENGTH[_COLON, _LABEL] = True
-_LENGTH = _LENGTH.ravel()
 
-# The grammar: _RULES[prev << 3 | kind] says when a token may follow
-# the token before it, and _ALLOWED[rule << 2 | nested << 1 | after a
-# length] whether it does.  ',' and ')' need an open group, ';' none,
-# and ':' may not follow a branch length.
+# The grammar: _RULES[prev, kind] says when a token may follow the token
+# before it, and _ALLOWED[rule, nested, after a length] whether it does.
+# ',' and ')' need an open group, ';' none, and ':' may not follow a
+# branch length.  _GRAMMAR joins the two, indexed by prev << 5 |
+# kind << 2 | nested << 1 | after a length.
 _NEVER, _ALWAYS, _AT_TOP, _NESTED, _NOT_AFTER_LENGTH = range(5)
 _RULES = np.full((8, 8), _NEVER, dtype=np.uint8)
 _RULES[[_START, _OPEN, _COMMA], _OPEN] = _ALWAYS
@@ -101,13 +93,12 @@ _RULES[[_LABEL, _CLOSE], _SEMI] = _AT_TOP
 _RULES[[_LABEL, _CLOSE], _COMMA] = _NESTED
 _RULES[[_LABEL, _CLOSE], _CLOSE] = _NESTED
 _RULES[[_LABEL, _CLOSE], _COLON] = _NOT_AFTER_LENGTH
-_RULES = _RULES.ravel()
 _ALLOWED = np.zeros((5, 2, 2), dtype=bool)
 _ALLOWED[_ALWAYS] = True
 _ALLOWED[_AT_TOP, 0] = True
 _ALLOWED[_NESTED, 1] = True
 _ALLOWED[_NOT_AFTER_LENGTH, :, 0] = True
-_ALLOWED = _ALLOWED.ravel()
+_GRAMMAR = _ALLOWED[_RULES].ravel()
 
 # Byte classes: whitespace is 0, structural characters are their token
 # kind, quotes and comment brackets are _QUOTING, and everything else
@@ -117,7 +108,6 @@ _BYTE_KIND = np.full(256, _LABEL, dtype=np.uint8)
 for _char in LABEL_STOP:
     _BYTE_KIND[ord(_char)] = _STRUCTURAL.get(_char, 0)
 _BYTE_KIND[list(b"'[]")] = _QUOTING
-_MARK = (_BYTE_KIND == _SEMI) | (_BYTE_KIND == _QUOTING)
 _SEMI_BYTE = ord(";")
 # In memory order, byte k of _PAD[n] is 0xFF for k >= n and 0 otherwise.
 _PAD = np.frombuffer(b"".join(b"\0" * k + b"\xff" * (8 - k)
@@ -172,7 +162,7 @@ class ScannedTrees:
         if include_trivial:
             leaves = np.arange(n_leaves, dtype=np.int64)
             lo, hi = np.concatenate([lo, leaves]), np.concatenate([hi, leaves + 1])
-        tree = np.searchsorted(offsets, lo, side="right") - 1
+        tree = offsets.searchsorted(lo, side="right") - 1
         start, end = offsets[tree], offsets[tree + 1]
         size, n = hi - lo, end - start
         keep = size < n if include_trivial else (size >= 2) & (size <= n - 2)
@@ -181,20 +171,21 @@ class ScannedTrees:
         prefix = lo == start
         clo = np.where(prefix, hi, lo)[keep]
         chi = np.where(prefix, end, hi)[keep]
-        key = np.sort(clo * (n_leaves + 1) + chi)
+        key = clo * (n_leaves + 1) + chi
+        key.sort()
         distinct = np.ones(len(key), dtype=bool)
         distinct[1:] = key[1:] != key[:-1]
         key = key[distinct]
         clo, chi = np.divmod(key, n_leaves + 1)
-        tree = np.searchsorted(offsets, clo, side="right") - 1
+        tree = offsets.searchsorted(clo, side="right") - 1
 
         prefix_xor = self._prefix_xor(n_words)
-        words = np.take(prefix_xor, chi, axis=0)
-        words ^= np.take(prefix_xor, clo, axis=0)
+        words = prefix_xor.take(chi, axis=0)
+        words ^= prefix_xor.take(clo, axis=0)
         anchor = self._anchors()[tree]
         flip = (anchor < clo) | (anchor >= chi)
         leaf_sets = prefix_xor[offsets[1:]] ^ prefix_xor[offsets[:-1]]
-        np.bitwise_xor(words, np.take(leaf_sets, tree, axis=0), out=words,
+        np.bitwise_xor(words, leaf_sets.take(tree, axis=0), out=words,
                        where=flip[:, None])
         counts = np.bincount(tree, minlength=len(self)).astype(np.int64,
                                                                copy=False)
@@ -217,7 +208,7 @@ class ScannedTrees:
         if not len(self):
             return np.zeros(0, dtype=np.int64)
         lowest = np.minimum.reduceat(self.taxa, self.tree_offsets[:-1])
-        return np.flatnonzero(self.taxa == np.repeat(lowest, self.leaf_counts))
+        return (self.taxa == lowest.repeat(self.leaf_counts)).nonzero()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,22 +254,22 @@ def _tokens(records: list[str]) -> tuple[np.ndarray, str, np.ndarray,
 
     # A record is plain when its one ';', quote or comment bracket is the
     # ';' that ends it; its bytes are then classified one by one.
-    byte_kinds = np.take(_BYTE_KIND, text)
-    marks = np.flatnonzero(np.take(_MARK, text))
-    cuts = np.searchsorted(marks, bounds)
+    byte_kinds = _BYTE_KIND.take(text)
+    marks = ((byte_kinds == _SEMI) | (byte_kinds == _QUOTING)).nonzero()[0]
+    cuts = marks.searchsorted(bounds)
     # (An empty first record reads its last byte from the padding.)
     plain = (cuts[1:] - cuts[:-1] == 1) \
         & (padded[bounds[1:] - 1] == _SEMI_BYTE)
     all_plain = plain.all()
     if not all_plain:
-        byte_kinds[np.repeat(~plain, sizes)] = 0
+        byte_kinds[(~plain).repeat(sizes)] = 0
     label = byte_kinds == _LABEL
     token = byte_kinds != 0
     token[1:] &= ~(label[1:] & label[:-1])  # a run of label bytes is one token
-    kinds = np.compress(token, byte_kinds)
+    kinds = byte_kinds.compress(token)
     # Label runs start and end where the byte class changes; every plain
     # record ends with ';', so every run ends inside the text.
-    edges = np.flatnonzero(label[1:] != label[:-1]) + 1
+    edges = (label[1:] != label[:-1]).nonzero()[0] + 1
     if len(label) and label[0]:
         edges = np.concatenate(([0], edges))
     starts, ends = edges[0::2], edges[1::2]
@@ -287,9 +278,9 @@ def _tokens(records: list[str]) -> tuple[np.ndarray, str, np.ndarray,
 
     # Other records go through the parser's own tokenizer; their labels,
     # unquoted, are appended to the text and joined to the spans there.
-    odd = np.flatnonzero(~plain)
-    token_cuts = np.searchsorted(np.flatnonzero(token), bounds[odd]).tolist()
-    label_cuts = np.searchsorted(starts, bounds[odd]).tolist()
+    odd = (~plain).nonzero()[0]
+    token_cuts = token.nonzero()[0].searchsorted(bounds[odd]).tolist()
+    label_cuts = starts.searchsorted(bounds[odd]).tolist()
     kind_parts, start_parts, end_parts = [], [], []
     names: list[str] = []
     token_at = label_at = 0
@@ -310,7 +301,7 @@ def _tokens(records: list[str]) -> tuple[np.ndarray, str, np.ndarray,
     extra = [name.encode("utf-8", "surrogatepass") for name in names]
     sizes = np.fromiter(map(len, extra), dtype=np.int64, count=len(extra))
     appended = starts < 0
-    ends[appended] = len(data) + np.cumsum(sizes)
+    ends[appended] = len(data) + sizes.cumsum()
     starts[appended] = ends[appended] - sizes
     return (np.concatenate(kind_parts), joined + "".join(names),
             _padded(data + b"".join(extra)), starts, ends)
@@ -343,8 +334,8 @@ def _intern(text: np.ndarray, starts: np.ndarray,
             ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal label spans of ``text``.
 
-    Returns each span's group, numbered ``0..G-1``, and one span of
-    each group.  Spans are sorted by their first word; only spans
+    Returns each span's group, numbered ``0..G-1``, and the first span
+    of each group.  Spans are sorted by their first word; only spans
     still tied with another and not yet compared to their end are
     sorted again, by their next word within their group.  So the work
     and the memory are bounded by the total label bytes, however long
@@ -355,6 +346,7 @@ def _intern(text: np.ndarray, starts: np.ndarray,
     longest = int(sizes.max(initial=0))
     group = np.empty(n, dtype=np.int64)
     n_groups = 0
+    firsts = [np.zeros(0, dtype=np.int64)]
     active, at, left = np.arange(n), starts, sizes
     offset = 0
     while len(active):
@@ -364,15 +356,16 @@ def _intern(text: np.ndarray, starts: np.ndarray,
             order = np.lexsort((words, tied))
             tied = tied[order]
         else:
-            order = np.argsort(words)
+            order = words.argsort()
         active, words = active[order], words[order]
         head = np.ones(len(active), dtype=bool)
         head[1:] = words[1:] != words[:-1]
         if offset:
             head[1:] |= tied[1:] != tied[:-1]
-        rank = np.cumsum(head)
+        rank = head.cumsum()
         rank -= 1
         group[active] = rank + n_groups
+        firsts.append(np.minimum.reduceat(active, head.nonzero()[0]))
         n_groups += int(rank[-1]) + 1
         offset += 8
         if offset > longest:
@@ -380,14 +373,13 @@ def _intern(text: np.ndarray, starts: np.ndarray,
         active = active[(np.bincount(rank)[rank] > 1)
                         & (sizes[active] >= offset)]
         at, left = starts[active] + offset, sizes[active] - offset
+    first = np.concatenate(firsts)
     if offset > 8:  # groups split after the first word left gaps
         live = np.zeros(n_groups, dtype=bool)
         live[group] = True
-        n_groups = int(live.sum())
-        group = (np.cumsum(live) - 1)[group]
-    some = np.empty(n_groups, dtype=np.int64)
-    some[group] = np.arange(n)
-    return group, some
+        group = (live.cumsum() - 1)[group]
+        first = first[live]
+    return group, first
 
 
 def _strings(string: str, text: np.ndarray, starts: np.ndarray,
@@ -401,9 +393,9 @@ def _strings(string: str, text: np.ndarray, starts: np.ndarray,
     offset.  When the text is ASCII the two offsets are one.
     """
     if len(string) + 8 < len(text):
-        follow = np.flatnonzero((text & 0xC0) == 0x80)
-        starts = starts - np.searchsorted(follow, starts)
-        ends = ends - np.searchsorted(follow, ends)
+        follow = ((text & 0xC0) == 0x80).nonzero()[0]
+        starts = starts - follow.searchsorted(starts)
+        ends = ends - follow.searchsorted(ends)
     return [string[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
@@ -425,11 +417,11 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
     """
     records = list(records)
     kinds, string, text, label_starts, label_ends = _tokens(records)
-    ends = np.flatnonzero(np.take(_LAST, kinds))
-    starts = np.zeros_like(ends)
+    ends = ((kinds == _SEMI) | (kinds == _END)).nonzero()[0]
+    starts = np.zeros(len(ends), dtype=ends.dtype)
     starts[1:] = ends[:-1] + 1
     record_tokens = ends - starts + 1
-    record_of = np.repeat(np.arange(len(records)), record_tokens)
+    record_of = np.arange(len(records)).repeat(record_tokens)
 
     # The grammar as rules on (previous kind, kind, depth).
     prev = np.empty_like(kinds)
@@ -437,16 +429,18 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
     prev[starts] = _START
     pair = (prev << 3) | kinds
     is_label = kinds == _LABEL
-    leaf = np.take(_LEAF, pair)
-    length = np.take(_LENGTH, pair)
-    after_length = np.zeros_like(length)
+    leaf = _LEAF.take(pair)
+    length = is_label & (prev == _COLON)
+    after_length = np.zeros(len(length), dtype=bool)
     after_length[1:] = length[:-1]
-    step = np.take(_STEP, kinds)
-    depth = np.cumsum(step, dtype=np.int64)
+    step = _STEP.take(kinds)
+    depth = step.cumsum(dtype=np.int64)
     before = depth - step
-    before -= np.repeat(before[starts], record_tokens)
-    ok = np.take(_ALLOWED, np.take(_RULES, pair) * 4 + (before > 0) * 2
-                 + after_length)
+    before -= before[starts].repeat(record_tokens)
+    context = pair << 2
+    context |= (before > 0) * np.uint8(2)
+    context |= after_length
+    ok = _GRAMMAR.take(context)
     bad = np.zeros(len(records), dtype=bool)
     bad[record_of[~ok]] = True
 
@@ -457,7 +451,7 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
         try:
             list(map(float, lengths))
         except ValueError:
-            for at, value in zip(np.flatnonzero(length), lengths):
+            for at, value in zip(length.nonzero()[0], lengths):
                 try:
                     float(value)
                 except ValueError:
@@ -468,16 +462,15 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
     # as TaxonNamespace.require numbers them.
     in_leaf = leaf[is_label]
     leaf_starts, leaf_ends = label_starts[in_leaf], label_ends[in_leaf]
-    group, some = _intern(text, leaf_starts, leaf_ends)
-    names = _strings(string, text, leaf_starts[some], leaf_ends[some])
+    group, first = _intern(text, leaf_starts, leaf_ends)
+    names = _strings(string, text, leaf_starts[first], leaf_ends[first])
     ids = np.fromiter(namespace.indices(names), dtype=np.int64,
                       count=len(names))
     base = len(namespace)
-    new = np.flatnonzero(ids < 0)
+    new = (ids < 0).nonzero()[0]
     fresh: list[str] = []
     if len(new):
-        first = np.unique(group, return_index=True)[1]
-        new = new[np.argsort(first[new])]
+        new = new[first[new].argsort()]
         ids[new] = np.arange(base, base + len(new))
         fresh = [names[i] for i in new.tolist()]
     taxa = ids[group]
@@ -485,12 +478,13 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
     if "" in names:  # '' names no taxon
         bad[leaf_record[group == names.index("")]] = True
     n_ids = max(1, base + len(new))
-    keys = np.sort(leaf_record * n_ids + taxa)
+    keys = leaf_record * n_ids + taxa
+    keys.sort()
     bad[keys[1:][keys[1:] == keys[:-1]] // n_ids] = True
 
     if bad.any():
         first_bad = int(np.argmax(bad))
-        seen = taxa[:np.searchsorted(leaf_record, first_bad)]
+        seen = taxa[:leaf_record.searchsorted(first_bad)]
         known = int(seen.max()) + 1 - base if len(seen) else 0
         for label in fresh[:max(0, known)]:
             namespace.require(label)
@@ -501,7 +495,7 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
     # All records are valid, so every one starts and ends at depth 0.
     # At one depth opens and closes alternate, so sorting them by
     # (depth, position) pairs each open with the close after it.
-    parens = np.flatnonzero(step)
+    parens = step.nonzero()[0]
     level = depth[parens]
     level += kinds[parens] == _CLOSE
     shift = len(kinds).bit_length()
@@ -515,12 +509,12 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
         order = np.lexsort((parens, level))
         level, parens = level[order], parens[order]
     nonroot = level[0::2] > 1
-    leaves_upto = np.cumsum(leaf)  # at a paren: the leaves before it
+    leaves_upto = leaf.cumsum()  # at a paren: the leaves before it
     lo = leaves_upto[parens[0::2][nonroot]]
     hi = leaves_upto[parens[1::2][nonroot]]
     tree_offsets = np.zeros(len(records) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(leaf_record, minlength=len(records)),
-              out=tree_offsets[1:])
+    np.bincount(leaf_record, minlength=len(records)).cumsum(
+        out=tree_offsets[1:])
     if _obs_enabled():
         _metric("newick.trees_parsed").inc(len(records))
     return ScannedTrees(taxa, tree_offsets, lo, hi)
