@@ -438,7 +438,7 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
     before = depth - step
     before -= before[starts].repeat(record_tokens)
     context = pair << 2
-    context |= (before > 0) * np.uint8(2)
+    context |= (before > 0).view(np.uint8) << 1
     context |= after_length
     ok = _GRAMMAR.take(context)
     bad = np.zeros(len(records), dtype=bool)
