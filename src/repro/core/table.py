@@ -266,17 +266,13 @@ class BipartitionTable:
         order = np.lexsort(self.keys.T[::-1])
         return self.keys[order], self.counts[order]
 
-    def to_counts(self) -> dict[int, int]:
-        """The frequency dict (the store's in-memory overlay form)."""
-        return dict(zip(self.masks(), self.counts.tolist()))
-
     def to_bfh(self):
         """Materialize as a dict-backed hash (verification aid)."""
         from repro.hashing.bfh import BipartitionFrequencyHash
 
         return BipartitionFrequencyHash.from_counts(
-            self.to_counts(), self.n_trees, total=self.total,
-            include_trivial=self.include_trivial)
+            dict(zip(self.masks(), self.counts.tolist())), self.n_trees,
+            total=self.total, include_trivial=self.include_trivial)
 
     def vectorized(self, *, transform=None):
         """A :class:`~repro.core.vectorized.VectorizedBFH` probing this

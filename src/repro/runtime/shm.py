@@ -329,21 +329,6 @@ class SharedBFH:
                              include_trivial=self.include_trivial,
                              transform=transform)
 
-    def table(self, n_taxa: int) -> "BipartitionTable":
-        """The segment as a :class:`~repro.core.table.BipartitionTable`
-        (zero-copy views; ``n_taxa`` must match the packed key width)."""
-        from repro.core.table import BipartitionTable
-
-        return BipartitionTable(self.keys, self.freqs, n_taxa=n_taxa,
-                                n_trees=self.n_trees, total=self.total,
-                                include_trivial=self.include_trivial)
-
-    def masks(self) -> list[int]:
-        """The stored bipartition masks as Python ints, in segment order."""
-        from repro.core.table import words_to_masks
-
-        return words_to_masks(self.keys)
-
     def frequency(self, mask: int) -> int:
         """Reference-tree count for one mask (0 when absent) — probe path."""
         from repro.core.table import masks_to_words
@@ -353,13 +338,7 @@ class SharedBFH:
 
     def to_bfh(self) -> "BipartitionFrequencyHash":
         """Reconstruct the dict-backed hash (round-trip / verification aid)."""
-        from repro.hashing.bfh import BipartitionFrequencyHash
-
-        counts = {mask: int(freq)
-                  for mask, freq in zip(self.masks(), self.freqs)}
-        return BipartitionFrequencyHash.from_counts(
-            counts, self.n_trees, total=self.total,
-            include_trivial=self.include_trivial)
+        return self.vectorized().table(64 * self.n_words).to_bfh()
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -49,7 +49,7 @@ an 8-byte magic + fingerprint header.  Each record::
     crc     u32  CRC-32 of op + payload
 
 Add/remove payloads carry one tree's normalized masks (`n_taxa u32,
-n_masks u32, packed masks, [n_masks f64 lengths]`); extend-ns payloads
+n_masks u32, packed masks in ascending order, [n_masks f64 lengths]`); extend-ns payloads
 carry new labels, NUL-separated UTF-8.  The framing makes torn tails
 (interrupted appends) distinguishable from corruption: a record whose
 declared bytes run past EOF is *torn* and recoverable by truncation; a
@@ -62,6 +62,7 @@ import hashlib
 import os
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -129,19 +130,12 @@ def namespace_fingerprint(labels: list[str]) -> bytes:
 
 @dataclass
 class SnapshotData:
-    """One decoded shard snapshot."""
+    """One decoded shard snapshot: its probe-order table, and whence."""
 
-    counts: dict[int, int]
-    weights: dict[int, list[float]] | None
-    n_taxa: int
+    table: BipartitionTable
     fingerprint: bytes
-    include_trivial: bool
-    weighted: bool
     version: int = SNAPSHOT_VERSION
     codec: str = "raw-u64"
-    keys_bytes: int = 0
-    counts_bytes: int = 0
-    weights_bytes: int = 0
 
 
 def _snapshot_flags(include_trivial: bool, weighted: bool) -> int:
@@ -257,12 +251,8 @@ def read_snapshot(path: str | Path) -> SnapshotData:
         raise StoreCorruptError(
             f"snapshot {path}: codec decoded {len(table)} entries, header "
             f"declares {entries}")
-    return SnapshotData(
-        counts=table.to_counts(), weights=table.weights, n_taxa=n_taxa,
-        fingerprint=fingerprint, include_trivial=include_trivial,
-        weighted=weighted, version=version, codec=spec.name,
-        keys_bytes=keys_len, counts_bytes=counts_len,
-        weights_bytes=weights_len)
+    return SnapshotData(table=table, fingerprint=fingerprint,
+                        version=version, codec=spec.name)
 
 
 def snapshot_sections(path: str | Path) -> dict:
@@ -355,38 +345,43 @@ def encode_record(op: int, payload: bytes) -> bytes:
     return _RECORD_HEADER.pack(op, len(payload)) + payload + _CRC.pack(crc)
 
 
-def encode_tree_payload(masks: list[int], n_taxa: int,
-                        lengths: list[float] | None = None) -> bytes:
-    """One tree's (sorted) masks — and, for weighted stores, lengths."""
-    n_words = words_for_taxa(n_taxa)
-    order = sorted(range(len(masks)), key=masks.__getitem__)
-    parts = [struct.pack("<II", n_taxa, len(masks))]
-    parts.extend(pack_key(masks[i], n_words) for i in order)
+def encode_tree_payload(rows: np.ndarray, n_taxa: int,
+                        lengths: Sequence[float] | None = None) -> bytes:
+    """One tree's split rows (:func:`~repro.core.table.masks_to_words`
+    at ``n_taxa``) sorted as masks, each laid out as :func:`pack_key`
+    lays out its mask, and, for weighted stores, lengths in that order."""
+    order = np.lexsort(rows.T[::-1])
+    parts = [struct.pack("<II", n_taxa, len(rows)),
+             rows[order][:, ::-1].astype("<u8").tobytes()]
     if lengths is not None:
-        parts.append(struct.pack(f"<{len(masks)}d",
-                                 *(lengths[i] for i in order)))
+        parts.append(np.asarray(lengths, dtype="<f8")[order].tobytes())
     return b"".join(parts)
 
 
 def decode_tree_payload(payload: bytes, *, weighted: bool
-                        ) -> tuple[list[int], list[float] | None, int]:
-    """Inverse of :func:`encode_tree_payload`: (masks, lengths, n_taxa)."""
+                        ) -> tuple[np.ndarray, list[float] | None, int]:
+    """Inverse of :func:`encode_tree_payload`: ``(rows, lengths, n_taxa)``,
+    rows in ascending mask order; a mask past ``n_taxa`` bits is corrupt."""
     if len(payload) < 8:
         raise StoreCorruptError("tree record payload is shorter than its header")
     n_taxa, n_masks = struct.unpack_from("<II", payload)
     n_words = words_for_taxa(n_taxa)
-    key_bytes = n_words * 8
-    expected = 8 + n_masks * key_bytes + (n_masks * 8 if weighted else 0)
+    key_bytes = n_masks * n_words * 8
+    expected = 8 + key_bytes + (n_masks * 8 if weighted else 0)
     if len(payload) != expected:
         raise StoreCorruptError(
             f"tree record payload is {len(payload)} bytes, expected {expected}")
-    masks = [unpack_key(payload[8 + i * key_bytes: 8 + (i + 1) * key_bytes])
-             for i in range(n_masks)]
+    rows = np.frombuffer(payload, dtype="<u8", count=n_masks * n_words,
+                         offset=8).reshape(n_masks, n_words)[:, ::-1]
+    spare = 64 * n_words - n_taxa  # bits of the top word past n_taxa
+    if spare and (rows[:, 0] >> np.uint64(64 - spare)).any():
+        raise StoreCorruptError(
+            f"tree record mask exceeds its {n_taxa}-taxon namespace")
     lengths = None
     if weighted:
-        lengths = list(struct.unpack_from(f"<{n_masks}d", payload,
-                                          8 + n_masks * key_bytes))
-    return masks, lengths, n_taxa
+        lengths = np.frombuffer(payload, dtype="<f8", count=n_masks,
+                                offset=8 + key_bytes).tolist()
+    return np.ascontiguousarray(rows, dtype=np.uint64), lengths, n_taxa
 
 
 def encode_labels_payload(labels: list[str]) -> bytes:

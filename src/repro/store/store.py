@@ -9,8 +9,11 @@ A store is one directory::
       journal-000002.log         append-only deltas since compaction
 
 State at any moment = (shard snapshots at the manifest's generation)
-⊕ (journal records in order).  ``add_trees`` / ``remove_trees`` append
-fsync'd journal records and apply the same delta in memory; ``compact``
+⊕ (journal records in order).  In memory that state is one
+:class:`~repro.core.table.BipartitionTable`: keys in probe order,
+counts, and (weighted stores) sorted branch-length multisets.
+``add_trees`` / ``remove_trees`` append fsync'd journal records and
+merge the same delta into a new table; ``compact``
 folds the journal into a fresh generation of snapshots and an empty
 journal, with the manifest replace as the single atomic commit — a crash
 anywhere leaves either the old generation (journal intact) or the new
@@ -35,10 +38,13 @@ import os
 import time
 from bisect import bisect_left, insort
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import groupby
 from pathlib import Path
 
-from repro.core.bfhrf import bfhrf_average_rf
-from repro.core.table import BipartitionTable, default_codec_name, get_codec
+import numpy as np
+
+from repro.core.table import BipartitionTable, default_codec_name, \
+    get_codec, masks_to_words, probe_order, words_to_masks
 from repro.hashing.bfh import BipartitionFrequencyHash
 from repro.hashing.weighted import WeightedBipartitionHash
 from repro.observability.metrics import counter as _metric, gauge as _gauge, \
@@ -62,10 +68,12 @@ from repro.store.format import (
     read_journal,
     read_snapshot,
     snapshot_sections,
+    words_for_taxa,
     write_snapshot,
 )
 from repro.store.shards import parallel_build_tables, partition_rows
 from repro.bipartitions.extract import bipartition_masks, bipartitions_with_lengths
+from repro.runtime.shm import SharedBFH
 from repro.trees.taxon import TaxonNamespace
 from repro.trees.tree import Tree
 from repro.util.errors import StoreCorruptError, StoreError
@@ -84,6 +92,53 @@ def _journal_name(generation: int) -> str:
     return f"journal-{generation:06d}.log"
 
 
+def _widen(keys: np.ndarray, n_words: int) -> np.ndarray:
+    """Rows at ``n_words`` words.  Widening prepends zero words, which
+    keeps probe order: every row then ties on the new leading words."""
+    if keys.shape[1] == n_words:
+        return keys
+    wide = np.zeros((len(keys), n_words), dtype=np.uint64)
+    wide[:, n_words - keys.shape[1]:] = keys
+    return wide
+
+
+def _at_width(table: BipartitionTable, n_taxa: int) -> BipartitionTable:
+    """``table`` packed for ``n_taxa`` taxa, sharing its arrays when the
+    word width is unchanged."""
+    if n_taxa == table.n_taxa:
+        return table
+    return BipartitionTable(
+        _widen(table.keys, words_for_taxa(n_taxa)), table.counts,
+        n_taxa=n_taxa, n_trees=table.n_trees, total=table.total,
+        include_trivial=table.include_trivial, weights=table.weights)
+
+
+def _merge_weights(weights: dict[int, list[float]], rows: np.ndarray,
+                   lengths: list[float], *, remove: bool
+                   ) -> dict[int, list[float]]:
+    """``weights`` with one branch length added or removed per row, as a
+    new dict: every multiset it changes is a new list."""
+    out, copied = dict(weights), set()
+    for mask, length in zip(words_to_masks(rows), lengths):
+        if mask not in copied:
+            copied.add(mask)
+            out[mask] = list(out.get(mask, ()))
+        held = out[mask]
+        if not remove:
+            insort(held, length)
+            continue
+        i = bisect_left(held, length)
+        if held[i:i + 1] != [length]:
+            raise StoreError(
+                f"split {mask:#x} has no stored branch length "
+                f"{length!r}; removing a tree that was never added")
+        del held[i]
+    for mask in copied:
+        if not out[mask]:
+            del out[mask]
+    return out
+
+
 class BFHStore:
     """A BFH that survives across runs and absorbs reference-set deltas.
 
@@ -99,11 +154,9 @@ class BFHStore:
         self.weighted = weighted
         self.generation = 0
         self._labels: list[str] = []
-        self._base_labels = 0          # labels baked into the manifest
-        self._counts: dict[int, int] = {}
-        self._weights: dict[int, list[float]] = {}  # sorted multisets
-        self.n_trees = 0
-        self.total = 0
+        self._table = BipartitionTable.from_counts(
+            {}, n_taxa=0, n_trees=0, include_trivial=include_trivial,
+            weights={} if weighted else None)
         self.snapshot_trees = 0        # n_trees as of the last compaction
         self.journal_records = 0
         self.recovered = False         # open() dropped a torn journal tail
@@ -117,6 +170,19 @@ class BFHStore:
         # an explicit migrate() — compaction never silently changes a
         # store's on-disk format.
         self.snapshot_codec: str = default_codec_name()
+
+    @property
+    def n_trees(self) -> int:
+        return self._table.n_trees
+
+    @property
+    def total(self) -> int:
+        return self._table.total
+
+    def _commit(self, table: BipartitionTable) -> None:
+        """Make ``table`` the state, frozen: handed-out tables share it."""
+        table.keys.flags.writeable = table.counts.flags.writeable = False
+        self._table = table
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -173,17 +239,13 @@ class BFHStore:
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreCorruptError(
                 f"{manifest_path}: manifest is malformed ({exc!r})") from exc
-        store._base_labels = len(store._labels)
         if fingerprint != namespace_fingerprint(store._labels):
             raise StoreCorruptError(
                 f"{root}: manifest fingerprint does not match its labels")
-        store.n_trees = store.snapshot_trees
         with trace("store.open", shards=len(store._shards)) as span:
-            for entry in store._shards:
-                store._load_shard(root / entry["file"], fingerprint)
-            store.total = sum(store._counts.values())
+            store._commit(store._load_shards(fingerprint))
             store._replay_journal(root / journal_name, fingerprint)
-            span.set(trees=store.n_trees, unique=len(store._counts),
+            span.set(trees=store.n_trees, unique=len(store),
                      journal_records=store.journal_records)
         return store
 
@@ -194,56 +256,74 @@ class BFHStore:
             _gauge("store.journal_tail_bytes").set(
                 max(0, self._journal_good_offset - JOURNAL_HEADER_SIZE))
 
-    def _load_shard(self, path: Path, fingerprint: bytes) -> None:
+    def _load_shard(self, path: Path, fingerprint: bytes) -> BipartitionTable:
         t0 = time.perf_counter()
         data: SnapshotData = read_snapshot(path)
         if data.fingerprint != fingerprint:
             raise StoreCorruptError(
                 f"shard {path} belongs to a different namespace generation")
-        if data.include_trivial != self.include_trivial or \
-                data.weighted != self.weighted:
+        if data.table.include_trivial != self.include_trivial or \
+                data.table.weighted != self.weighted:
             raise StoreCorruptError(
                 f"shard {path} flags disagree with the manifest")
-        overlap = self._counts.keys() & data.counts.keys()
-        if overlap:
-            raise StoreCorruptError(
-                f"shard {path} overlaps a sibling shard's key range")
         # Snapshots are self-describing: keep writing whatever format the
         # store is already in (v1 stays v1 until an explicit migrate()).
         self.snapshot_codec = "v1" if data.version == 1 else data.codec
-        self._counts.update(data.counts)
-        if self.weighted:
-            for mask, lengths in (data.weights or {}).items():
-                self._weights[mask] = list(lengths)
         if _obs_enabled():
             _histogram("store.shard_load_seconds").observe(
                 time.perf_counter() - t0)
+        return data.table
 
-    def _apply_record(self, record, path: Path) -> None:
-        """Apply one decoded journal record to the in-memory tables."""
-        if record.op == OP_EXTEND_NS:
-            self._labels.extend(decode_labels_payload(record.payload))
-            return
-        masks, lengths, n_taxa = decode_tree_payload(
-            record.payload, weighted=self.weighted)
-        if n_taxa > len(self._labels):
-            raise StoreCorruptError(
-                f"journal {path}: record packed for {n_taxa} taxa but "
-                f"only {len(self._labels)} labels are known")
-        limit = 1 << n_taxa if n_taxa else 1
-        if any(mask >= limit for mask in masks):
-            raise StoreCorruptError(
-                f"journal {path}: record mask exceeds its {n_taxa}-taxon "
-                "namespace")
-        if record.op == OP_ADD:
-            self._apply_add(masks, lengths)
-        else:
+    def _load_shards(self, fingerprint: bytes) -> BipartitionTable:
+        """The compacted state: every shard's rows in one probe-order
+        table.  Shards cover disjoint key ranges, so a key in two of them
+        (two equal rows, adjacent once sorted) is corruption."""
+        n_taxa = len(self._labels)
+        tables = [_at_width(table, n_taxa) for table in [self._table] + [
+            self._load_shard(self.path / entry["file"], fingerprint)
+            for entry in self._shards]]  # the empty state, then the shards
+        keys = np.concatenate([t.keys for t in tables])
+        counts = np.concatenate([t.counts for t in tables])
+        if len(tables) > 2:
+            order = probe_order(keys)
+            keys, counts = keys[order], counts[order]
+            if (keys[1:] == keys[:-1]).all(axis=1).any():
+                raise StoreCorruptError(
+                    f"{self.path}: a key lies in two shards' key ranges")
+        weights = None
+        if self.weighted:
+            weights = {mask: lengths for t in tables
+                       for mask, lengths in t.weights.items()}
+        return BipartitionTable(
+            keys, counts, n_taxa=n_taxa, n_trees=self.snapshot_trees,
+            total=int(counts.sum()), include_trivial=self.include_trivial,
+            weights=weights)
+
+    def _apply_records(self, records, path: Path) -> None:
+        """Apply decoded journal records in order; each run of
+        consecutive same-op tree records is one merge."""
+        for op, run in groupby(records, key=lambda record: record.op):
+            if op == OP_EXTEND_NS:
+                for record in run:
+                    self._labels.extend(decode_labels_payload(record.payload))
+                continue
+            trees = []
+            for record in run:
+                rows, lengths, n_taxa = decode_tree_payload(
+                    record.payload, weighted=self.weighted)
+                if n_taxa > len(self._labels):
+                    raise StoreCorruptError(
+                        f"journal {path}: record packed for {n_taxa} taxa "
+                        f"but only {len(self._labels)} labels are known")
+                trees.append((rows, lengths))
             try:
-                self._apply_remove(masks, lengths)
+                self._commit(self._merge(trees, n_taxa=len(self._labels),
+                                         remove=op == OP_REMOVE))
             except StoreError as exc:
                 raise StoreCorruptError(
                     f"journal {path}: replay failed ({exc}) — "
                     "frequencies would be silently wrong") from exc
+        self._commit(_at_width(self._table, len(self._labels)))
 
     def _replay_journal(self, path: Path, fingerprint: bytes) -> None:
         t0 = time.perf_counter()
@@ -257,8 +337,7 @@ class BFHStore:
         self._journal_path = path
         self._journal_good_offset = good_offset
         self.recovered = torn
-        for record in records:
-            self._apply_record(record, path)
+        self._apply_records(records, path)
         self.journal_records = len(records)
         if _obs_enabled():
             _histogram("store.journal_replay_seconds").observe(
@@ -316,8 +395,7 @@ class BFHStore:
             raise StoreError(
                 f"journal {path} is gone — the store was compacted by "
                 "another process; reopen it") from None
-        for record in records:
-            self._apply_record(record, path)
+        self._apply_records(records, path)
         self._journal_good_offset = good_offset
         self.journal_records += len(records)
         if records and _obs_enabled():
@@ -349,9 +427,8 @@ class BFHStore:
         return namespace_fingerprint(self._labels)
 
     def _sync_namespace(self, ns: TaxonNamespace,
-                        against: list[str] | None = None) -> list[str]:
+                        known: list[str]) -> list[str]:
         """Validate index-stability against ``ns``; return new labels."""
-        known = self._labels if against is None else against
         labels = ns.labels
         n_shared = min(len(labels), len(known))
         for i in range(n_shared):
@@ -365,54 +442,58 @@ class BFHStore:
 
     # -- deltas --------------------------------------------------------------
 
-    def _tree_tables(self, tree: Tree) -> tuple[list[int], list[float] | None]:
+    def _merge(self, run: list[tuple[np.ndarray, list[float] | None]], *,
+               n_taxa: int, remove: bool) -> BipartitionTable:
+        """The state with a batch of trees (each one's split rows and
+        branch lengths) added or removed, as a new table: the batch's
+        probe-ordered keys are found in the state's with ``searchsorted``,
+        held keys gain or lose their count, new keys are inserted in place
+        and keys that reach 0 go.  A removal raises :class:`StoreError`
+        unless every key (and branch length) is held often enough."""
+        state = self._table
+        n_words = words_for_taxa(n_taxa)
+        rows = np.concatenate([np.zeros((0, n_words), dtype=np.uint64)]
+                              + [_widen(r, n_words) for r, _ in run])
+        if remove and len(run) > state.n_trees:
+            raise StoreError(f"store holds {state.n_trees} trees; removing "
+                             f"{len(run)} would leave it less than empty")
+        delta = BipartitionTable.from_rows(rows, n_taxa=n_taxa,
+                                           n_trees=len(run))
+        keys = _widen(state.keys, n_words)
+        have, want = (k.view(np.dtype((np.void, 8 * n_words))).ravel()
+                      for k in (keys, delta.keys))  # one item per row
+        pos = np.searchsorted(have, want)
+        found = pos < len(have)
+        found[found] = have[pos[found]] == want[found]
+        counts = state.counts.copy()
+        if remove:
+            short = ~found
+            short[found] = counts[pos[found]] < delta.counts[found]
+            if short.any():
+                mask = words_to_masks(delta.keys[short][:1])[0]
+                raise StoreError(f"split {mask:#x} is held too few times; "
+                                 "removing a tree that was never added")
+            counts[pos] -= delta.counts
+            kept = counts > 0
+            have, counts = have[kept], counts[kept]
+        else:
+            counts[pos[found]] += delta.counts[found]
+            new = ~found
+            # Whole rows move as single void items: ten times faster.
+            have = np.insert(have, pos[new], want[new])
+            counts = np.insert(counts, pos[new], delta.counts[new])
+        keys = have.view(np.uint64).reshape(-1, n_words)
+        weights = state.weights
         if self.weighted:
-            table = bipartitions_with_lengths(
-                tree, include_trivial=self.include_trivial)
-            masks = list(table)
-            return masks, [table[m] for m in masks]
-        return list(bipartition_masks(
-            tree, include_trivial=self.include_trivial)), None
-
-    def _apply_add(self, masks: Sequence[int],
-                   lengths: Sequence[float] | None) -> None:
-        counts = self._counts
-        for mask in masks:
-            counts[mask] = counts.get(mask, 0) + 1
-        if self.weighted and lengths is not None:
-            for mask, length in zip(masks, lengths):
-                insort(self._weights.setdefault(mask, []), length)
-        self.total += len(masks)
-        self.n_trees += 1
-
-    def _apply_remove(self, masks: Sequence[int],
-                      lengths: Sequence[float] | None) -> None:
-        if self.n_trees <= 0:
-            raise StoreError("store is empty; nothing to remove")
-        counts = self._counts
-        for mask in masks:
-            freq = counts.get(mask, 0)
-            if freq <= 0:
-                raise StoreError(
-                    f"split {mask:#x} has frequency 0; removing a tree that "
-                    "was never added")
-            if freq == 1:
-                del counts[mask]
-            else:
-                counts[mask] = freq - 1
-        if self.weighted and lengths is not None:
-            for mask, length in zip(masks, lengths):
-                entry = self._weights.get(mask)
-                idx = bisect_left(entry, length) if entry else 0
-                if not entry or idx >= len(entry) or entry[idx] != length:
-                    raise StoreError(
-                        f"split {mask:#x} has no stored branch length "
-                        f"{length!r}; removing a tree that was never added")
-                entry.pop(idx)
-                if not entry:
-                    del self._weights[mask]
-        self.total -= len(masks)
-        self.n_trees -= 1
+            weights = _merge_weights(
+                weights, rows, [x for _, lengths in run for x in lengths],
+                remove=remove)
+        sign = -1 if remove else 1
+        return BipartitionTable(
+            keys, counts, n_taxa=n_taxa,
+            n_trees=state.n_trees + sign * delta.n_trees,
+            total=state.total + sign * delta.total,
+            include_trivial=self.include_trivial, weights=weights)
 
     def _append_records(self, blobs: Iterable[bytes]) -> None:
         """Durably append encoded records, truncating any torn tail first."""
@@ -439,127 +520,84 @@ class BFHStore:
         namespace (an ``extend-ns`` record) without touching existing
         bit assignments.
         """
-        trees = list(trees)
-        if not trees:
-            return 0
-        with trace("store.add", trees=len(trees)) as span:
-            # Validate and encode the whole batch against a *pending* copy
-            # of the namespace; nothing in self mutates until the journal
-            # append commits, so a namespace conflict on a later tree (or
-            # an append failure) leaves the store exactly as it was.
-            blobs: list[bytes] = []
-            staged: list[tuple[list[int], list[float] | None]] = []
-            pending_labels = list(self._labels)
-            for tree in trees:
-                new_labels = self._sync_namespace(
-                    tree.taxon_namespace, pending_labels)
-                if new_labels:
-                    blobs.append(encode_record(
-                        OP_EXTEND_NS, encode_labels_payload(new_labels)))
-                    pending_labels.extend(new_labels)
-                masks, lengths = self._tree_tables(tree)
-                blobs.append(encode_record(OP_ADD, encode_tree_payload(
-                    masks, len(pending_labels), lengths)))
-                staged.append((masks, lengths))
-            self._append_records(blobs)
-            self._labels = pending_labels
-            for masks, lengths in staged:
-                self._apply_add(masks, lengths)
-            self.journal_records += len(blobs)
-            span.set(r=self.n_trees, unique=len(self._counts))
-        if _obs_enabled():
-            _metric("store.journal_records").inc(len(blobs))
-            _metric("store.trees_added").inc(len(trees))
-        self._record_journal_tail()
-        return len(trees)
+        return self._change(trees, remove=False)
 
     def remove_trees(self, trees: Iterable[Tree]) -> int:
         """Un-count previously added trees; returns how many were removed.
 
-        The whole batch is validated against the current frequencies
+        The whole batch is checked against the current frequencies
         before anything is journaled, so a bad batch (a tree that was
         never added) raises :class:`StoreError` and changes nothing.
         """
+        return self._change(trees, remove=True)
+
+    def _change(self, trees: Iterable[Tree], *, remove: bool) -> int:
         trees = list(trees)
         if not trees:
             return 0
-        with trace("store.remove", trees=len(trees)) as span:
-            staged: list[tuple[list[int], list[float] | None]] = []
-            sim_counts: dict[int, int] = {}
-            sim_weights: dict[int, list[float]] = {}
-            sim_trees = self.n_trees
+        verb = "remove" if remove else "add"
+        with trace(f"store.{verb}", trees=len(trees)) as span:
+            # Validate, encode and merge the whole batch against a
+            # *pending* copy of the namespace; nothing in self mutates
+            # until the journal append commits, so a bad tree late in
+            # the batch (or an append failure) leaves the store exactly
+            # as it was.
+            blobs: list[bytes] = []
+            run = []
+            labels = list(self._labels)
             for tree in trees:
-                self._sync_namespace(tree.taxon_namespace)
-                if sim_trees <= 0:
-                    raise StoreError("store is empty; nothing to remove")
-                sim_trees -= 1
-                masks, lengths = self._tree_tables(tree)
-                for mask in masks:
-                    avail = sim_counts.get(mask, self._counts.get(mask, 0))
-                    if avail <= 0:
-                        raise StoreError(
-                            f"split {mask:#x} has frequency 0; removing a "
-                            "tree that was never added")
-                    sim_counts[mask] = avail - 1
-                if self.weighted:
-                    for mask, length in zip(masks, lengths):
-                        entry = sim_weights.setdefault(
-                            mask, list(self._weights.get(mask, [])))
-                        idx = bisect_left(entry, length)
-                        if idx >= len(entry) or entry[idx] != length:
-                            raise StoreError(
-                                f"split {mask:#x} has no stored branch "
-                                f"length {length!r}; removing a tree that "
-                                "was never added")
-                        entry.pop(idx)
-                staged.append((masks, lengths))
-            blobs = [encode_record(OP_REMOVE, encode_tree_payload(
-                masks, len(self._labels), lengths))
-                for masks, lengths in staged]
+                new_labels = self._sync_namespace(tree.taxon_namespace, labels)
+                if new_labels and not remove:
+                    blobs.append(encode_record(
+                        OP_EXTEND_NS, encode_labels_payload(new_labels)))
+                    labels.extend(new_labels)
+                splits = (bipartitions_with_lengths if self.weighted else
+                          bipartition_masks)(
+                    tree, include_trivial=self.include_trivial)
+                lengths = list(splits.values()) if self.weighted else None
+                try:
+                    rows = masks_to_words(list(splits),
+                                          words_for_taxa(len(labels)))
+                except ValueError:  # a split past the store's key width
+                    raise StoreError("tree has taxa the store does not "
+                                     "hold; removing a tree that was never "
+                                     "added") from None
+                blobs.append(encode_record(
+                    OP_REMOVE if remove else OP_ADD,
+                    encode_tree_payload(rows, len(labels), lengths)))
+                run.append((rows, lengths))
+            table = self._merge(run, n_taxa=len(labels), remove=remove)
             self._append_records(blobs)
-            for masks, lengths in staged:
-                self._apply_remove(masks, lengths)
+            self._labels = labels
+            self._commit(table)
             self.journal_records += len(blobs)
-            span.set(r=self.n_trees, unique=len(self._counts))
+            span.set(r=self.n_trees, unique=len(self))
         if _obs_enabled():
             _metric("store.journal_records").inc(len(blobs))
-            _metric("store.trees_removed").inc(len(trees))
+            _metric("store.trees_removed" if remove
+                    else "store.trees_added").inc(len(trees))
         self._record_journal_tail()
         return len(trees)
 
     # -- queries -------------------------------------------------------------
 
     def bfh(self) -> BipartitionFrequencyHash:
-        """Materialize the current state as a standalone frequency hash."""
-        return BipartitionFrequencyHash.from_counts(
-            dict(self._counts), self.n_trees, total=self.total,
-            include_trivial=self.include_trivial)
+        """The current state as a dict-backed hash (a verification aid;
+        queries probe :meth:`table`)."""
+        return self.table().to_bfh()
 
     def table(self, n_taxa: int | None = None) -> BipartitionTable:
-        """Materialize the current state as the canonical sorted-array
-        table (shards ⊕ journal overlay).
-
-        ``n_taxa`` widens the packed keys past the store's namespace
-        (the serve daemon does this when a query namespace is larger);
-        it must be ≥ the store's taxon count.  The result feeds
-        :meth:`~repro.core.table.BipartitionTable.vectorized` and
-        :meth:`repro.runtime.shm.SharedBFH.from_table` without another
-        sort.
+        """The state (shards ⊕ journal overlay) as the canonical table,
+        unchanged by later adds, removes and tails.  ``n_taxa`` (≥ the
+        store's taxon count) widens the keys for a larger query namespace;
+        at the store's own word width the table shares the state's arrays.
         """
         n_store = len(self._labels)
         n_eff = max(n_store, 1) if n_taxa is None else n_taxa
         if n_eff < n_store:
             raise StoreError(
                 f"cannot pack {n_store}-taxon keys into {n_eff} taxa")
-        return self._state_table(n_eff)
-
-    def _state_table(self, n_taxa: int) -> BipartitionTable:
-        # from_counts copies each weight multiset, so the table never
-        # aliases the store's own lists.
-        return BipartitionTable.from_counts(
-            self._counts, n_taxa=n_taxa, n_trees=self.n_trees,
-            total=self.total, include_trivial=self.include_trivial,
-            weights=self._weights if self.weighted else None)
+        return _at_width(self._table, n_eff)
 
     def weighted_hash(self) -> WeightedBipartitionHash:
         """Materialize the weighted (branch-score) view.
@@ -570,34 +608,46 @@ class BFHStore:
         """
         if not self.weighted:
             raise StoreError("store was created without weighted=True")
+        weights = self._table.weights
         wh = WeightedBipartitionHash(include_trivial=self.include_trivial)
         wh._weights = {mask: list(lengths)
-                       for mask, lengths in self._weights.items()}
+                       for mask, lengths in weights.items()}
         wh.n_trees = self.n_trees
         wh.total_weight = math.fsum(
-            length for lengths in self._weights.values() for length in lengths)
+            length for lengths in weights.values() for length in lengths)
         wh.finalize()
         return wh
 
     def average_rf(self, query: Sequence[Tree], *,
                    n_workers: int = 1,
                    executor: str | None = None) -> list[float]:
-        """Average RF of each query tree against the stored collection.
-
-        Bitwise-identical to ``bfhrf_average_rf(query, reference)`` over
-        a fresh build of the current reference set.
-        """
+        """Average RF of each query tree against the stored collection,
+        probing :meth:`table` (shared with workers when ``n_workers > 1``);
+        bitwise-identical to ``bfhrf_average_rf(query, reference)`` over a
+        fresh build of the current reference set."""
+        query = list(query)
         with trace("store.query", q=len(query), r=self.n_trees):
             t0 = time.perf_counter()
-            values = bfhrf_average_rf(query, bfh=self.bfh(),
-                                      n_workers=n_workers, executor=executor)
+            # Query trees may carry taxa past the store's: pack wide
+            # enough for all of them, or a probe would truncate masks.
+            table = self.table(max([len(self._labels), 1] + [
+                len(tree.taxon_namespace) for tree in query]))
+            if n_workers > 1:
+                from repro.core.shmrf import shm_average_rf  # writers skip it
+                with SharedBFH.from_table(table) as shared:
+                    values = shm_average_rf(query, shared=shared,
+                                            n_workers=n_workers,
+                                            executor=executor)
+            else:
+                values = table.vectorized().average_rf_batch(query).tolist() \
+                    if query else []
             if _obs_enabled():
                 _histogram("store.query_seconds").observe(
                     time.perf_counter() - t0)
             return values
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._table)
 
     # -- compaction ----------------------------------------------------------
 
@@ -617,8 +667,7 @@ class BFHStore:
         old_files = [entry["file"] for entry in self._shards]
         old_files.append(_journal_name(old_generation))
         generation = old_generation + 1
-        n_taxa = len(self._labels)
-        table = self._state_table(n_taxa)
+        table = self._table
         keys, counts = table.numeric_rows()
         boundaries, parts = partition_rows(keys, n_shards)
         fingerprint = namespace_fingerprint(self._labels)
@@ -631,7 +680,7 @@ class BFHStore:
                     t0 = time.perf_counter()
                     entries = write_snapshot(
                         self.path / name, keys[rows], counts[rows],
-                        n_taxa=n_taxa, fingerprint=fingerprint,
+                        n_taxa=table.n_taxa, fingerprint=fingerprint,
                         include_trivial=self.include_trivial,
                         weights=table.weights, codec=self.snapshot_codec)
                     if _obs_enabled():
@@ -651,7 +700,6 @@ class BFHStore:
             self._write_manifest(generation=generation, shards=shard_entries,
                                  boundaries=boundaries, n_trees=self.n_trees)
             self.generation = generation
-            self._base_labels = len(self._labels)
             self._shards = shard_entries
             self._boundaries = boundaries
             self.snapshot_trees = self.n_trees
@@ -659,7 +707,7 @@ class BFHStore:
             self._journal_good_offset = JOURNAL_HEADER_SIZE
             self.recovered = False
             self.journal_records = 0
-            span.set(unique=len(self._counts), trees=self.n_trees)
+            span.set(unique=len(self), trees=self.n_trees)
         if _obs_enabled():
             _metric("store.compactions").inc()
         self._record_journal_tail()
@@ -796,7 +844,7 @@ class BFHStore:
             "path": str(self.path),
             "generation": self.generation,
             "trees": self.n_trees,
-            "unique_bipartitions": len(self._counts),
+            "unique_bipartitions": len(self),
             "total_bipartitions": self.total,
             "taxa": len(self._labels),
             "include_trivial": self.include_trivial,
@@ -823,7 +871,7 @@ class BFHStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"BFHStore({str(self.path)!r}, trees={self.n_trees}, "
-                f"unique={len(self._counts)}, gen={self.generation}, "
+                f"unique={len(self)}, gen={self.generation}, "
                 f"journal={self.journal_records})")
 
 
@@ -862,12 +910,10 @@ def build_store(path: str | os.PathLike, reference: Sequence[Tree], *,
             store.snapshot_codec = codec
         if reference:
             store._labels = reference[0].taxon_namespace.labels
-        store._counts = counts
-        if weighted:
-            store._weights = {mask: sorted(lengths)
-                              for mask, lengths in (weights or {}).items()}
-        store.n_trees = n_trees
-        store.total = total
+        store._commit(BipartitionTable.from_counts(
+            counts, n_taxa=len(store._labels), n_trees=n_trees, total=total,
+            include_trivial=include_trivial,
+            weights=(weights or {}) if weighted else None))
         store.compact(n_shards=n_shards)
         span.set(unique=len(store))
     return store

@@ -116,22 +116,22 @@ def _inject_weighted_total() -> Callable[[], None]:
 
 
 def _inject_store_count() -> Callable[[], None]:
-    """Corrupt the store: silently over-count one split per added tree.
+    """Corrupt the store: silently over-count one split per added batch.
 
     Mirrors ``bfh-count`` but on the persistent path — the store's
     journaled/in-memory frequencies drift from a fresh build, which only
     the ``store-roundtrip`` oracle can notice.
     """
-    original = BFHStore._apply_add
+    original = BFHStore._merge
 
-    def corrupted(self, masks, lengths):
-        original(self, masks, lengths)
-        if self._counts:
-            victim = min(self._counts)
-            self._counts[victim] += 1  # count drifts; total does not
+    def corrupted(self, run, *, n_taxa, remove):
+        table = original(self, run, n_taxa=n_taxa, remove=remove)
+        if not remove and len(table):
+            table.counts[0] += 1  # one count drifts; total does not
+        return table
 
-    BFHStore._apply_add = corrupted
-    return lambda: setattr(BFHStore, "_apply_add", original)
+    BFHStore._merge = corrupted
+    return lambda: setattr(BFHStore, "_merge", original)
 
 
 def _inject_shm_count() -> Callable[[], None]:

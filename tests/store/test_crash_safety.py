@@ -133,10 +133,11 @@ class TestLoudFailures:
 
     def test_replayed_underflow_is_corruption(self, store_dir):
         """A remove record whose tree was never added must not replay."""
+        from repro.core.table import masks_to_words
         from repro.store.format import (OP_REMOVE, encode_record,
                                         encode_tree_payload)
-        record = encode_record(OP_REMOVE,
-                               encode_tree_payload([0b11111], 5))
+        record = encode_record(OP_REMOVE, encode_tree_payload(
+            masks_to_words([0b11111], 1), 5))
         with open(journal_path(store_dir), "ab") as fh:
             fh.write(record)
         with pytest.raises(StoreCorruptError, match="replay failed"):

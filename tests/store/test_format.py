@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.table import masks_to_words
+from repro.core.table import masks_to_words, words_to_masks
 from repro.store.format import (
     JOURNAL_HEADER_SIZE,
     OP_ADD,
@@ -40,6 +40,15 @@ def rows(counts: dict[int, int], n_taxa: int):
             np.array([counts[m] for m in masks], dtype=np.int64))
 
 
+def tree_payload(masks: list[int], n_taxa: int, lengths=None) -> bytes:
+    return encode_tree_payload(masks_to_words(masks, words_for_taxa(n_taxa)),
+                               n_taxa, lengths)
+
+
+def assert_rows_equal(got, want) -> None:
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
 class TestKeyPacking:
     @pytest.mark.parametrize("n_taxa,words", [
         (1, 1), (63, 1), (64, 1), (65, 2), (127, 2), (128, 2), (129, 3),
@@ -69,10 +78,10 @@ class TestSnapshotRoundtrip:
         assert write_snapshot(path, *rows(counts, n_taxa), n_taxa=n_taxa,
                               fingerprint=FP) == 3
         data = read_snapshot(path)
-        assert data.counts == counts
-        assert data.n_taxa == n_taxa
+        assert_rows_equal(data.table.numeric_rows(), rows(counts, n_taxa))
+        assert data.table.n_taxa == n_taxa
         assert data.fingerprint == FP
-        assert data.weights is None and not data.weighted
+        assert data.table.weights is None
 
     def test_weighted_roundtrip_sorts_multisets(self, tmp_path):
         counts = {3: 2, 12: 1}
@@ -81,8 +90,8 @@ class TestSnapshotRoundtrip:
         write_snapshot(path, *rows(counts, 4), n_taxa=4, fingerprint=FP,
                        weights=weights)
         data = read_snapshot(path)
-        assert data.weighted
-        assert data.weights == {3: [0.5, 2.5], 12: [1.0]}
+        assert data.table.weighted
+        assert data.table.weights == {3: [0.5, 2.5], 12: [1.0]}
 
     def test_weight_count_mismatch_rejected_at_write(self, tmp_path):
         with pytest.raises(StoreCorruptError, match="weights for frequency"):
@@ -92,7 +101,7 @@ class TestSnapshotRoundtrip:
     def test_empty_snapshot(self, tmp_path):
         path = tmp_path / "e.snap"
         write_snapshot(path, *rows({}, 0), n_taxa=0, fingerprint=FP)
-        assert read_snapshot(path).counts == {}
+        assert len(read_snapshot(path).table) == 0
 
     def test_bitflip_fails_crc(self, tmp_path):
         path = tmp_path / "s.snap"
@@ -124,22 +133,25 @@ class TestTreePayload:
     @pytest.mark.parametrize("n_taxa", [4, 63, 64, 65, 128, 129])
     def test_roundtrip_sorts_masks(self, n_taxa):
         masks = [(1 << n_taxa) - 2, 3, 1 << (n_taxa - 1)]
-        payload = encode_tree_payload(masks, n_taxa)
-        got_masks, got_lengths, got_taxa = decode_tree_payload(
+        payload = tree_payload(masks, n_taxa)
+        assert payload == struct.pack("<II", n_taxa, 3) + b"".join(
+            pack_key(mask, words_for_taxa(n_taxa)) for mask in sorted(masks))
+        got_rows, got_lengths, got_taxa = decode_tree_payload(
             payload, weighted=False)
-        assert got_masks == sorted(masks)
+        assert words_to_masks(got_rows) == sorted(masks)
         assert got_lengths is None
         assert got_taxa == n_taxa
 
     def test_lengths_follow_mask_order(self):
         masks = [12, 3]
-        payload = encode_tree_payload(masks, 4, [0.25, 0.75])
-        got_masks, got_lengths, _ = decode_tree_payload(payload, weighted=True)
-        assert got_masks == [3, 12]
+        payload = tree_payload(masks, 4, [0.25, 0.75])
+        assert payload.endswith(struct.pack("<2d", 0.75, 0.25))
+        got_rows, got_lengths, _ = decode_tree_payload(payload, weighted=True)
+        assert words_to_masks(got_rows) == [3, 12]
         assert got_lengths == [0.75, 0.25]
 
     def test_size_mismatch_rejected(self):
-        payload = encode_tree_payload([3, 12], 4)
+        payload = tree_payload([3, 12], 4)
         with pytest.raises(StoreCorruptError):
             decode_tree_payload(payload + b"\0", weighted=False)
         with pytest.raises(StoreCorruptError):
@@ -163,9 +175,9 @@ class TestJournal:
 
     def test_roundtrip(self, tmp_path):
         path = self._journal(tmp_path, [
-            encode_record(OP_ADD, encode_tree_payload([3, 12], 4)),
+            encode_record(OP_ADD, tree_payload([3, 12], 4)),
             encode_record(OP_EXTEND_NS, encode_labels_payload(["E"])),
-            encode_record(OP_REMOVE, encode_tree_payload([3], 5)),
+            encode_record(OP_REMOVE, tree_payload([3], 5)),
         ])
         records, offset, torn = read_journal(path)
         assert [r.op for r in records] == [OP_ADD, OP_EXTEND_NS, OP_REMOVE]
@@ -183,7 +195,7 @@ class TestJournal:
             read_journal(path)
 
     def test_torn_tail_is_recoverable_not_corrupt(self, tmp_path):
-        whole = encode_record(OP_ADD, encode_tree_payload([3], 4))
+        whole = encode_record(OP_ADD, tree_payload([3], 4))
         path = self._journal(tmp_path, [whole, whole[:len(whole) - 3]])
         records, offset, torn = read_journal(path)
         assert len(records) == 1
@@ -191,7 +203,7 @@ class TestJournal:
         assert torn
 
     def test_complete_record_with_bad_crc_is_corrupt(self, tmp_path):
-        record = bytearray(encode_record(OP_ADD, encode_tree_payload([3], 4)))
+        record = bytearray(encode_record(OP_ADD, tree_payload([3], 4)))
         record[6] ^= 0x01  # flip a payload bit; framing stays intact
         path = self._journal(tmp_path, [bytes(record)])
         with pytest.raises(StoreCorruptError, match="corrupt, not merely torn"):

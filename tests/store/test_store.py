@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.bfhrf import bfhrf_average_rf, build_bfh
@@ -257,9 +258,94 @@ class TestInfo:
         assert info["journal_bytes"] > 26  # header plus the pending record
 
     def test_shard_snapshots_are_disjoint_and_complete(self, tmp_path, trees):
+        """Shards are ascending key ranges: their numeric-order rows,
+        shard after shard, are the whole table's, each key once."""
         store = build_store(tmp_path / "s", trees, n_shards=3)
-        seen: dict[int, int] = {}
-        for _index, data in store.iter_shard_snapshots():
-            assert not (seen.keys() & data.counts.keys())
-            seen.update(data.counts)
-        assert seen == store.bfh().counts
+        parts = [data.table.numeric_rows()
+                 for _index, data in store.iter_shard_snapshots()]
+        keys, counts = store.table().numeric_rows()
+        assert np.array_equal(np.concatenate([k for k, _ in parts]), keys)
+        assert np.array_equal(np.concatenate([c for _, c in parts]), counts)
+
+
+def _frozen_copy(table):
+    return (table.keys.copy(), table.counts.copy(),
+            None if table.weights is None else
+            {mask: list(lengths) for mask, lengths in table.weights.items()})
+
+
+def _journal(store):
+    return (store.path / f"journal-{store.generation:06d}.log").read_bytes()
+
+
+class TestStateTable:
+    """The store's state is one table; every change is a merge that
+    builds new arrays."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_handed_out_table_never_changes(self, tmp_path, weighted):
+        reference = make_collection(10, 12, seed=8)
+        store = build_store(tmp_path / "s", reference[:6], weighted=weighted)
+        handed = store.table()
+        before = _frozen_copy(handed)
+        store.add_trees(reference[6:])
+        store.remove_trees(reference[:3])
+        writer = BFHStore.open(tmp_path / "s")
+        writer.add_trees(reference[:2])
+        assert store.tail_journal() == 2
+        assert store.n_trees == 11
+        for got, want in zip(_frozen_copy(handed), before):
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(got, want)
+            else:
+                assert got == want
+        assert handed.n_trees == 6
+
+    def test_remove_replayed_before_its_add_is_corruption(self, tmp_path):
+        """A journal whose ``remove`` of a tree precedes its ``add`` must
+        not replay, even though the two records cancel out."""
+        from repro.store.format import encode_record, read_journal
+
+        reference = make_collection(10, 2, seed=9)
+        store = BFHStore.create(tmp_path / "s")
+        store.add_trees(reference)
+        store.remove_trees(reference[1:])
+        path = tmp_path / "s" / "journal-000000.log"
+        records, _offset, _torn = read_journal(path)
+        extend, add_u, add_t, remove_t = records
+        blob = path.read_bytes()
+        path.write_bytes(blob[:26] + b"".join(
+            encode_record(r.op, r.payload)
+            for r in (extend, add_u, remove_t, add_t)))
+        with pytest.raises(StoreCorruptError, match="replay failed"):
+            BFHStore.open(tmp_path / "s")
+
+    def test_failed_remove_changes_nothing(self, tmp_path):
+        reference = make_collection(10, 6, seed=10)
+        store = build_store(tmp_path / "s", reference[:4])
+        store.add_trees(reference[:1])
+        journal, table = _journal(store), store.table()
+        with pytest.raises(StoreError, match="never added"):
+            store.remove_trees([reference[0], reference[5]])
+        assert _journal(store) == journal
+        assert store.table().same_contents(table)
+        assert store.journal_records == 1
+
+    def test_long_uncompacted_journal_replays_exactly(self, tmp_path):
+        """2,000 single-tree records, in runs of adds and removes, open
+        to the table a fresh count gives."""
+        from repro.core.table import BipartitionTable
+
+        reference = make_collection(12, 1500, seed=11)
+        store = BFHStore.create(tmp_path / "s")
+        store.add_trees(reference[:1000])
+        store.remove_trees(reference[200:400])
+        store.add_trees(reference[1000:])
+        store.remove_trees(reference[600:900])
+        assert store.journal_records == 1 + 2000
+        current = reference[:200] + reference[400:600] + reference[900:]
+        fresh = build_bfh(current)
+        want = BipartitionTable.from_counts(
+            fresh.counts, n_taxa=12, n_trees=fresh.n_trees, total=fresh.total)
+        assert BFHStore.open(tmp_path / "s").table().same_contents(want)
+        assert store.table().same_contents(want)

@@ -285,7 +285,7 @@ class TestSuccinctGoldenBytes:
         weighted = n_taxa > 64
         base = random_table(n_taxa, _SEED + n_taxa, entries=80,
                             weighted=weighted)
-        counts = base.to_counts()
+        counts = base.to_bfh().counts
         weights = dict(base.weights) if weighted else None
         leaf_mask = (1 << n_taxa) - 1
         for i, mask in enumerate(sorted(m for m in counts
@@ -317,7 +317,7 @@ def _varint(value: int, out: bytearray) -> None:
 def reference_succinct_sections(table: BipartitionTable) -> TableSections:
     """succinct-v1 as defined key by key: the per-key ``compress_mask``
     loop the vectorized encoder replaced, kept as the byte oracle."""
-    counts = table.to_counts()
+    counts = table.to_bfh().counts
     masks = sorted(counts)
     leaf_mask = (1 << max(1, table.n_taxa)) - 1
     keys, prev = bytearray(), -1
@@ -600,7 +600,7 @@ class TestTableViews:
         keys, counts = table.numeric_rows()
         masks = words_to_masks(keys)
         assert masks == sorted(table.masks())
-        assert dict(zip(masks, counts.tolist())) == table.to_counts()
+        assert dict(zip(masks, counts.tolist())) == table.to_bfh().counts
 
     def test_vectorized_adoption_is_zero_copy(self):
         table = random_table(64, _SEED)
