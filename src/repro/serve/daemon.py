@@ -28,8 +28,9 @@ Three cooperating task families on one event loop:
   another process (``bfhrf store add``) are applied in place via
   :meth:`~repro.store.store.BFHStore.tail_journal`; a manifest
   generation bump (an external ``store compact``) triggers a full
-  reopen.  Either way the probe-table cache is invalidated by bumping
-  an *epoch* counter, so the next batch probes the new state.
+  reopen, and the *epoch* counter is bumped.  A batch takes the store's
+  table (O(1), and never written later) with its state stamp in one
+  hold of the store lock; every reply names the state it was scored on.
 
 **Admission control** bounds every buffer a client can fill.  Three
 gates, each shedding with ``overloaded`` (the connection stays open —
@@ -49,7 +50,7 @@ the client backs off and retries) and counted under
 Shutdown (SIGTERM/SIGINT, a ``shutdown`` request, or
 :meth:`ServeDaemon.request_shutdown`) is drain-then-close: stop
 accepting, answer every already-queued query, flush replies, close
-connections, drop cached probe tables, unlink owned sockets.
+connections, unlink owned sockets.
 
 A stale unix socket file left by a SIGKILLed predecessor is detected by
 a probe connect on startup — connection refused means nobody owns it
@@ -82,7 +83,6 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.bipartitions.scan import ScannedTrees, SplitBlock, \
     scan_newick_text
-from repro.core.vectorized import VectorizedBFH
 from repro.newick import read_nexus_trees
 from repro.observability.metrics import MetricsRegistry, counter as _g_counter, \
     gauge as _g_gauge, histogram as _g_histogram
@@ -98,7 +98,6 @@ from repro.serve.protocol import (
     error_reply,
     ok_reply,
 )
-from repro.store.format import words_for_taxa
 from repro.store.store import BFHStore
 from repro.trees.taxon import TaxonNamespace
 from repro.trees.tree import Tree
@@ -240,8 +239,6 @@ class ServeDaemon:
         self._queued_trees = 0
         self._started_at = 0.0
         self._epoch = 0
-        self._tables: dict[int, VectorizedBFH] = {}
-        self._tables_epoch = 0
 
     @property
     def bound_endpoints(self) -> tuple[Endpoint, ...]:
@@ -419,7 +416,6 @@ class ServeDaemon:
             for sig in handled_signals:
                 with contextlib.suppress(Exception):
                     loop.remove_signal_handler(sig)
-            self._tables.clear()
             for path in owned_paths:
                 with contextlib.suppress(OSError):
                     path.unlink()
@@ -593,13 +589,10 @@ class ServeDaemon:
             return error_reply(rid, "parse-error", str(exc))
         finally:
             self._observe("serve.parse_seconds", time.perf_counter() - t0)
-        with self._store_lock:
-            reference_trees = self._store.n_trees
-            generation = self._store.generation
         if not trees:
-            return ok_reply(rid, values=[], trees=0,
-                            reference_trees=reference_trees,
-                            generation=generation, epoch=self._epoch)
+            with self._store_lock:
+                stamp = self._stamp()
+            return ok_reply(rid, values=[], trees=0, **stamp)
         cfg = self.config
         if (self._queued_trees
                 and self._queued_trees + len(trees) > cfg.queue_max_trees):
@@ -623,18 +616,13 @@ class ServeDaemon:
         self._queued_trees += len(trees)
         self._set_gauge("serve.queued_trees", self._queued_trees)
         try:
-            values = await pending.future
+            values, stamp = await pending.future
         except ReproError as exc:
             return error_reply(rid, "store-error", str(exc))
         except Exception as exc:  # never leak a traceback over the wire
             return error_reply(rid, "internal",
                                f"{type(exc).__name__}: {exc}")
-        with self._store_lock:
-            reference_trees = self._store.n_trees
-            generation = self._store.generation
-        return ok_reply(rid, values=values, trees=len(trees),
-                        reference_trees=reference_trees,
-                        generation=generation, epoch=self._epoch)
+        return ok_reply(rid, values=values, trees=len(trees), **stamp)
 
     async def _batch_loop(self) -> None:
         """Coalesce concurrently-pending queries into single probes."""
@@ -669,55 +657,44 @@ class ServeDaemon:
                 else:
                     self._observe("serve.probe_seconds",
                                   time.perf_counter() - t0)
-                    for item, values in zip(pending, per_request):
+                    for item, result in zip(pending, per_request):
                         if not item.future.done():
-                            item.future.set_result(values)
+                            item.future.set_result(result)
                 self._inc("serve.batches")
             finally:
                 self._in_flight = False
 
-    def _score(self, pending: list[_Pending]) -> list[list[float]]:
-        """One probe for the whole batch; runs on a worker thread."""
+    def _stamp(self) -> dict[str, int]:
+        """The store state a reply names; call under the store lock."""
+        return {"reference_trees": self._store.n_trees,
+                "generation": self._store.generation, "epoch": self._epoch}
+
+    def _score(self, pending: list[_Pending]
+               ) -> list[tuple[list[float], dict[str, int]]]:
+        """One probe for the whole batch; runs on a worker thread.  Each
+        request gets its values and the stamp of the state they were
+        computed on."""
         n_taxa = max(item.n_taxa for item in pending)
         with trace("serve.batch", requests=len(pending),
                    trees=sum(len(item.trees) for item in pending)):
-            table = self._table(n_taxa)
+            with self._store_lock:
+                # Pack wide enough for the widest query namespace (new
+                # taxa in query trees): a narrower key truncates masks.
+                table = self._store.table(
+                    max(n_taxa, len(self._store.labels), 1))
+                stamp = self._stamp()
+            probe = table.vectorized()
             block = SplitBlock.concat(
-                [table.split_block(item.trees) for item in pending])
-            values = table.average_rf_block(block).tolist()
-        out: list[list[float]] = []
+                [probe.split_block(item.trees) for item in pending])
+            values = probe.average_rf_block(block).tolist()
+        out = []
         offset = 0
         for item in pending:
-            out.append([float(v)
-                        for v in values[offset:offset + len(item.trees)]])
+            out.append(([float(v)
+                         for v in values[offset:offset + len(item.trees)]],
+                        stamp))
             offset += len(item.trees)
         return out
-
-    # -- probe-table cache (epoch-invalidated) ------------------------------
-
-    def _sync_epoch(self) -> None:
-        """Drop tables built against a pre-tail/pre-reopen store state."""
-        if self._tables_epoch != self._epoch:
-            self._tables.clear()
-            self._tables_epoch = self._epoch
-
-    def _table(self, n_taxa: int) -> VectorizedBFH:
-        self._sync_epoch()
-        with self._store_lock:
-            store_taxa = len(self._store.labels)
-            n_eff = max(n_taxa, store_taxa, 1)
-            n_words = words_for_taxa(n_eff)
-            table = self._tables.get(n_words)
-            if table is not None:
-                return table
-            # A query namespace wider than the store's (new taxa in
-            # query trees) widens the packed keys: the word packing
-            # truncates masks past the table width, so the width must
-            # cover the widest namespace in the batch for exactness.
-            core = self._store.table(n_eff)
-        table = core.vectorized()
-        self._tables[n_words] = table
-        return table
 
     # -- journal tailing ----------------------------------------------------
 
@@ -729,40 +706,39 @@ class ServeDaemon:
                                        timeout=self.config.tail_interval_s)
                 return  # shutting down
             try:
-                changed = await asyncio.to_thread(self._refresh_store)
+                await asyncio.to_thread(self._refresh_store)
             except Exception:
                 # Transient (mid-compact window, torn manifest read):
                 # keep serving the last consistent view, try again.
                 self._inc("serve.tail_errors")
-                continue
-            if changed:
-                self._epoch += 1
 
-    def _refresh_store(self) -> bool:
-        """Tail the journal — or reopen after an external compaction."""
+    def _refresh_store(self) -> None:
+        """Tail the journal — or reopen after an external compaction —
+        and bump the epoch, under the store lock, if the state changed."""
         with self._store_lock:
             store = self._store
             disk_generation = BFHStore.read_generation(self.store_dir)
             if disk_generation != store.generation:
                 self._store = BFHStore.open(self.store_dir)
+                self._epoch += 1
                 self._inc("serve.reopens")
                 self._set_gauge("store.journal_lag_bytes",
                                 self._store.journal_lag_bytes())
-                return True
+                return
             try:
                 applied = store.tail_journal()
             except StoreError:
                 # The journal vanished between the generation probe and
                 # the read: a compaction raced us.  Reopen.
                 self._store = BFHStore.open(self.store_dir)
+                self._epoch += 1
                 self._inc("serve.reopens")
-                return True
+                return
             self._set_gauge("store.journal_lag_bytes",
                             store.journal_lag_bytes())
             if applied:
+                self._epoch += 1
                 self._inc("serve.tail_applied", applied)
-                return True
-            return False
 
     # -- introspection -------------------------------------------------------
 

@@ -701,21 +701,28 @@ def check_serve_parity(case: TreeCase) -> list[Failure]:
                 if failures:
                     return failures
                 # External add -> journal tail must surface it live.
-                # Convergence is judged on the *values*: a reply's
-                # reference_trees can run ahead of its values when the
-                # tail lands between the probe and the metadata read.
+                # Every reply must equal the answer at the state it
+                # reports, before the tail lands and after.
                 writer = BFHStore.open(store_dir)
                 extra = case.reference[:1]
                 writer.add_trees(extra)
                 reference = list(case.reference) + extra
-                want = average_rf(case.query, reference,
-                                  include_trivial=case.include_trivial)
+                states = {len(case.reference): want,
+                          len(reference): average_rf(
+                              case.query, reference,
+                              include_trivial=case.include_trivial)}
+                want = states[len(reference)]
                 deadline = _time.monotonic() + 10.0
                 while _time.monotonic() < deadline:
                     reply = client.request("query", trees=query_text)
                     got = [float(v) for v in reply["values"]]
-                    if (got == want
-                            and reply["reference_trees"] == len(reference)):
+                    if got != states.get(reply["reference_trees"]):
+                        failures.append(Failure(
+                            "serve-parity", f"reply at "
+                            f"{reply['reference_trees']} reference trees "
+                            f"says {got!r}", implementation="tail"))
+                        break
+                    if reply["reference_trees"] == len(reference):
                         break
                     _time.sleep(0.02)
                 else:

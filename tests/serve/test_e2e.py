@@ -194,23 +194,27 @@ class TestConcurrentBatching:
 
 
 class TestJournalTailing:
-    def _wait_for_values(self, client, text, want, deadline_s=10.0):
-        """Poll until the daemon's answers converge on ``want``.
+    def _wait_for_values(self, client, text, states, final,
+                         deadline_s=10.0):
+        """Poll until the daemon answers at ``final`` reference trees.
 
-        The reply's ``reference_trees`` can run ahead of its values (a
-        tail landing between the probe and the metadata read), so the
-        values themselves are the convergence signal.
+        ``states`` maps each reference-tree count the store passes
+        through to ``bfhrf_average_rf`` there.  Every reply, the ones
+        before the tail lands included, must equal the values of the
+        state it reports.
         """
         deadline = time.monotonic() + deadline_s
         while time.monotonic() < deadline:
             reply = client.request("query", trees=text)
-            if reply["values"] == want:
+            assert reply["values"] == states[reply["reference_trees"]], \
+                f"values differ from bfhrf at {reply['reference_trees']} " \
+                "reference trees"
+            if reply["reference_trees"] == final:
                 return reply
             time.sleep(0.02)
         raise AssertionError(
-            f"daemon answers never converged on the tailed store "
-            f"(last: {reply['values']} with "
-            f"{reply['reference_trees']} reference trees)")
+            f"daemon never reached {final} reference trees (last: "
+            f"{reply['reference_trees']})")
 
     def test_external_add_visible_without_restart(self, tmp_path, store_dir,
                                                   collection):
@@ -226,23 +230,88 @@ class TestJournalTailing:
                                           external.namespace())
                 external.add_trees(extra)
 
+                start = bfhrf_average_rf(collection[:4], collection)
                 want = bfhrf_average_rf(collection[:4], collection + extra)
+                assert before == start
                 assert want != before  # the add must change the answers
-                reply = self._wait_for_values(client, probe, want)
+                final = len(collection) + len(extra)
+                reply = self._wait_for_values(
+                    client, probe, {len(collection): start, final: want},
+                    final)
 
-        assert reply["reference_trees"] == len(collection) + len(extra)
+        assert reply["values"] == want
         assert reply["epoch"] >= 1
 
     def test_external_remove_visible_without_restart(self, tmp_path,
                                                      store_dir, collection):
         probe = _text(collection[:4])
-        want = bfhrf_average_rf(collection[:4], collection[:-2])
+        states = {len(collection) - k: bfhrf_average_rf(
+            collection[:4], collection[:len(collection) - k])
+            for k in (0, 2)}
         with serving(store_dir, _config(tmp_path)) as daemon:
             with ServeClient.connect(daemon.config.endpoints[0].path) as client:
                 external = BFHStore.open(store_dir)
                 external.remove_trees(collection[-2:])
-                reply = self._wait_for_values(client, probe, want)
-        assert reply["reference_trees"] == len(collection) - 2
+                reply = self._wait_for_values(client, probe, states,
+                                              len(collection) - 2)
+        assert reply["values"] == states[len(collection) - 2]
+
+    def test_replies_match_their_stamp_under_concurrent_writes(
+            self, tmp_path, store_dir, collection):
+        """Clients (more threads than cores) query while another process
+        adds and removes trees and the daemon tails every step.  A reply
+        scored on one state but stamped with another breaks this."""
+        import sys
+
+        extra = trees_from_string(_text(make_collection(12, 12, seed=11)),
+                                  BFHStore.open(store_dir).namespace())
+        probe = _text(collection[:6])
+        # One tree per write: every state a tail can see is a prefix.
+        states = {len(collection) + n: bfhrf_average_rf(
+            collection[:6], collection + extra[:n]) for n in range(13)}
+        errors: list[str] = []
+        seen: set[int] = set()
+        writing = threading.Event()
+        writing.set()
+
+        def _poll(path) -> None:
+            try:
+                with ServeClient.connect(path) as client:
+                    while writing.is_set():
+                        reply = client.request("query", trees=probe)
+                        seen.add(reply["reference_trees"])
+                        if reply["values"] != states.get(
+                                reply["reference_trees"]):
+                            errors.append(f"{reply['reference_trees']} "
+                                          f"trees: {reply['values']}")
+            except Exception as exc:  # reported by the assertion below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with serving(store_dir, _config(
+                    tmp_path, tail_interval_s=0.005)) as daemon:
+                path = daemon.config.endpoints[0].path
+                pollers = [threading.Thread(target=_poll, args=(path,))
+                           for _ in range(4)]
+                for poller in pollers:
+                    poller.start()
+                writer = BFHStore.open(store_dir)
+                for n in range(12):
+                    writer.add_trees(extra[n:n + 1])
+                    time.sleep(0.02)
+                for n in reversed(range(12)):
+                    writer.remove_trees(extra[n:n + 1])
+                    time.sleep(0.02)
+                writing.clear()
+                for poller in pollers:
+                    poller.join(timeout=30)
+                assert not any(poller.is_alive() for poller in pollers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[:3]
+        assert len(seen) > 1  # the pollers saw the store change
 
 
 class TestGracefulShutdown:
