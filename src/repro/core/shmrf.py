@@ -14,10 +14,10 @@ Per-backend payload strategy (the part that actually moves the needle):
   in-memory query list) crosses by copy-on-write inheritance, so workers
   pay neither pickling nor parsing.  The ``SharedBFH`` arrays are in the
   segment either way, shared by all children.
-* ``spawn`` — a cached pool (``reuse="shm"``) amortizes interpreter
-  start-up across fan-outs; the query collection crosses as a
-  :class:`~repro.runtime.shm.SharedTreeCollection` descriptor and each
-  worker parses only the slices it scores, caching its attach.
+* ``spawn`` — the parent pickles the payload once: the query trees as
+  their own flat pickle (:meth:`~repro.trees.tree.Tree.__reduce__`) and
+  the ``SharedBFH`` as its descriptor, which each worker attaches once
+  at pool start.
 * ``serial``/``thread`` — no process boundary; the probe kernels are
   NumPy calls that release the GIL, so threads parallelize them without
   pickling or forking anything.
@@ -44,7 +44,7 @@ from repro.observability.spans import trace
 from repro.observability.state import enabled as _obs_enabled
 from repro.runtime.executor import Executor, get_executor, get_payload, \
     resolve_workers
-from repro.runtime.shm import SharedBFH, SharedTreeCollection
+from repro.runtime.shm import SharedBFH
 from repro.trees.tree import Tree
 from repro.util.errors import CollectionError
 
@@ -54,14 +54,12 @@ __all__ = ["shm_average_rf", "shm_average_rf_scanned"]
 def _shm_query_range(bounds: tuple[int, int]) -> list[float]:
     """Fan-out task: batched probes for one query slice over shared arrays.
 
-    The payload carries descriptors, not data: ``collection`` slices lazily
-    (parent-side it is a plain list view; worker-side it parses only this
-    range) and ``shared.vectorized()`` adopts the segment arrays without
-    copying.  The transform rides separately — segments store only arrays.
+    ``shared.vectorized()`` adopts the segment arrays without copying.
+    The transform rides separately — segments store only arrays.
     """
-    collection, shared, transform = get_payload()
+    query, shared, transform = get_payload()
     vbfh = shared.vectorized(transform=transform)
-    trees = collection.slice(bounds[0], bounds[1])
+    trees = query[bounds[0]:bounds[1]]
     if not _obs_enabled():
         return vbfh.average_rf_batch(trees).tolist()
     t0 = time.perf_counter()
@@ -124,20 +122,14 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree],
     owned = shared is None
     if owned:
         shared = SharedBFH.from_bfh(bfh, n_taxa)
-    # Branch lengths never enter an RF score; dropping them keeps the
-    # query segment small and its worker-side parse cheap.
-    collection = SharedTreeCollection(query, include_lengths=False)
     try:
-        payload = (collection, shared, transform)
-        reuse = "shm" if runner.name == "spawn" else None
         with trace("shmrf.query", q=len(query), r=shared.n_trees,
                    workers=workers, backend=runner.name):
             blocks = runner.submit_ranges(
-                _shm_query_range, len(query), payload,
-                n_workers=workers, chunk_size=chunk_size, reuse=reuse)
+                _shm_query_range, len(query), (query, shared, transform),
+                n_workers=workers, chunk_size=chunk_size)
         return [v for block in blocks for v in block]
     finally:
-        collection.release()
         if owned:
             shared.release()
 

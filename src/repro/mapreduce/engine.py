@@ -77,21 +77,11 @@ class MapReduceJob:
 
 
 def _map_records_range(bounds: tuple[int, int]) -> tuple[int, list[list[tuple[Any, Any]]]]:
-    """Worker task: map a slice of the records, pre-partitioned by key.
-
-    A record source exposing ``slice(lo, hi)`` — e.g. a
-    :class:`~repro.runtime.shm.SharedTreeCollection` — is sliced lazily,
-    so spawn workers materialize only their own range from the shared
-    segment instead of unpickling the whole record list.
-    """
+    """Worker task: map a slice of the records, pre-partitioned by key."""
     records, map_fn, partitions = get_payload()
-    if hasattr(records, "slice"):
-        sliced = records.slice(bounds[0], bounds[1])
-    else:
-        sliced = records[bounds[0]:bounds[1]]
     buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(partitions)]
     count = 0
-    for record in sliced:
+    for record in records[bounds[0]:bounds[1]]:
         for key, value in map_fn(record):
             buckets[hash(key) % partitions].append((key, value))
         count += 1
@@ -120,11 +110,8 @@ def run_job(job: MapReduceJob, records: Sequence[Any], *,
     int/tuple keys (unsalted hashes — MrsRF's case), while string keys
     shuffle with Python's per-process hash seed.
 
-    ``records`` may be any sequence, or a lazily-sliceable source with
-    ``slice(lo, hi)``/``__len__`` such as
-    :class:`~repro.runtime.shm.SharedTreeCollection` — the latter
-    crosses to spawn workers as a shared-memory descriptor rather than
-    a pickled record list (the caller keeps segment ownership).
+    ``records`` may be any sequence; process backends hand it to their
+    workers as part of the ordinary fan-out payload.
 
     Examples
     --------

@@ -18,7 +18,7 @@ name                              kind        meaning
 ``parallel.chunk_size``           gauge       chunk size of the most recent fan-out
 ``parallel.task_seconds``         histogram   per-worker task latencies
 ``parallel.fanout_seconds``       histogram   whole fan-out latency per submit_ranges
-``parallel.payload_bytes``        histogram   shared-payload size per process fan-out (segment bytes when shm-backed, else a capped pickle probe)
+``parallel.payload_bytes``        histogram   shared-payload size per process fan-out (segment bytes plus a capped pickle probe of the other parts)
 ``parallel.shm_payload_bytes``    gauge       segment bytes of the latest shm-backed payload
 ``shm.segments_created``          counter     shared-memory segments created by owners
 ``shm.segment_bytes``             gauge       size of the most recently created segment

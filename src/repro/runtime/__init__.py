@@ -6,8 +6,8 @@ runs through one :class:`~repro.runtime.executor.Executor` interface with
 four backends (``serial``, ``thread``, ``fork``, ``spawn``), and every
 average-RF method is described by one
 :class:`~repro.runtime.registry.MethodSpec` entry.  Process backends
-ship large payloads as zero-copy shared-memory descriptors through
-:mod:`repro.runtime.shm`.  See ``docs/runtime.md`` for the full tour.
+share the reference table zero-copy through :mod:`repro.runtime.shm`.
+See ``docs/runtime.md`` for the full tour.
 """
 
 from repro.runtime.executor import (
@@ -25,7 +25,6 @@ from repro.runtime.executor import (
     get_payload,
     resolve_workers,
     set_default_executor,
-    shutdown_pools,
 )
 from repro.runtime.registry import (
     MethodSpec,
@@ -40,8 +39,6 @@ from repro.runtime.registry import (
 from repro.runtime.shm import (
     SharedBFH,
     SharedBFHDescriptor,
-    SharedTreeCollection,
-    SharedTreeCollectionDescriptor,
     leaked_segments,
     owned_leaked_segments,
 )
@@ -50,10 +47,10 @@ __all__ = [
     "Executor", "SerialExecutor", "ThreadExecutor", "ForkExecutor",
     "SpawnExecutor", "BACKENDS", "EXECUTOR_ENV", "available_backends",
     "default_executor_name", "get_executor", "set_default_executor",
-    "get_payload", "resolve_workers", "fork_available", "shutdown_pools",
+    "get_payload", "resolve_workers", "fork_available",
     "MethodSpec", "register_method", "get_method", "method_names",
     "methods", "default_method_name", "methods_markdown_table",
     "methods_docstring",
-    "SharedBFH", "SharedBFHDescriptor", "SharedTreeCollection",
-    "SharedTreeCollectionDescriptor", "leaked_segments", "owned_leaked_segments",
+    "SharedBFH", "SharedBFHDescriptor", "leaked_segments",
+    "owned_leaked_segments",
 ]

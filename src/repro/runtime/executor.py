@@ -16,10 +16,11 @@ module owns that skeleton once, behind a four-backend interface:
     copy-on-write — no pickling of the reference structures at all.
     The fastest start on Linux and the paper's implicit platform.
 ``spawn``
-    Fresh-interpreter pool; the shared payload is pickled once per
-    worker at pool start.  Slower to launch than ``fork`` but available
-    everywhere — platforms without ``fork`` get *real* parallelism
-    instead of the silent serial fallback the pre-runtime code shipped.
+    Fresh-interpreter pool; the parent pickles the shared payload once
+    and every worker unpickles those bytes at pool start.  Slower to
+    launch than ``fork`` but available everywhere — platforms without
+    ``fork`` get *real* parallelism instead of the silent serial
+    fallback the pre-runtime code shipped.
 ``thread``
     ``ThreadPoolExecutor`` sharing the parent's memory.  Right for
     GIL-light tasks (the NumPy probe kernel behind ``shm``); useless for
@@ -29,16 +30,15 @@ Tasks are module-level callables receiving one ``(start, stop)`` index
 range and reading the shared payload via :func:`get_payload`; they
 return a plain value.
 
-Payloads containing :mod:`repro.runtime.shm` objects cross the process
-boundary as tiny *segment descriptors* (their ``__reduce__``), never as
-pickled data — workers attach the shared-memory segment read-only.  A
-fan-out may also name a ``reuse=`` pool: the pool is cached across
-fan-outs (killing spawn's per-call interpreter start) and the payload
-rides inside each task item instead of pool creation, so descriptors
-are mandatory there.  Worker-side metric capture is the executor's job,
-not the task's: process backends snapshot each task's worker-local
-registry and merge it in the parent, in-process backends record straight
-into the live registry.
+A :class:`~repro.runtime.shm.SharedBFH` in a payload crosses the
+process boundary as a tiny *segment descriptor* (its ``__reduce__``),
+never as pickled data — workers attach the shared-memory segment
+read-only.  Trees cross as their own flat pickle
+(:meth:`repro.trees.tree.Tree.__reduce__`).  Every fan-out builds its
+pool and tears it down; no pool outlives a call.  Worker-side metric
+capture is the executor's job, not the task's: process backends
+snapshot each task's worker-local registry and merge it in the parent,
+in-process backends record straight into the live registry.
 
 Backend selection (first match wins):
 
@@ -54,7 +54,7 @@ Requesting an unavailable backend raises
 
 from __future__ import annotations
 
-import atexit
+import gc
 import multiprocessing as mp
 import os
 import pickle
@@ -78,7 +78,7 @@ __all__ = [
     "set_default_executor", "default_executor_name", "resolve_workers",
     "fork_available", "get_payload", "fork_payload_pool",
     "worker_task_snapshot", "merge_worker_snapshots", "record_fanout",
-    "shutdown_pools", "EXECUTOR_ENV",
+    "EXECUTOR_ENV",
 ]
 
 #: Environment variable consulted when no executor is passed explicitly.
@@ -167,8 +167,16 @@ def fork_payload_pool(n_workers: int, payload: Any):
     return pool
 
 
-def _spawn_worker_init(payload: Any, observing: bool) -> None:
-    """Spawn-pool initializer: install the pickled payload, mirror obs state.
+def _spawn_worker_init(payloads, observing: bool) -> None:
+    """Spawn-pool initializer: unpickle the payload, mirror obs state.
+
+    The parent pickled the payload once and queued one copy of the bytes
+    per worker.  The garbage collector stays off while a worker unpickles
+    them: a payload of trees is one allocation burst of container objects
+    that would otherwise trigger collection after collection over a heap
+    with nothing to free (1,000 144-taxon trees unpickled in 110-190 ms
+    this way, against 0.9-1.5 s with it running).  The payload is then
+    frozen, so later collections in the worker skip it too.
 
     A spawned child starts from a fresh interpreter, so the parent's
     observability enable flag does not carry over the way fork
@@ -176,7 +184,13 @@ def _spawn_worker_init(payload: Any, observing: bool) -> None:
     memory tracing is a parent-side concern) so worker snapshots exist
     to merge.
     """
-    _set_payload(payload)
+    payload = payloads.get()
+    gc.disable()
+    try:
+        _set_payload(pickle.loads(payload))
+        gc.freeze()  # the payload lives as long as the worker: never scan it
+    finally:
+        gc.enable()
     if observing:
         from repro.observability.state import enable
 
@@ -274,28 +288,34 @@ def _capped_pickle_size(shared: Any, cap: int = PAYLOAD_PROBE_CAP) -> float | No
 def _record_payload_bytes(shared: Any) -> None:
     """Size of the shared payload a process fan-out makes visible to workers.
 
-    Segment-backed payloads (anything exposing ``segment_nbytes()`` —
-    :class:`repro.runtime.shm.SharedBFH` / ``SharedTreeCollection``)
-    record their shared-memory footprint directly and are **never**
-    pickled here: probing by serialization would double dispatch cost
-    for exactly the payloads the shm path exists to stop shipping (and
-    would force lazy segments to materialize early).  Everything else
-    falls back to a pickle probe capped at :data:`PAYLOAD_PROBE_CAP`
-    bytes, recording the cap as a floor when it trips.
+    Segment-backed parts (anything exposing ``segment_nbytes()`` — a
+    :class:`repro.runtime.shm.SharedBFH`) count their shared-memory
+    footprint, gauged alone as ``parallel.shm_payload_bytes``, and are
+    **never** pickled here: probing by serialization would double
+    dispatch cost for exactly the data the shm path exists to stop
+    shipping.  The other parts — the trees a spawn worker does unpickle —
+    add a pickle probe capped at :data:`PAYLOAD_PROBE_CAP` bytes, which
+    records the cap as a floor when it trips.
     """
     if not _obs_enabled():
         return
     parts = shared if isinstance(shared, tuple) else (shared,)
-    probes = [getattr(part, "segment_nbytes", None) for part in parts]
-    if any(callable(probe) for probe in probes):
-        size = float(sum(probe() for probe in probes if callable(probe)))
+    size = 0.0
+    rest = []
+    for part in parts:
+        probe = getattr(part, "segment_nbytes", None)
+        if callable(probe):
+            size += probe()
+        else:
+            rest.append(part)
+    has_segments = len(rest) < len(parts)
+    if has_segments:
         _gauge("parallel.shm_payload_bytes").set(size)
-    else:
-        measured = _capped_pickle_size(shared)
-        if measured is None:
-            return
-        size = measured
-    _histogram("parallel.payload_bytes").observe(size)
+        shared = tuple(rest)
+    measured = _capped_pickle_size(shared)
+    if measured is None and not has_segments:
+        return
+    _histogram("parallel.payload_bytes").observe(size + (measured or 0.0))
 
 
 def _finish_task_inline(task_t0: float) -> None:
@@ -326,63 +346,6 @@ def _invoke_child(item: tuple[RangeTask, tuple[int, int]]):
     return value, worker_task_snapshot(t0)
 
 
-def _sync_worker_observability(observing: bool) -> None:
-    """Align a reused worker's recording flag with the dispatching parent.
-
-    A cached pool outlives individual fan-outs, so the observability
-    state its workers inherited (fork) or started with (spawn) can go
-    stale between calls; each task carries the parent's current flag.
-    """
-    if observing and not _obs_enabled():
-        from repro.observability.state import enable
-
-        enable()
-    elif not observing and _obs_enabled():
-        from repro.observability.state import disable
-
-        disable()
-        _obs.reset()
-
-
-def _invoke_reused_child(item: tuple[RangeTask, Any, tuple[int, int], bool]):
-    """Task wrapper for *reused* pools: the payload rides in the item.
-
-    A reused pool cannot rely on fork inheritance (the snapshot is from
-    pool creation, not this fan-out) or a spawn initializer (initargs
-    run once per worker lifetime) — so each task installs its own
-    payload.  The payload is expected to be descriptor-cheap to pickle
-    (shared-memory backed); callers opting into ``reuse`` own that.
-    """
-    task, shared, bounds, observing = item
-    _sync_worker_observability(observing)
-    _set_payload(shared)
-    t0 = time.perf_counter()
-    value = task(bounds)
-    return value, worker_task_snapshot(t0)
-
-
-# Cached pools for reuse= fan-outs, keyed (backend, workers, reuse tag).
-_POOL_CACHE: dict[tuple[str, int, str], Any] = {}
-
-
-def shutdown_pools() -> None:
-    """Terminate every cached ``reuse=`` pool (idempotent; atexit-hooked).
-
-    Worker processes are daemonic — they die with the parent anyway —
-    but an explicit shutdown releases their payload attachments (and
-    any shared-memory mappings) deterministically, which the leak tests
-    rely on.
-    """
-    pools = list(_POOL_CACHE.values())
-    _POOL_CACHE.clear()
-    for pool in pools:
-        pool.terminate()
-        pool.join()
-
-
-atexit.register(shutdown_pools)
-
-
 # ---------------------------------------------------------------------------
 # Backends.
 # ---------------------------------------------------------------------------
@@ -404,16 +367,8 @@ class Executor:
 
     def submit_ranges(self, task: RangeTask, n_items: int, shared: Any, *,
                       n_workers: int | None = 1,
-                      chunk_size: int | None = None,
-                      reuse: str | None = None) -> list[Any]:
-        """Run ``task`` over chunked ranges; results come back in range order.
-
-        ``reuse`` names a cached worker pool to dispatch through instead
-        of building (and tearing down) a pool per fan-out.  Reused pools
-        receive the payload *per task item*, so it must pickle cheaply —
-        shared-memory descriptors, not whole data structures.  In-process
-        backends ignore the flag (there is nothing to reuse).
-        """
+                      chunk_size: int | None = None) -> list[Any]:
+        """Run ``task`` over chunked ranges; results come back in range order."""
         raise NotImplementedError
 
     def _plan(self, n_items: int, n_workers: int | None,
@@ -434,7 +389,7 @@ class SerialExecutor(Executor):
     name = "serial"
 
     def submit_ranges(self, task, n_items, shared, *, n_workers=1,
-                      chunk_size=None, reuse=None):
+                      chunk_size=None):
         if n_items <= 0:
             return []
         size = chunk_size or n_items
@@ -455,7 +410,7 @@ class ThreadExecutor(Executor):
     name = "thread"
 
     def submit_ranges(self, task, n_items, shared, *, n_workers=1,
-                      chunk_size=None, reuse=None):
+                      chunk_size=None):
         if n_items <= 0:
             return []
         workers, size = self._plan(n_items, n_workers, chunk_size)
@@ -482,36 +437,17 @@ class _ProcessExecutor(Executor):
     def _pool(self, workers: int, shared: Any):
         raise NotImplementedError
 
-    def _bare_pool(self, workers: int):
-        """A payload-free pool for the ``reuse`` cache."""
-        raise NotImplementedError
-
-    def _cached_pool(self, workers: int, reuse: str):
-        key = (self.name, workers, reuse)
-        pool = _POOL_CACHE.get(key)
-        if pool is None:
-            pool = self._bare_pool(workers)
-            _POOL_CACHE[key] = pool
-        return pool
-
     def submit_ranges(self, task, n_items, shared, *, n_workers=1,
-                      chunk_size=None, reuse=None):
+                      chunk_size=None):
         if n_items <= 0:
             return []
         workers, size = self._plan(n_items, n_workers, chunk_size)
         record_fanout(workers, size)
         _record_payload_bytes(shared)
         t0 = time.perf_counter()
-        if reuse is None:
-            items = [(task, bounds) for bounds in chunk_indices(n_items, size)]
-            with self._pool(workers, shared) as pool:
-                results = pool.map(_invoke_child, items)
-        else:
-            observing = _obs_enabled()
-            items = [(task, shared, bounds, observing)
-                     for bounds in chunk_indices(n_items, size)]
-            results = self._cached_pool(workers, reuse).map(
-                _invoke_reused_child, items)
+        items = [(task, bounds) for bounds in chunk_indices(n_items, size)]
+        with self._pool(workers, shared) as pool:
+            results = pool.map(_invoke_child, items)
         merge_worker_snapshots(snap for _value, snap in results)
         _record_fanout_seconds(t0)
         return [value for value, _snap in results]
@@ -528,25 +464,25 @@ class ForkExecutor(_ProcessExecutor):
     def _pool(self, workers: int, shared: Any):
         return fork_payload_pool(workers, shared)
 
-    def _bare_pool(self, workers: int):
-        ctx = mp.get_context("fork")
-        return ctx.Pool(processes=workers, initializer=_fork_worker_init)
-
 
 class SpawnExecutor(_ProcessExecutor):
-    """``spawn`` pool: payload pickled once per worker at pool start."""
+    """``spawn`` pool: payload pickled once, unpickled by each worker."""
 
     name = "spawn"
 
     def _pool(self, workers: int, shared: Any):
+        # The payload goes through a queue, not the initializer arguments:
+        # those ride each child's start-up pipe, and bytes past the pipe
+        # buffer would make every start wait for the previous child to
+        # finish importing, so workers would start one after another.
         ctx = mp.get_context("spawn")
-        return ctx.Pool(processes=workers, initializer=_spawn_worker_init,
-                        initargs=(shared, _obs_enabled()))
-
-    def _bare_pool(self, workers: int):
-        # Fresh interpreters start with a clean observability state and
-        # no payload; _invoke_reused_child installs both per task.
-        return mp.get_context("spawn").Pool(processes=workers)
+        payload = pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL)
+        payloads = ctx.SimpleQueue()
+        pool = ctx.Pool(processes=workers, initializer=_spawn_worker_init,
+                        initargs=(payloads, _obs_enabled()))
+        for _ in range(workers):
+            payloads.put(payload)
+        return pool
 
 
 BACKENDS: dict[str, Executor] = {

@@ -63,8 +63,9 @@ class MethodSpec:
         ``"hash"`` (O(n·r) split hash), ``"matrix"`` (pairwise matrix),
         or ``"stream"`` (O(n) working set per tree).
     shared_memory:
-        Process workers attach a zero-copy shared-memory segment instead
-        of receiving a pickled payload (:mod:`repro.runtime.shm`).
+        Process workers attach the reference table as a zero-copy
+        shared-memory segment instead of unpickling it
+        (:mod:`repro.runtime.shm`).
     fast_path:
         Candidate for the *default* method: when ``average_rf`` is called
         without ``method=``, the most recently registered fast-path spec

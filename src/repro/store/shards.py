@@ -33,7 +33,6 @@ from repro.observability.spans import trace
 from repro.observability.state import enabled as _obs_enabled
 from repro.runtime.executor import Executor, get_executor, get_payload, \
     resolve_workers
-from repro.runtime.shm import SharedTreeCollection
 from repro.trees.tree import Tree
 
 __all__ = ["shard_boundaries", "shard_of", "partition_rows",
@@ -122,14 +121,14 @@ def _count_range(bounds: tuple[int, int]):
     these ride home in the worker snapshot and are grafted back under
     the dispatching span.
     """
-    collection, include_trivial, weighted = get_payload()
-    trees = collection.slice(bounds[0], bounds[1])
+    trees, include_trivial, weighted = get_payload()
+    lo, hi = bounds
     if not _obs_enabled():
-        return _count_slice(trees, 0, len(trees),
-                            include_trivial=include_trivial, weighted=weighted)
-    with trace("store.count", lo=bounds[0], hi=bounds[1]):
+        return _count_slice(trees, lo, hi, include_trivial=include_trivial,
+                            weighted=weighted)
+    with trace("store.count", lo=lo, hi=hi):
         t0 = time.perf_counter()
-        result = _count_slice(trees, 0, len(trees),
+        result = _count_slice(trees, lo, hi,
                               include_trivial=include_trivial,
                               weighted=weighted)
         _histogram("store.shard_build_seconds").observe(
@@ -153,16 +152,9 @@ def parallel_build_tables(trees: Sequence[Tree], *, include_trivial: bool,
     if workers <= 1 or len(trees) < 2:
         return _count_slice(trees, 0, len(trees),
                             include_trivial=include_trivial, weighted=weighted)
-    # The collection crosses to spawn workers as a shared-memory segment
-    # descriptor, not a pickle; lengths ride along only when the weighted
-    # multisets need them (Newick repr round-trips floats exactly).
-    collection = SharedTreeCollection(trees, include_lengths=weighted)
-    try:
-        partials = get_executor(executor).submit_ranges(
-            _count_range, len(trees), (collection, include_trivial, weighted),
-            n_workers=workers)
-    finally:
-        collection.release()
+    partials = get_executor(executor).submit_ranges(
+        _count_range, len(trees), (trees, include_trivial, weighted),
+        n_workers=workers)
     merged = BipartitionFrequencyHash(include_trivial=include_trivial)
     weights: dict[int, list[float]] | None = {} if weighted else None
     for counts, part_weights, n, total in partials:

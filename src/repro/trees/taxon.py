@@ -31,12 +31,11 @@ class Taxon:
     :meth:`TaxonNamespace.require` and never directly.
     """
 
-    __slots__ = ("label", "index", "_namespace_id")
+    __slots__ = ("label", "index")
 
-    def __init__(self, label: str, index: int, namespace_id: int):
+    def __init__(self, label: str, index: int):
         self.label = label
         self.index = index
-        self._namespace_id = namespace_id
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Taxon({self.label!r}, bit={self.index})"
@@ -47,7 +46,7 @@ class Taxon:
         return 1 << self.index
 
 
-_ABSENT = Taxon("", -1, 0)
+_ABSENT = Taxon("", -1)
 _index = attrgetter("index")
 
 
@@ -93,7 +92,7 @@ class TaxonNamespace:
             raise TaxonError("taxon labels must be non-empty")
         taxon = self._by_label.get(label)
         if taxon is None:
-            taxon = Taxon(label, len(self._taxa), id(self))
+            taxon = Taxon(label, len(self._taxa))
             self._taxa.append(taxon)
             self._by_label[label] = taxon
         return taxon

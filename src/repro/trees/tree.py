@@ -20,6 +20,20 @@ from repro.util.errors import TreeStructureError
 __all__ = ["Tree"]
 
 
+def _rebuild_tree(namespace: TaxonNamespace, parents: list[int], taxa: list,
+                  lengths: list, labels: list) -> "Tree":
+    """Unpickle target of :meth:`Tree.__reduce__`: relink its flat lists."""
+    nodes: list[Node] = []
+    for parent, taxon, length, label in zip(parents, taxa, lengths, labels):
+        node = Node(taxon, length, label)
+        if parent >= 0:
+            up = nodes[parent]
+            node.parent = up
+            up.children.append(node)
+        nodes.append(node)
+    return Tree(nodes[0], namespace)
+
+
 class Tree:
     """A phylogenetic tree over a taxon namespace.
 
@@ -134,6 +148,26 @@ class Tree:
             mapping[id(node)] = clone
             mapping[id(node.parent)].add_child(clone)
         return Tree(new_root, self.taxon_namespace)
+
+    def __reduce__(self):
+        """Pickle as flat lists, so depth never hits the recursion limit.
+
+        Nodes are listed breadth-first (parents before children, children
+        in order); each becomes its parent's position (-1 at the root),
+        its taxon, length and label, and lengths cross as exact floats.
+        The namespace and its taxa go through the pickle memo, so a list
+        of trees pickles its one namespace once and the unpickled trees
+        share it again.
+        """
+        nodes = [self.root]
+        parents = [-1]
+        for i, node in enumerate(nodes):  # grows as it goes: breadth-first
+            if node.children:
+                nodes.extend(node.children)
+                parents.extend([i] * len(node.children))
+        return (_rebuild_tree,
+                (self.taxon_namespace, parents, [n.taxon for n in nodes],
+                 [n.length for n in nodes], [n.label for n in nodes]))
 
     # -- rerooting / derooting -----------------------------------------------------
 

@@ -35,6 +35,21 @@ def make_collection(n_taxa: int, n_trees: int, seed: int,
             for _ in range(n_trees)]
 
 
+def make_caterpillars(n_taxa: int, n_trees: int, seed: int) -> list[Tree]:
+    """Caterpillar trees (depth ``n_taxa - 1``) with shuffled leaf orders and
+    branch lengths, over one namespace — deeper than any recursive walk of
+    the nodes, pickle's included, can go."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for _ in range(n_trees):
+        order = rng.permutation(n_taxa)
+        text = f"T{order[0]}"
+        for i in order[1:]:
+            text = f"({text}:{rng.random()!r},T{i}:{rng.random()!r})"
+        records.append(text + ";")
+    return trees_from_string("\n".join(records))
+
+
 # ---------------------------------------------------------------------------
 # Fixtures.
 # ---------------------------------------------------------------------------

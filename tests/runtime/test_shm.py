@@ -19,18 +19,19 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
-from repro.bipartitions.extract import bipartition_masks
-from repro.core.bfhrf import build_bfh
+from repro import observability as obs
+from repro.core.bfhrf import bfhrf_average_rf, build_bfh
 from repro.core.vectorized import VectorizedBFH
 from repro.runtime.shm import (
     SEGMENT_PREFIX,
     SharedBFH,
     SharedBFHDescriptor,
-    SharedTreeCollection,
     leaked_segments,
     owned_leaked_segments,
 )
-from repro.runtime.executor import shutdown_pools
+from repro.core.shmrf import shm_average_rf
+from repro.observability.metrics import metrics_snapshot
+from repro.runtime import BACKENDS
 from tests.conftest import make_collection
 
 
@@ -74,16 +75,11 @@ class TestSharedBFHLayout:
         assert np.shares_memory(vbfh.keys, sb.keys)
         assert np.shares_memory(vbfh.freqs, sb.freqs)
 
-    def test_from_trees(self, trees):
-        bfh = build_bfh(trees)
-        with SharedBFH.from_trees(trees) as sb:
-            assert sb.to_bfh().counts == bfh.counts
-
     def test_splitless_reference(self):
         from repro.newick import trees_from_string
 
         stars = trees_from_string("(A,B,C,D);\n(A,B,C,D);")
-        with SharedBFH.from_trees(stars) as sb:
+        with SharedBFH.from_bfh(build_bfh(stars), 4) as sb:
             assert len(sb) == 0
             assert sb.frequency(0b0011) == 0
         assert owned_leaked_segments() == []
@@ -142,11 +138,6 @@ class TestLifecycle:
             assert np.array_equal(clone.keys, sb.keys)
             assert np.array_equal(clone.freqs, sb.freqs)
         finally:
-            # The attach cache owns in-worker clones; here we are our own
-            # "worker", so evict explicitly.
-            from repro.runtime.shm import _ATTACH_CACHE
-
-            _ATTACH_CACHE.pop(sb.name, None)
             clone.close()
 
     def test_descriptor_fields(self, shared):
@@ -213,85 +204,32 @@ class TestWorkerDeath:
         assert sb.name in leaked_segments()  # still owned by the parent
 
 
-class TestSharedTreeCollection:
-    def test_lazy_until_pickled(self, trees):
-        col = SharedTreeCollection(trees)
-        assert col.segment_nbytes() == 0
-        assert owned_leaked_segments() == []  # nothing materialized
-        assert col.slice(1, 3) == trees[1:3]  # parent slices in memory
-        col.release()  # release of a never-materialized collection is a no-op
-
-    def test_worker_side_masks_are_bitwise_identical(self, trees):
-        col = SharedTreeCollection(trees, include_lengths=False)
-        descriptor = col._materialize()
-        attached = SharedTreeCollection.attach(descriptor)
-        try:
-            parsed = attached.slice(0, len(trees))
-            assert [bipartition_masks(t) for t in parsed] \
-                == [bipartition_masks(t) for t in trees]
-        finally:
-            attached.close()
-            col.release()
-        assert owned_leaked_segments() == []
-
-    def test_weighted_lengths_round_trip_exactly(self, trees):
-        from repro.bipartitions.extract import bipartitions_with_lengths
-
-        col = SharedTreeCollection(trees, include_lengths=True)
-        attached = SharedTreeCollection.attach(col._materialize())
-        try:
-            parsed = attached.trees
-            assert [bipartitions_with_lengths(t) for t in parsed] \
-                == [bipartitions_with_lengths(t) for t in trees]
-        finally:
-            attached.close()
-            col.release()
-
-    def test_hostile_labels_survive(self):
-        from repro.newick import trees_from_string
-
-        text = "(('sp one','sp_two'),('it''s',d_4));\n(('sp one','it''s'),('sp_two',d_4));"
-        trees = trees_from_string(text)
-        col = SharedTreeCollection(trees, include_lengths=False)
-        attached = SharedTreeCollection.attach(col._materialize())
-        try:
-            parsed = attached.trees
-            assert [bipartition_masks(t) for t in parsed] \
-                == [bipartition_masks(t) for t in trees]
-        finally:
-            attached.close()
-            col.release()
-
-    def test_mixed_namespaces_rejected(self, trees):
-        other = make_collection(n_taxa=12, n_trees=1, seed=405)
-        with pytest.raises(ValueError, match="shared TaxonNamespace"):
-            SharedTreeCollection(trees + other)
-
-    def test_pickle_ships_descriptor_not_trees(self, trees):
-        col = SharedTreeCollection(trees, include_lengths=False)
-        try:
-            blob = pickle.dumps(col)
-            assert len(blob) < 1024
-            assert col.segment_nbytes() > 0  # pickling materialized it
-        finally:
-            from repro.runtime.shm import _ATTACH_CACHE
-
-            _ATTACH_CACHE.pop(col.name, None)
-            col.release()
-
-
-class TestPoolReuse:
-    def test_cached_pool_sees_fresh_payload_per_fanout(self, trees):
-        """Regression: a reused pool must not serve a stale payload."""
-        from repro.core.shmrf import shm_average_rf
-        from repro.core.bfhrf import bfhrf_average_rf
-
+class TestConsecutiveSpawnFanouts:
+    def test_second_fanout_sees_fresh_payload(self, trees):
+        """Two spawn fan-outs in a row each score their own payload."""
         other = make_collection(n_taxa=12, n_trees=6, seed=77)
         first = shm_average_rf(trees, trees, n_workers=2, executor="spawn")
         second = shm_average_rf(other, other, n_workers=2, executor="spawn")
         assert first == bfhrf_average_rf(trees, trees)
         assert second == bfhrf_average_rf(other, other)
 
-    def test_shutdown_pools_idempotent(self):
-        shutdown_pools()
-        shutdown_pools()
+
+class TestPayloadAccounting:
+    @pytest.mark.parametrize("backend", ["fork", "spawn"])
+    def test_payload_bytes_count_the_trees_too(self, backend, trees):
+        """The histogram adds the pickled query trees to the segment, so a
+        spawn fan-out does not report only the table it shares."""
+        if not BACKENDS[backend].available():
+            pytest.skip(f"{backend} unavailable here")
+        obs.reset()
+        obs.enable()
+        try:
+            shm_average_rf(trees, trees, n_workers=2, executor=backend)
+            snapshot = metrics_snapshot()
+            segment = snapshot["gauges"]["parallel.shm_payload_bytes"]
+            assert segment > 0
+            assert snapshot["histograms"]["parallel.payload_bytes"]["max"] \
+                > segment
+        finally:
+            obs.disable()
+            obs.reset()
