@@ -8,7 +8,9 @@ queries pay only scan + probe, never open/replay.  Every listener
 speaks the same NDJSON protocol (:mod:`repro.serve.protocol`) and
 serves bitwise-identical replies.
 
-Three cooperating task families on one event loop:
+Three cooperating task families on one event loop and one thread, so
+a scan or a probe runs to completion before the loop reads anything
+else (``max_frame_bytes`` and ``batch_max_trees`` bound that stall):
 
 * **connection handlers** (one per client) speak the NDJSON protocol:
   hello on connect (carrying the listener's endpoint), then
@@ -30,7 +32,7 @@ Three cooperating task families on one event loop:
   generation bump (an external ``store compact``) triggers a full
   reopen, and the *epoch* counter is bumped.  A batch takes the store's
   table (O(1), and never written later) with its state stamp in one
-  hold of the store lock; every reply names the state it was scored on.
+  synchronous step; every reply names the state it was scored on.
 
 **Admission control** bounds every buffer a client can fill.  Three
 gates, each shedding with ``overloaded`` (the connection stays open —
@@ -226,7 +228,8 @@ class ServeDaemon:
         self._prebound = dict(prebound_sockets or {})
         self._metrics = MetricsRegistry()
         self._store: BFHStore | None = None
-        self._store_lock = threading.Lock()
+        # The query namespace of one epoch: (epoch, namespace).
+        self._query_ns: tuple[int, TaxonNamespace] | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._closing: asyncio.Event | None = None
         self._queue: asyncio.Queue[_Pending] | None = None
@@ -234,7 +237,6 @@ class ServeDaemon:
         self._conn_tasks: set[asyncio.Task] = set()
         self._listeners: list[_Listener] = []
         self._draining = False
-        self._in_flight = False
         self._active_requests = 0
         self._queued_trees = 0
         self._started_at = 0.0
@@ -325,7 +327,7 @@ class ServeDaemon:
         self._draining = False
         self._queued_trees = 0
         self._listeners = []
-        self._store = await asyncio.to_thread(BFHStore.open, self.store_dir)
+        self._store = BFHStore.open(self.store_dir)
         servers: list[asyncio.AbstractServer] = []
         owned_paths: list[Path] = []
         try:
@@ -393,8 +395,8 @@ class ServeDaemon:
             for server in servers:
                 await server.wait_closed()
             deadline = loop.time() + cfg.drain_timeout_s
-            while (not self._queue.empty() or self._in_flight
-                   or self._active_requests) and loop.time() < deadline:
+            while (not self._queue.empty() or self._active_requests
+                   ) and loop.time() < deadline:
                 await asyncio.sleep(0.01)
             tailer.cancel()
             batcher.cancel()
@@ -511,10 +513,9 @@ class ServeDaemon:
         await writer.drain()
 
     def _hello(self, listener: _Listener) -> dict[str, Any]:
-        with self._store_lock:
-            store = self._store
-            info = {"path": str(store.path), "generation": store.generation,
-                    "trees": store.n_trees, "taxa": len(store.labels)}
+        store = self._store
+        info = {"path": str(store.path), "generation": store.generation,
+                "trees": store.n_trees, "taxa": len(store.labels)}
         return {"type": "hello", "server": SERVER_NAME,
                 "protocol": PROTOCOL_VERSION, "pid": os.getpid(),
                 "listener": listener.endpoint.describe(),
@@ -546,8 +547,7 @@ class ServeDaemon:
         if op == "ping":
             return ok_reply(rid, pong=True)
         if op == "stats":
-            payload = await asyncio.to_thread(self._stats_payload)
-            return ok_reply(rid, stats=payload)
+            return ok_reply(rid, stats=self._stats_payload())
         if self._draining:
             return error_reply(rid, "shutting-down",
                                "daemon is draining; reconnect later")
@@ -564,15 +564,23 @@ class ServeDaemon:
 
     def _parse(self, text: str) -> tuple[ScannedTrees | list[Tree], int]:
         """Read query text in the store's namespace (bit-aligned masks):
-        Newick is scanned with no ``Tree``, NEXUS is parsed.  Only the
-        label list is copied under the store lock."""
-        with self._store_lock:
-            labels = self._store.labels
-        ns = TaxonNamespace(labels)
-        if text.lstrip().upper().startswith("#NEXUS"):
-            trees = read_nexus_trees(text, ns)
-        else:
-            trees = scan_newick_text(text, ns)
+        Newick is scanned with no ``Tree``, NEXUS is parsed.
+
+        Queries of one epoch share one namespace; a scan that grows it
+        (query-only taxa, or a rejected record whose new labels were
+        already bound) drops it."""
+        if self._query_ns is None or self._query_ns[0] != self._epoch:
+            self._query_ns = (self._epoch, self._store.namespace())
+        ns = self._query_ns[1]
+        known = len(ns)
+        try:
+            if text.lstrip().upper().startswith("#NEXUS"):
+                trees = read_nexus_trees(text, ns)
+            else:
+                trees = scan_newick_text(text, ns)
+        finally:
+            if len(ns) != known:
+                self._query_ns = None
         return trees, max(1, len(ns))
 
     async def _handle_query(self, rid: Any,
@@ -584,15 +592,13 @@ class ServeDaemon:
                                "text")
         t0 = time.perf_counter()
         try:
-            trees, n_taxa = await asyncio.to_thread(self._parse, text)
+            trees, n_taxa = self._parse(text)
         except ReproError as exc:
             return error_reply(rid, "parse-error", str(exc))
         finally:
             self._observe("serve.parse_seconds", time.perf_counter() - t0)
         if not trees:
-            with self._store_lock:
-                stamp = self._stamp()
-            return ok_reply(rid, values=[], trees=0, **stamp)
+            return ok_reply(rid, values=[], trees=0, **self._stamp())
         cfg = self.config
         if (self._queued_trees
                 and self._queued_trees + len(trees) > cfg.queue_max_trees):
@@ -629,8 +635,10 @@ class ServeDaemon:
         cfg = self.config
         while True:
             pending = [await self._queue.get()]
-            if cfg.batch_window_s > 0:
-                await asyncio.sleep(cfg.batch_window_s)
+            # Yield at least once per batch, window or not: with a
+            # backlog ``get`` does not, and the last batch's replies
+            # would wait behind this one's probe.
+            await asyncio.sleep(cfg.batch_window_s)
             n_trees = len(pending[0].trees)
             while n_trees < cfg.batch_max_trees and not self._queue.empty():
                 extra = self._queue.get_nowait()
@@ -638,51 +646,46 @@ class ServeDaemon:
                 n_trees += len(extra.trees)
             self._queued_trees = max(0, self._queued_trees - n_trees)
             self._set_gauge("serve.queued_trees", self._queued_trees)
-            self._in_flight = True
+            now = time.monotonic()
+            for item in pending:
+                self._observe("serve.queue_wait_seconds",
+                              now - item.enqueued_at)
+            self._observe("serve.batch_requests", len(pending))
+            self._observe("serve.batch_trees", n_trees)
+            t0 = time.perf_counter()
             try:
-                now = time.monotonic()
+                per_request = self._score(pending)
+            except Exception as exc:
                 for item in pending:
-                    self._observe("serve.queue_wait_seconds",
-                                  now - item.enqueued_at)
-                self._observe("serve.batch_requests", len(pending))
-                self._observe("serve.batch_trees", n_trees)
-                t0 = time.perf_counter()
-                try:
-                    per_request = await asyncio.to_thread(
-                        self._score, pending)
-                except Exception as exc:
-                    for item in pending:
-                        if not item.future.done():
-                            item.future.set_exception(exc)
-                else:
-                    self._observe("serve.probe_seconds",
-                                  time.perf_counter() - t0)
-                    for item, result in zip(pending, per_request):
-                        if not item.future.done():
-                            item.future.set_result(result)
-                self._inc("serve.batches")
-            finally:
-                self._in_flight = False
+                    if not item.future.done():
+                        item.future.set_exception(exc)
+            else:
+                self._observe("serve.probe_seconds",
+                              time.perf_counter() - t0)
+                for item, result in zip(pending, per_request):
+                    if not item.future.done():
+                        item.future.set_result(result)
+            self._inc("serve.batches")
 
     def _stamp(self) -> dict[str, int]:
-        """The store state a reply names; call under the store lock."""
+        """The store state a reply names."""
         return {"reference_trees": self._store.n_trees,
                 "generation": self._store.generation, "epoch": self._epoch}
 
     def _score(self, pending: list[_Pending]
                ) -> list[tuple[list[float], dict[str, int]]]:
-        """One probe for the whole batch; runs on a worker thread.  Each
+        """One probe for the whole batch, on the loop thread.  Each
         request gets its values and the stamp of the state they were
-        computed on."""
+        computed on: the table and the stamp are read in one synchronous
+        step, with no tail in between."""
         n_taxa = max(item.n_taxa for item in pending)
         with trace("serve.batch", requests=len(pending),
                    trees=sum(len(item.trees) for item in pending)):
-            with self._store_lock:
-                # Pack wide enough for the widest query namespace (new
-                # taxa in query trees): a narrower key truncates masks.
-                table = self._store.table(
-                    max(n_taxa, len(self._store.labels), 1))
-                stamp = self._stamp()
+            # Pack wide enough for the widest query namespace (new taxa
+            # in query trees): a narrower key truncates masks.
+            table = self._store.table(
+                max(n_taxa, len(self._store.labels), 1))
+            stamp = self._stamp()
             probe = table.vectorized()
             block = SplitBlock.concat(
                 [probe.split_block(item.trees) for item in pending])
@@ -706,7 +709,7 @@ class ServeDaemon:
                                        timeout=self.config.tail_interval_s)
                 return  # shutting down
             try:
-                await asyncio.to_thread(self._refresh_store)
+                self._refresh_store()
             except Exception:
                 # Transient (mid-compact window, torn manifest read):
                 # keep serving the last consistent view, try again.
@@ -714,38 +717,32 @@ class ServeDaemon:
 
     def _refresh_store(self) -> None:
         """Tail the journal — or reopen after an external compaction —
-        and bump the epoch, under the store lock, if the state changed."""
-        with self._store_lock:
-            store = self._store
-            disk_generation = BFHStore.read_generation(self.store_dir)
-            if disk_generation != store.generation:
-                self._store = BFHStore.open(self.store_dir)
-                self._epoch += 1
-                self._inc("serve.reopens")
-                self._set_gauge("store.journal_lag_bytes",
-                                self._store.journal_lag_bytes())
-                return
+        and bump the epoch if the state changed."""
+        store = self._store
+        if BFHStore.read_generation(self.store_dir) == store.generation:
             try:
                 applied = store.tail_journal()
             except StoreError:
                 # The journal vanished between the generation probe and
                 # the read: a compaction raced us.  Reopen.
-                self._store = BFHStore.open(self.store_dir)
-                self._epoch += 1
-                self._inc("serve.reopens")
+                pass
+            else:
+                self._set_gauge("store.journal_lag_bytes",
+                                store.journal_lag_bytes())
+                if applied:
+                    self._epoch += 1
+                    self._inc("serve.tail_applied", applied)
                 return
-            self._set_gauge("store.journal_lag_bytes",
-                            store.journal_lag_bytes())
-            if applied:
-                self._epoch += 1
-                self._inc("serve.tail_applied", applied)
+        self._store = BFHStore.open(self.store_dir)
+        self._epoch += 1
+        self._inc("serve.reopens")
+        self._set_gauge("store.journal_lag_bytes",
+                        self._store.journal_lag_bytes())
 
     # -- introspection -------------------------------------------------------
 
     def _stats_payload(self) -> dict[str, Any]:
         cfg = self.config
-        with self._store_lock:
-            info = self._store.info()
         return {
             "server": SERVER_NAME,
             "protocol": PROTOCOL_VERSION,
@@ -761,7 +758,7 @@ class ServeDaemon:
                 "queued_trees": self._queued_trees,
             },
             "metrics": self._metrics.snapshot(),
-            "store": info,
+            "store": self._store.info(),
         }
 
 

@@ -106,42 +106,128 @@ class TestSingleQuery:
         assert parse["sum"] > 0
 
 
-class _OwnedLock:
-    """A lock that knows which thread holds it."""
+def _loop_thread(daemon) -> int:
+    """The ident of the thread that runs the daemon's event loop."""
+    seen: list[int] = []
+    done = threading.Event()
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.owner = None
+    def _record() -> None:
+        seen.append(threading.get_ident())
+        done.set()
 
-    def __enter__(self):
-        self._lock.acquire()
-        self.owner = threading.get_ident()
-
-    def __exit__(self, *exc):
-        self.owner = None
-        self._lock.release()
+    daemon._loop.call_soon_threadsafe(_record)
+    assert done.wait(10)
+    return seen[0]
 
 
-def test_query_namespace_is_built_off_the_store_lock(
+def test_scan_probe_tail_and_stats_run_on_the_loop_thread(
         tmp_path, store_dir, collection, monkeypatch):
-    """The parse stage copies the store's labels under the lock and builds
-    the query namespace outside it."""
-    import repro.serve.daemon as daemon_module
+    """The daemon is one thread: a query's scan and probe, a tailed add,
+    a reopen after an external compaction and ``stats`` all run on the
+    event loop's thread, so nothing else ever touches the store."""
+    from repro.serve import ServeDaemon
 
-    daemon = daemon_module.ServeDaemon(store_dir, _config(tmp_path))
-    daemon._store = BFHStore.open(store_dir)
-    daemon._store_lock = lock = _OwnedLock()
-    held = []
-    real = daemon_module.TaxonNamespace
+    calls: list[tuple[str, int]] = []
+    for name in ("_parse", "_score", "_refresh_store", "_stats_payload"):
+        def _recorded(self, *args, _real=getattr(ServeDaemon, name),
+                      _name=name):
+            calls.append((_name, threading.get_ident()))
+            return _real(self, *args)
+        monkeypatch.setattr(ServeDaemon, name, _recorded)
 
-    def namespace(labels=()):
-        held.append(lock.owner == threading.get_ident())
-        return real(labels)
+    probe = _text(collection[:3])
+    with serving(store_dir, _config(tmp_path)) as daemon:
+        loop_thread = _loop_thread(daemon)
+        with ServeClient.connect(daemon.config.endpoints[0].path) as client:
+            assert client.query(probe) == bfhrf_average_rf(collection[:3],
+                                                           collection)
+            external = BFHStore.open(store_dir)
+            external.add_trees(collection[:1])
+            deadline = time.monotonic() + 10
+            while client.request("query", trees=probe)[
+                    "reference_trees"] == len(collection):
+                assert time.monotonic() < deadline, "the add never tailed"
+                time.sleep(0.02)
+            external.compact()
+            deadline = time.monotonic() + 10
+            while client.request("query", trees=probe)[
+                    "generation"] != external.generation:
+                assert time.monotonic() < deadline, "the daemon never reopened"
+                time.sleep(0.02)
+            stats = client.stats()
+    counters = stats["metrics"]["counters"]
+    assert counters["serve.tail_applied"] >= 1
+    assert counters["serve.reopens"] >= 1
+    assert {name for name, _ in calls} == {
+        "_parse", "_score", "_refresh_store", "_stats_payload"}
+    assert {ident for _, ident in calls} == {loop_thread}
+    assert loop_thread != threading.get_ident()
 
-    monkeypatch.setattr(daemon_module, "TaxonNamespace", namespace)
-    scanned, n_taxa = daemon._parse(_text(collection[:2]))
-    assert held == [False]
-    assert len(scanned) == 2 and n_taxa == len(daemon._store.labels)
+
+class TestQueryNamespace:
+    """Queries of one store epoch share one namespace; a scan that grows
+    it (query-only taxa) drops it, and replies are unchanged."""
+
+    def _known_labels(self, daemon) -> int:
+        epoch, ns = daemon._query_ns
+        assert epoch == daemon._epoch
+        return len(ns)
+
+    def test_unknown_taxon_then_ordinary_query(self, tmp_path, store_dir,
+                                               collection):
+        store = BFHStore.open(store_dir)
+        ns = store.namespace()
+        reference = trees_from_string(_text(collection), ns)
+        ordinary = _text(collection[:2])
+        stranger = write_newick(collection[2])[:-1]
+        unknown = f"({stranger},Zed);"
+        want_unknown = bfhrf_average_rf(trees_from_string(unknown, ns),
+                                        reference)
+        want_ordinary = bfhrf_average_rf(collection[:2], collection)
+        with serving(store_dir, _config(tmp_path)) as daemon:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
+                assert client.query(ordinary) == want_ordinary
+                kept = daemon._query_ns[1]
+                assert client.query(unknown) == want_unknown
+                assert daemon._query_ns is None  # grown, so dropped
+                assert client.query(ordinary) == want_ordinary
+                assert self._known_labels(daemon) == len(store.labels)
+                assert daemon._query_ns[1] is not kept
+                kept = daemon._query_ns[1]
+                assert client.query(ordinary) == want_ordinary
+                assert daemon._query_ns[1] is kept  # one per epoch
+
+                # A record rejected after an earlier one bound a new label.
+                with pytest.raises(ServeRequestError) as excinfo:
+                    client.query(f"{unknown}\n((A,B);")
+                assert excinfo.value.type == "parse-error"
+                assert client.query(ordinary) == want_ordinary
+                assert self._known_labels(daemon) == len(store.labels)
+
+    def test_tailed_extend_ns_makes_the_taxon_known(self, tmp_path,
+                                                    store_dir, collection):
+        probe = _text(collection[:2])
+        with serving(store_dir, _config(tmp_path)) as daemon:
+            with ServeClient.connect(daemon.config.endpoints[0].path) as client:
+                client.query(probe)
+                external = BFHStore.open(store_dir)
+                ns = external.namespace()
+                added = trees_from_string(
+                    f"({write_newick(collection[0])[:-1]},Zed);", ns)
+                external.add_trees(added)
+                final = len(collection) + 1
+                deadline = time.monotonic() + 10
+                while client.request("query", trees=probe)[
+                        "reference_trees"] != final:
+                    assert time.monotonic() < deadline, "the add never tailed"
+                    time.sleep(0.02)
+                query = f"({write_newick(collection[1])[:-1]},Zed);"
+                reply = client.request("query", trees=query)
+                assert self._known_labels(daemon) == len(external.labels)
+        reference = trees_from_string(_text(collection), ns) + added
+        assert reply["values"] == bfhrf_average_rf(
+            trees_from_string(query, ns), reference)
+        assert reply["reference_trees"] == final
 
 
 class TestConcurrentBatching:

@@ -3,13 +3,15 @@ recovery — never a hang, never a traceback over the wire."""
 
 from __future__ import annotations
 
+import os
 import socket
+import threading
 import time
 
 import pytest
 
 from repro.core.bfhrf import bfhrf_average_rf
-from repro.newick import write_newick
+from repro.newick import trees_from_string, write_newick
 from repro.serve import ServeClient, ServeConfig, ServeDaemon, serving
 from repro.serve.protocol import decode_frame, encode_frame
 from repro.store import BFHStore, build_store
@@ -205,6 +207,89 @@ class TestCompactionRace:
                     time.sleep(0.02)
                 stats = client.stats()
         assert stats["metrics"]["counters"]["serve.reopens"] >= 1
+
+    @pytest.mark.skipif(
+        not hasattr(os, "fork") or not hasattr(socket, "SO_REUSEPORT"),
+        reason="a --procs pool needs fork and SO_REUSEPORT")
+    def test_compaction_races_a_two_process_pool(self, tmp_path, store_dir,
+                                                 collection):
+        """``--procs 2``: two connections query in a loop while another
+        process adds, removes and compacts.  Every reply is ``ok`` and
+        exact at the state it reports, and both workers tail and reopen
+        up to the last generation."""
+        from tests.serve.test_supervisor import _Pool, _connect_with_budget
+
+        probe = _text(collection[:3])
+        writer = BFHStore.open(store_dir)
+        extra = trees_from_string(_text(make_collection(10, 2, seed=5)),
+                                  writer.namespace())
+        # Every state the writer passes through is the base plus a
+        # prefix of ``extra``, so the tree count names it.
+        states = {len(collection) + k: bfhrf_average_rf(
+            collection[:3], collection + extra[:k]) for k in range(3)}
+        errors: list[str] = []
+        seen: set[tuple[int, int]] = set()   # (worker pid, generation)
+        writing = threading.Event()
+        writing.set()
+
+        def _check(client, reply) -> None:
+            seen.add((client.hello["pid"], reply["generation"]))
+            if reply["values"] != states.get(reply["reference_trees"]):
+                errors.append(f"{reply['reference_trees']} trees at "
+                              f"generation {reply['generation']}: "
+                              f"{reply['values']}")
+
+        def _poll(addr) -> None:
+            try:
+                with _connect_with_budget(addr) as client:
+                    while writing.is_set():
+                        _check(client, client.request("query", trees=probe))
+            except ServeRequestError as exc:
+                errors.append(f"{exc.type} reply: {exc}")
+            except Exception as exc:  # reported by the assertion below
+                errors.append(repr(exc))
+
+        pool = _Pool(store_dir, tmp_path, n_procs=2)
+        try:
+            pool.wait_ready()
+            pollers = [threading.Thread(target=_poll, args=(addr,))
+                       for addr in (pool.socket_path, pool.tcp_addr)]
+            for poller in pollers:
+                poller.start()
+            for _ in range(3):
+                for k in range(2):
+                    writer.add_trees(extra[k:k + 1])
+                    time.sleep(0.05)
+                writer.remove_trees(extra[1:2])
+                time.sleep(0.05)
+                writer.compact()
+                time.sleep(0.15)
+                writer.remove_trees(extra[:1])
+                time.sleep(0.05)
+            writer.compact()
+            final = writer.generation
+            # Fresh connections land on either worker; each must reach
+            # the last generation with exact replies.
+            deadline = time.monotonic() + 20
+            while len({pid for pid, gen in seen if gen == final}) < 2:
+                assert time.monotonic() < deadline, \
+                    f"not every worker reached generation {final}: {seen}"
+                with _connect_with_budget(pool.tcp_addr) as client:
+                    pool.seen_pids.add(client.hello["pid"])
+                    _check(client, client.request("query", trees=probe))
+                time.sleep(0.02)
+            writing.clear()
+            for poller in pollers:
+                poller.join(timeout=30)
+            assert not any(poller.is_alive() for poller in pollers)
+        finally:
+            writing.clear()
+            pool.seen_pids |= {pid for pid, _ in seen}
+            pool.kill()
+            pool.proc.stdout.close()
+            pool.proc.stderr.close()
+        assert not errors, errors[:3]
+        assert len({gen for _, gen in seen}) > 1  # the pollers saw it move
 
 
 class TestSocketRecovery:
