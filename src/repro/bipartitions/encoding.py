@@ -41,10 +41,10 @@ def words_for_taxa(n_taxa: int) -> int:
     """Key width in 64-bit words for an ``n_taxa`` namespace (min 1).
 
     The single definition every layer shares: the store's on-disk keys,
-    the vectorized backend's ``(U, n_words)`` arrays, and the
-    shared-memory segments all size their keys through this function, so
-    the width flips at exactly the same taxon counts (64 → 65,
-    128 → 129) everywhere.
+    the vectorized backend's ``(U, n_words)`` arrays, and the tables
+    shipped to fan-out workers all size their keys through this
+    function, so the width flips at exactly the same taxon counts
+    (64 → 65, 128 → 129) everywhere.
 
     >>> [words_for_taxa(n) for n in (1, 64, 65, 128, 129)]
     [1, 1, 2, 2, 3]

@@ -601,7 +601,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
               f"{summary['to_codec']}: snapshots {before} -> {after} "
               f"bytes{ratio}")
     else:  # info
-        print(json.dumps(store.info(), indent=2))
+        report = {}
+        for key, value in store.info().items():
+            if key == "shards":  # the codec projections go before it
+                report["projected_bytes"] = store.projected_bytes()
+            report[key] = value
+        print(json.dumps(report, indent=2))
     return 0
 
 

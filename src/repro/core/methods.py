@@ -119,10 +119,9 @@ register_method(
 
 register_method(
     "shm", _run_shm,
-    summary="BFHRF over zero-copy shared memory: workers attach the "
-            "sorted split arrays by descriptor and probe them with the "
-            "vectorized kernel.",
+    summary="BFHRF over the sorted split table: every worker probes "
+            "the reference's sorted arrays with the vectorized kernel "
+            "(fork inherits them, spawn unpickles them once).",
     memory_class="hash",
-    shared_memory=True,
     fast_path=True,
     scan_runner=_scan_shm)

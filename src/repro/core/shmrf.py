@@ -1,28 +1,27 @@
-"""Shared-memory BFHRF — zero-copy parallel tree-vs-hash comparisons.
+"""BFHRF over the sorted split table — the default ``shm`` method.
 
-The executor ablation (PR 4) showed why "embarrassingly parallel" (§IX)
-did not translate into speedups here: every fork/spawn fan-out re-shipped
-the pickled frequency hash (and the query trees) to each worker.  This
-module is the fix the ROADMAP names — the hash lives once, in a
-:class:`~repro.runtime.shm.SharedBFH` segment laid out as the vectorized
-backend's sorted arrays, and workers attach it read-only via a
-descriptor that pickles to ~200 bytes.
+The method keeps its historical name, but there is no shared-memory
+segment any more: the reference is one
+:class:`~repro.core.table.BipartitionTable` (sorted keys + counts, the
+vectorized backend's probe layout), and a process fan-out ships it in
+the executor's ordinary payload next to the query trees.
 
-Per-backend payload strategy (the part that actually moves the needle):
+Per-backend payload cost:
 
-* ``fork`` — fresh pool per fan-out; the payload (including the
-  in-memory query list) crosses by copy-on-write inheritance, so workers
-  pay neither pickling nor parsing.  The ``SharedBFH`` arrays are in the
-  segment either way, shared by all children.
-* ``spawn`` — the parent pickles the payload once: the query trees as
-  their own flat pickle (:meth:`~repro.trees.tree.Tree.__reduce__`) and
-  the ``SharedBFH`` as its descriptor, which each worker attaches once
-  at pool start.
+* ``fork`` — fresh pool per fan-out; workers inherit the table's arrays
+  and the in-memory query list copy-on-write, so they pay neither
+  pickling nor parsing.
+* ``spawn`` — the parent pickles the payload once: the table as its two
+  flat arrays (671 kB for a 1,000-tree, 144-taxon reference) and the
+  query trees as their own flat pickle
+  (:meth:`~repro.trees.tree.Tree.__reduce__`); each worker unpickles it
+  once at pool start.
 * ``serial``/``thread`` — no process boundary; the probe kernels are
   NumPy calls that release the GIL, so threads parallelize them without
   pickling or forking anything.
 
-Every path scores with the same :class:`VectorizedBFH` probe kernel over
+Every path scores with the same
+:class:`~repro.core.vectorized.VectorizedBFH` probe kernel over
 the same sorted arrays, so results are bitwise-identical to the dict
 backend by construction (the parity oracles enforce it anyway).
 """
@@ -36,7 +35,6 @@ from repro.bipartitions.encoding import words_for_taxa
 from repro.bipartitions.scan import ScannedTrees
 from repro.core.bfhrf import _EMPTY_REFERENCE, build_bfh
 from repro.core.table import BipartitionTable
-from repro.core.vectorized import VectorizedBFH
 from repro.hashing.bfh import MaskTransform
 from repro.observability.metrics import counter as _metric, \
     histogram as _histogram
@@ -44,7 +42,6 @@ from repro.observability.spans import trace
 from repro.observability.state import enabled as _obs_enabled
 from repro.runtime.executor import Executor, get_executor, get_payload, \
     resolve_workers
-from repro.runtime.shm import SharedBFH
 from repro.trees.tree import Tree
 from repro.util.errors import CollectionError
 
@@ -52,13 +49,13 @@ __all__ = ["shm_average_rf", "shm_average_rf_scanned"]
 
 
 def _shm_query_range(bounds: tuple[int, int]) -> list[float]:
-    """Fan-out task: batched probes for one query slice over shared arrays.
+    """Fan-out task: batched probes for one query slice of the table.
 
-    ``shared.vectorized()`` adopts the segment arrays without copying.
-    The transform rides separately — segments store only arrays.
+    ``table.vectorized()`` adopts the table's arrays without copying.
+    The transform rides separately — a table stores only splits.
     """
-    query, shared, transform = get_payload()
-    vbfh = shared.vectorized(transform=transform)
+    query, table, transform = get_payload()
+    vbfh = table.vectorized(transform=transform)
     trees = query[bounds[0]:bounds[1]]
     if not _obs_enabled():
         return vbfh.average_rf_batch(trees).tolist()
@@ -74,21 +71,22 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree],
                    include_trivial: bool = False,
                    transform: MaskTransform | None = None,
                    chunk_size: int | None = None,
-                   shared: SharedBFH | None = None,
+                   table: BipartitionTable | None = None,
                    executor: str | Executor | None = None) -> list[float]:
-    """Average RF via shared-memory sorted arrays — the default fast path.
+    """Average RF by probing the sorted split table — the default fast path.
 
     Semantics match :func:`repro.core.bfhrf.bfhrf_average_rf` exactly
-    (same empty-reference error, same values bit for bit); only the
-    worker payload differs.  With ``n_workers <= 1`` this is the
-    vectorized backend with no segments at all.
+    (same empty-reference error, same values bit for bit).  With
+    ``n_workers > 1`` the table travels to the workers in the executor
+    payload (see the module docstring for what each backend pays).
 
     Parameters
     ----------
-    shared:
-        A prebuilt :class:`SharedBFH`; skips the reference pass and the
-        segment build (the benchmark's warm path).  The caller keeps
-        ownership — this function never unlinks a borrowed segment.
+    table:
+        A prebuilt reference :class:`BipartitionTable`, packed wide
+        enough for every query taxon; skips the reference pass (the
+        store's query path).  ``reference`` and ``include_trivial`` are
+        then ignored.
 
     Examples
     --------
@@ -98,40 +96,31 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree],
     [1.0, 1.0]
     """
     query = list(query) if not isinstance(query, Sequence) else query
-    if shared is None:
+    if table is None:
         if reference is None:
             reference = query
         reference = list(reference) if not isinstance(reference, Sequence) \
             else reference
         bfh = build_bfh(reference, include_trivial=include_trivial,
                         transform=transform)
-        n_taxa = max(1, len(reference[0].taxon_namespace))
-    else:
-        bfh = None
+        table = BipartitionTable.from_bfh(
+            bfh, max(1, len(reference[0].taxon_namespace)))
     if not query:
         return []
 
     workers = resolve_workers(n_workers) if n_workers > 1 else 1
     if workers <= 1 or len(query) < 2:
-        vbfh = shared.vectorized(transform=transform) if shared is not None \
-            else VectorizedBFH.from_bfh(bfh, n_taxa)
+        vbfh = table.vectorized(transform=transform)
         with trace("shmrf.query", q=len(query), r=vbfh.n_trees, workers=1):
             return vbfh.average_rf_batch(query).tolist()
 
     runner = get_executor(executor)
-    owned = shared is None
-    if owned:
-        shared = SharedBFH.from_bfh(bfh, n_taxa)
-    try:
-        with trace("shmrf.query", q=len(query), r=shared.n_trees,
-                   workers=workers, backend=runner.name):
-            blocks = runner.submit_ranges(
-                _shm_query_range, len(query), (query, shared, transform),
-                n_workers=workers, chunk_size=chunk_size)
-        return [v for block in blocks for v in block]
-    finally:
-        if owned:
-            shared.release()
+    with trace("shmrf.query", q=len(query), r=table.n_trees,
+               workers=workers, backend=runner.name):
+        blocks = runner.submit_ranges(
+            _shm_query_range, len(query), (query, table, transform),
+            n_workers=workers, chunk_size=chunk_size)
+    return [v for block in blocks for v in block]
 
 
 def shm_average_rf_scanned(query: ScannedTrees, reference: ScannedTrees, *,

@@ -1,16 +1,15 @@
 """The canonical bipartition table and its pluggable codecs.
 
 The paper's central data structure — a frequency hash over bipartition
-bitmasks — used to be materialized four separate times: as a dict
+bitmasks — used to be materialized several separate times: as a dict
 (:mod:`repro.hashing.bfh`), as sorted NumPy arrays
-(:mod:`repro.core.vectorized`), as flat shared-memory arrays
-(:mod:`repro.runtime.shm`), and as a hand-packed on-disk layout
+(:mod:`repro.core.vectorized`), and as a hand-packed on-disk layout
 (:mod:`repro.store.format`).  :class:`BipartitionTable` is the one core
 those layers now share: sorted keys + counts (+ optional branch-length
 multisets) with ``n_taxa``/``n_words``/``n_trees`` metadata.  The
-vectorized backend probes a table's arrays zero-copy, a
-:class:`~repro.runtime.shm.SharedBFH` is a table laid out in one
-segment, and a store snapshot is a table run through a *codec*.
+vectorized backend probes a table's arrays zero-copy, a process fan-out
+ships a table to its workers in the executor payload (it pickles as its
+two flat arrays), and a store snapshot is a table run through a *codec*.
 
 Two orders, one table
 ---------------------
@@ -161,8 +160,7 @@ class BipartitionTable:
     multiset (the store's exact-removal representation).
 
     Construct with :meth:`from_counts` / :meth:`from_bfh` (sorts once)
-    or directly with arrays already in probe order (zero-copy adoption —
-    the shared-memory path).
+    or directly with arrays already in probe order (zero-copy adoption).
     """
 
     __slots__ = ("keys", "counts", "weights", "n_taxa", "n_words",

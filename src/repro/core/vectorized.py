@@ -66,7 +66,7 @@ class VectorizedBFH:
         """Adopt arrays *already sorted* in this class's void-byte order.
 
         The arrays are used as-is (read-only views included), never
-        copied, so a table or shared-memory segment is probed zero-copy.
+        copied, so a table is probed zero-copy.
         The caller guarantees the order; every build path goes through
         :class:`~repro.core.table.BipartitionTable`, whose rows are kept
         in that order, so the guarantee is structural.  Void scalars

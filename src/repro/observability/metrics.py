@@ -18,11 +18,7 @@ name                              kind        meaning
 ``parallel.chunk_size``           gauge       chunk size of the most recent fan-out
 ``parallel.task_seconds``         histogram   per-worker task latencies
 ``parallel.fanout_seconds``       histogram   whole fan-out latency per submit_ranges
-``parallel.payload_bytes``        histogram   shared-payload size per process fan-out (segment bytes plus a capped pickle probe of the other parts)
-``parallel.shm_payload_bytes``    gauge       segment bytes of the latest shm-backed payload
-``shm.segments_created``          counter     shared-memory segments created by owners
-``shm.segment_bytes``             gauge       size of the most recently created segment
-``shm.attach_seconds``            histogram   worker-side segment attach latencies
+``parallel.payload_bytes``        histogram   pickled payload size per process fan-out (probe capped at 1 MiB)
 ``vectorized.probe_seconds``      histogram   batched searchsorted probe latencies
 ``vectorized.probe_keys``         histogram   keys per batched probe
 ``vectorized.batch_seconds``      histogram   whole-batch scoring latencies

@@ -6,8 +6,8 @@ runs through one :class:`~repro.runtime.executor.Executor` interface with
 four backends (``serial``, ``thread``, ``fork``, ``spawn``), and every
 average-RF method is described by one
 :class:`~repro.runtime.registry.MethodSpec` entry.  Process backends
-share the reference table zero-copy through :mod:`repro.runtime.shm`.
-See ``docs/runtime.md`` for the full tour.
+receive everything, reference table included, in the one fan-out
+payload.  See ``docs/runtime.md`` for the full tour.
 """
 
 from repro.runtime.executor import (
@@ -36,12 +36,6 @@ from repro.runtime.registry import (
     methods_markdown_table,
     register_method,
 )
-from repro.runtime.shm import (
-    SharedBFH,
-    SharedBFHDescriptor,
-    leaked_segments,
-    owned_leaked_segments,
-)
 
 __all__ = [
     "Executor", "SerialExecutor", "ThreadExecutor", "ForkExecutor",
@@ -51,6 +45,4 @@ __all__ = [
     "MethodSpec", "register_method", "get_method", "method_names",
     "methods", "default_method_name", "methods_markdown_table",
     "methods_docstring",
-    "SharedBFH", "SharedBFHDescriptor", "leaked_segments",
-    "owned_leaked_segments",
 ]

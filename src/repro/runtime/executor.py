@@ -30,10 +30,9 @@ Tasks are module-level callables receiving one ``(start, stop)`` index
 range and reading the shared payload via :func:`get_payload`; they
 return a plain value.
 
-A :class:`~repro.runtime.shm.SharedBFH` in a payload crosses the
-process boundary as a tiny *segment descriptor* (its ``__reduce__``),
-never as pickled data — workers attach the shared-memory segment
-read-only.  Trees cross as their own flat pickle
+The payload is the only way data reaches a worker.  A reference
+:class:`~repro.core.table.BipartitionTable` crosses as its two flat
+NumPy arrays, trees as their own flat pickle
 (:meth:`repro.trees.tree.Tree.__reduce__`).  Every fan-out builds its
 pool and tears it down; no pool outlives a call.  Worker-side metric
 capture is the executor's job, not the task's: process backends
@@ -286,36 +285,17 @@ def _capped_pickle_size(shared: Any, cap: int = PAYLOAD_PROBE_CAP) -> float | No
 
 
 def _record_payload_bytes(shared: Any) -> None:
-    """Size of the shared payload a process fan-out makes visible to workers.
+    """Pickled size of the payload a process fan-out hands its workers.
 
-    Segment-backed parts (anything exposing ``segment_nbytes()`` — a
-    :class:`repro.runtime.shm.SharedBFH`) count their shared-memory
-    footprint, gauged alone as ``parallel.shm_payload_bytes``, and are
-    **never** pickled here: probing by serialization would double
-    dispatch cost for exactly the data the shm path exists to stop
-    shipping.  The other parts — the trees a spawn worker does unpickle —
-    add a pickle probe capped at :data:`PAYLOAD_PROBE_CAP` bytes, which
+    What a spawn worker unpickles (a fork worker inherits the same
+    objects).  The probe is capped at :data:`PAYLOAD_PROBE_CAP` bytes and
     records the cap as a floor when it trips.
     """
     if not _obs_enabled():
         return
-    parts = shared if isinstance(shared, tuple) else (shared,)
-    size = 0.0
-    rest = []
-    for part in parts:
-        probe = getattr(part, "segment_nbytes", None)
-        if callable(probe):
-            size += probe()
-        else:
-            rest.append(part)
-    has_segments = len(rest) < len(parts)
-    if has_segments:
-        _gauge("parallel.shm_payload_bytes").set(size)
-        shared = tuple(rest)
     measured = _capped_pickle_size(shared)
-    if measured is None and not has_segments:
-        return
-    _histogram("parallel.payload_bytes").observe(size + (measured or 0.0))
+    if measured is not None:
+        _histogram("parallel.payload_bytes").observe(measured)
 
 
 def _finish_task_inline(task_t0: float) -> None:

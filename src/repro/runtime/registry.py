@@ -62,10 +62,6 @@ class MethodSpec:
     memory_class:
         ``"hash"`` (O(n·r) split hash), ``"matrix"`` (pairwise matrix),
         or ``"stream"`` (O(n) working set per tree).
-    shared_memory:
-        Process workers attach the reference table as a zero-copy
-        shared-memory segment instead of unpickling it
-        (:mod:`repro.runtime.shm`).
     fast_path:
         Candidate for the *default* method: when ``average_rf`` is called
         without ``method=``, the most recently registered fast-path spec
@@ -90,7 +86,6 @@ class MethodSpec:
     supports_transform: bool = True
     supports_workers: bool = True
     memory_class: str = "hash"
-    shared_memory: bool = False
     fast_path: bool = False
     scan_runner: Callable[..., list[float]] | None = None
 
@@ -135,7 +130,6 @@ def register_method(name: str, runner: Callable[..., list[float]], *,
                     supports_transform: bool = True,
                     supports_workers: bool = True,
                     memory_class: str = "hash",
-                    shared_memory: bool = False,
                     fast_path: bool = False,
                     scan_runner: Callable[..., list[float]] | None = None
                     ) -> MethodSpec:
@@ -149,7 +143,6 @@ def register_method(name: str, runner: Callable[..., list[float]], *,
                       supports_transform=supports_transform,
                       supports_workers=supports_workers,
                       memory_class=memory_class,
-                      shared_memory=shared_memory,
                       fast_path=fast_path, scan_runner=scan_runner)
     _REGISTRY[name] = spec
     return spec
@@ -210,9 +203,9 @@ def methods_markdown_table() -> str:
     """The method capability table for ``docs/api.md``, as Markdown."""
     default = default_method_name()
     lines = [
-        "| Method | Disparate reference | Transforms | Workers | Zero-copy "
-        "| Memory | Summary |",
-        "|---|---|---|---|---|---|---|",
+        "| Method | Disparate reference | Transforms | Workers | Memory "
+        "| Summary |",
+        "|---|---|---|---|---|---|",
     ]
     for spec in methods():
         name = f"`{spec.name}` (default)" if spec.name == default \
@@ -221,7 +214,6 @@ def methods_markdown_table() -> str:
             f"| {name} | {_flag(spec.supports_disparate)} "
             f"| {_flag(spec.supports_transform)} "
             f"| {_flag(spec.supports_workers)} "
-            f"| {_flag(spec.shared_memory)} "
             f"| {spec.memory_class} | {spec.summary} |")
     lines.append("")
     lines.append(

@@ -186,7 +186,9 @@ class _Pending:
 
     trees: ScannedTrees | list[Tree]  # scanned Newick, or parsed NEXUS
     n_taxa: int                      # namespace size the trees parsed under
-    future: asyncio.Future
+    epoch: int                       # store epoch the trees were read in
+    text: str | None                 # kept when the read bound query-only taxa
+    future: asyncio.Future | None = None
     enqueued_at: float = 0.0
 
 
@@ -562,13 +564,15 @@ class ServeDaemon:
 
     # -- query path --------------------------------------------------------
 
-    def _parse(self, text: str) -> tuple[ScannedTrees | list[Tree], int]:
+    def _parse(self, text: str) -> _Pending:
         """Read query text in the store's namespace (bit-aligned masks):
         Newick is scanned with no ``Tree``, NEXUS is parsed.
 
         Queries of one epoch share one namespace; a scan that grows it
         (query-only taxa, or a rejected record whose new labels were
-        already bound) drops it."""
+        already bound) drops it.  Query-only taxa take the next free
+        bits, which a later tail may hand to new store taxa, so such a
+        query keeps its text for :meth:`_score` to read again."""
         if self._query_ns is None or self._query_ns[0] != self._epoch:
             self._query_ns = (self._epoch, self._store.namespace())
         ns = self._query_ns[1]
@@ -579,9 +583,11 @@ class ServeDaemon:
             else:
                 trees = scan_newick_text(text, ns)
         finally:
-            if len(ns) != known:
+            grew = len(ns) != known
+            if grew:
                 self._query_ns = None
-        return trees, max(1, len(ns))
+        return _Pending(trees=trees, n_taxa=max(1, len(ns)),
+                        epoch=self._epoch, text=text if grew else None)
 
     async def _handle_query(self, rid: Any,
                             msg: dict[str, Any]) -> dict[str, Any]:
@@ -592,11 +598,12 @@ class ServeDaemon:
                                "text")
         t0 = time.perf_counter()
         try:
-            trees, n_taxa = self._parse(text)
+            pending = self._parse(text)
         except ReproError as exc:
             return error_reply(rid, "parse-error", str(exc))
         finally:
             self._observe("serve.parse_seconds", time.perf_counter() - t0)
+        trees = pending.trees
         if not trees:
             return ok_reply(rid, values=[], trees=0, **self._stamp())
         cfg = self.config
@@ -609,9 +616,8 @@ class ServeDaemon:
                 f"{self._queued_trees} trees already queued; admitting "
                 f"{len(trees)} more would exceed the {cfg.queue_max_trees}"
                 "-tree backpressure cap — back off and retry")
-        pending = _Pending(trees=trees, n_taxa=n_taxa,
-                           future=self._loop.create_future(),
-                           enqueued_at=time.monotonic())
+        pending.future = self._loop.create_future()
+        pending.enqueued_at = time.monotonic()
         try:
             self._queue.put_nowait(pending)
         except asyncio.QueueFull:
@@ -678,6 +684,13 @@ class ServeDaemon:
         request gets its values and the stamp of the state they were
         computed on: the table and the stamp are read in one synchronous
         step, with no tail in between."""
+        for item in pending:
+            if item.text is not None and item.epoch != self._epoch:
+                # A tail since the read may have given the bits of its
+                # query-only taxa to new store taxa: read it again.
+                fresh = self._parse(item.text)
+                item.trees, item.n_taxa = fresh.trees, fresh.n_taxa
+                item.epoch = fresh.epoch
         n_taxa = max(item.n_taxa for item in pending)
         with trace("serve.batch", requests=len(pending),
                    trees=sum(len(item.trees) for item in pending)):

@@ -73,7 +73,6 @@ from repro.store.format import (
 )
 from repro.store.shards import parallel_build_tables, partition_rows
 from repro.bipartitions.extract import bipartition_masks, bipartitions_with_lengths
-from repro.runtime.shm import SharedBFH
 from repro.trees.taxon import TaxonNamespace
 from repro.trees.tree import Tree
 from repro.util.errors import StoreCorruptError, StoreError
@@ -622,7 +621,7 @@ class BFHStore:
                    n_workers: int = 1,
                    executor: str | None = None) -> list[float]:
         """Average RF of each query tree against the stored collection,
-        probing :meth:`table` (shared with workers when ``n_workers > 1``);
+        probing :meth:`table` (shipped to workers when ``n_workers > 1``);
         bitwise-identical to ``bfhrf_average_rf(query, reference)`` over a
         fresh build of the current reference set."""
         query = list(query)
@@ -634,10 +633,9 @@ class BFHStore:
                 len(tree.taxon_namespace) for tree in query]))
             if n_workers > 1:
                 from repro.core.shmrf import shm_average_rf  # writers skip it
-                with SharedBFH.from_table(table) as shared:
-                    values = shm_average_rf(query, shared=shared,
-                                            n_workers=n_workers,
-                                            executor=executor)
+                values = shm_average_rf(query, table=table,
+                                        n_workers=n_workers,
+                                        executor=executor)
             else:
                 values = table.vectorized().average_rf_batch(query).tolist() \
                     if query else []
@@ -811,8 +809,18 @@ class BFHStore:
         for index, entry in enumerate(self._shards):
             yield index, read_snapshot(self.path / entry["file"])
 
+    def projected_bytes(self) -> dict[str, int]:
+        """What the current state would occupy under each codec, so the
+        compression win is visible *before* a migrate.  Encodes the whole
+        table once per codec (tens of ms at ~20k keys), which is why
+        :meth:`info` leaves it out."""
+        current = self.table()
+        return {spec.name: spec.estimated_bytes(current)
+                for spec in (get_codec("raw-u64"), get_codec("succinct-v1"))}
+
     def info(self) -> dict:
-        """A JSON-able status summary (the ``store info`` CLI verb)."""
+        """A JSON-able status summary, with no table encoding (the
+        ``store info`` CLI verb adds :meth:`projected_bytes`)."""
         journal_bytes = 0
         journal = self._journal_file
         if journal.exists():
@@ -834,12 +842,6 @@ class BFHStore:
                     weights_bytes=sections["weights_bytes"])
                 snapshot_bytes += sections["file_bytes"]
             shards.append(shard)
-        # What the current state would occupy under each codec — the
-        # compression win is visible *before* a migrate.
-        current = self.table()
-        projected = {spec.name: spec.estimated_bytes(current)
-                     for spec in (get_codec("raw-u64"),
-                                  get_codec("succinct-v1"))}
         return {
             "path": str(self.path),
             "generation": self.generation,
@@ -851,7 +853,6 @@ class BFHStore:
             "weighted": self.weighted,
             "snapshot_codec": self.snapshot_codec,
             "snapshot_bytes": snapshot_bytes,
-            "projected_bytes": projected,
             "shards": shards,
             "snapshot_trees": self.snapshot_trees,
             "journal_records": self.journal_records,

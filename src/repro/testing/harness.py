@@ -135,26 +135,26 @@ def _inject_store_count() -> Callable[[], None]:
 
 
 def _inject_shm_count() -> Callable[[], None]:
-    """Corrupt the shared layout: bump one frequency after the copy-in.
+    """Corrupt the reference table the ``shm`` method ships to workers:
+    bump one count of every table built from a dict hash.
 
-    The dict hash stays honest, so only the shared-memory surfaces — the
+    The dict hash stays honest, so only the table surfaces — the
     ``shm-roundtrip`` oracle, the shm rows of ``backend-parity``, the
-    differential's registered ``shm`` method — can notice the drift.
+    differential's table-probing methods — can notice the drift.
     """
-    from repro.runtime.shm import SharedBFH
+    from repro.core.table import BipartitionTable
 
-    original = SharedBFH.from_bfh.__func__
+    original = BipartitionTable.from_bfh.__func__
 
     def corrupted(cls, bfh, n_taxa):
-        shared = original(cls, bfh, n_taxa)
-        if len(shared):
-            shared.freqs.flags.writeable = True
-            shared.freqs[0] += 1  # one count drifts; the dict hash does not
-            shared.freqs.flags.writeable = False
-        return shared
+        table = original(cls, bfh, n_taxa)
+        if len(table):
+            table.counts[0] += 1  # one count drifts; the dict hash does not
+        return table
 
-    SharedBFH.from_bfh = classmethod(corrupted)
-    return lambda: setattr(SharedBFH, "from_bfh", classmethod(original))
+    BipartitionTable.from_bfh = classmethod(corrupted)
+    return lambda: setattr(BipartitionTable, "from_bfh",
+                           classmethod(original))
 
 
 FAULT_KINDS = ("bfh-count", "weighted-total", "store-count", "shm-count")

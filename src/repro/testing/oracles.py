@@ -20,6 +20,7 @@ the triangle inequality of the metric, and linearity of the weighted
 from __future__ import annotations
 
 import math
+import pickle
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +41,6 @@ from repro.hashing.weighted import WeightedBipartitionHash
 from repro.newick.io import trees_from_string
 from repro.newick.writer import write_newick
 from repro.runtime import fork_available, get_method, methods
-from repro.runtime.shm import SharedBFH
 from repro.store import BFHStore, build_store
 from repro.store.shards import parallel_build_tables
 from repro.testing.generators import TreeCase, caterpillar_tree, max_rf_caterpillar_orders
@@ -215,8 +215,8 @@ def check_differential_rf(case: TreeCase) -> list[Failure]:
 def check_backend_parity(case: TreeCase) -> list[Failure]:
     """Executor backends must be invisible in the numbers.
 
-    Runs the BFHRF comparison fan-out, the shared-memory fan-out (dict
-    vs shared array layouts), the DSMP pipeline, and the store-shard
+    Runs the BFHRF comparison fan-out, the ``shm`` fan-out (dict vs
+    sorted-table layouts), the DSMP pipeline, and the store-shard
     count on every locally available backend with two workers and
     demands results bitwise-identical to the serial path — the executor
     abstraction's core contract.  The ``spawn`` backend costs a
@@ -254,8 +254,8 @@ def check_backend_parity(case: TreeCase) -> list[Failure]:
                                  include_trivial=case.include_trivial,
                                  executor=backend),
                 want_rf)
-        # The shared-array layout must agree with the dict layout on the
-        # same backend — the zero-copy path's exactness contract.
+        # The sorted-table layout must agree with the dict layout on the
+        # same backend — the shipped table's exactness contract.
         compare("shm", backend,
                 shm_average_rf(case.query, case.reference, n_workers=2,
                                include_trivial=case.include_trivial,
@@ -280,51 +280,51 @@ def check_backend_parity(case: TreeCase) -> list[Failure]:
 
 
 def check_shm_roundtrip(case: TreeCase) -> list[Failure]:
-    """``SharedBFH`` must round-trip the dict BFH exactly.
+    """The reference table must cross a process boundary exactly.
 
-    Lays the case's reference hash out in shared memory and demands
-    (a) identical key/count tables back out (``to_bfh``), (b) identical
-    probe answers for every stored mask plus a guaranteed-absent mask,
-    and (c) identical average-RF values through the zero-copy serial
-    path.  Splitless references (star trees) exercise the empty-segment
-    probe guard.  Runs in-process — no workers — so a violation is the
-    layout's fault, never an executor's.
+    Pickles the case's reference table the way a spawn fan-out ships it
+    and demands (a) identical key/count tables back out (``to_bfh``),
+    (b) identical probe answers for every stored mask plus a
+    guaranteed-absent mask, and (c) identical average-RF values through
+    :func:`shm_average_rf` on the unpickled table.  Splitless references
+    (star trees) exercise the empty-table probe guard.  Runs in-process
+    — no workers — so a violation is the table's fault, never an
+    executor's.
     """
     failures: list[Failure] = []
     bfh = build_bfh(case.reference, include_trivial=case.include_trivial)
     n_taxa = max(1, len(case.reference[0].taxon_namespace))
-    with SharedBFH.from_bfh(bfh, n_taxa) as shared:
-        round_tripped = shared.to_bfh()
-        if round_tripped.counts != bfh.counts:
-            drift = set(round_tripped.counts) ^ set(bfh.counts) or {
-                m for m in bfh.counts
-                if bfh.counts[m] != round_tripped.counts[m]}
+    table = pickle.loads(pickle.dumps(BipartitionTable.from_bfh(bfh, n_taxa),
+                                      protocol=pickle.HIGHEST_PROTOCOL))
+    round_tripped = table.to_bfh()
+    if round_tripped.counts != bfh.counts:
+        drift = set(round_tripped.counts) ^ set(bfh.counts) or {
+            m for m in bfh.counts
+            if bfh.counts[m] != round_tripped.counts[m]}
+        failures.append(Failure(
+            "shm-roundtrip",
+            f"key/count tables drift on {len(drift)} split(s)",
+            implementation="shm"))
+    if (round_tripped.n_trees, round_tripped.total) != (bfh.n_trees,
+                                                        bfh.total):
+        failures.append(Failure(
+            "shm-roundtrip",
+            f"totals drift: shm ({round_tripped.n_trees}, "
+            f"{round_tripped.total}) vs dict ({bfh.n_trees}, {bfh.total})",
+            implementation="shm"))
+    # Mask 0 is guaranteed absent (every stored split sets >= 1 bit) and
+    # survives word packing at the 64/128-bit boundary knob.
+    masks = [*bfh.counts, 0]
+    probed = table.vectorized().lookup_frequencies(
+        masks_to_words(masks, table.n_words))
+    for mask, got in zip(masks, probed.tolist()):
+        if got != bfh.counts.get(mask, 0):
             failures.append(Failure(
                 "shm-roundtrip",
-                f"key/count tables drift on {len(drift)} split(s)",
-                implementation="shm"))
-        if (round_tripped.n_trees, round_tripped.total) != (bfh.n_trees,
-                                                            bfh.total):
-            failures.append(Failure(
-                "shm-roundtrip",
-                f"totals drift: shm ({round_tripped.n_trees}, "
-                f"{round_tripped.total}) vs dict ({bfh.n_trees}, {bfh.total})",
-                implementation="shm"))
-        for mask, count in bfh.counts.items():
-            if shared.frequency(mask) != count:
-                failures.append(Failure(
-                    "shm-roundtrip",
-                    f"probe for {mask:#x} says {shared.frequency(mask)}, "
-                    f"dict says {count}", implementation="shm"))
-                break
-        # Mask 0 is guaranteed absent (every stored split sets >= 1 bit)
-        # and survives word packing at the 64/128-bit boundary knob.
-        if shared.frequency(0) != 0:
-            failures.append(Failure(
-                "shm-roundtrip", "absent mask probes nonzero",
-                implementation="shm"))
-        got = shm_average_rf(case.query, shared=shared,
-                             include_trivial=case.include_trivial)
+                f"probe for {mask:#x} says {got}, "
+                f"dict says {bfh.counts.get(mask, 0)}", implementation="shm"))
+            break
+    got = shm_average_rf(case.query, table=table)
     want = bfhrf_average_rf(case.query, case.reference,
                             include_trivial=case.include_trivial)
     for i, (g, w) in enumerate(zip(got, want)):

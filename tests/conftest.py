@@ -54,25 +54,6 @@ def make_caterpillars(n_taxa: int, n_trees: int, seed: int) -> list[Tree]:
 # Fixtures.
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(autouse=True)
-def _no_leaked_shm_segments():
-    """Fail any test that leaves a ``bfhrf-*`` segment behind in /dev/shm.
-
-    Suite-wide enforcement of the shared-memory lifecycle contract: every
-    segment an owner creates must be unlinked by the time its test ends,
-    no matter how the test exits.  Scoped to segments *this process*
-    created (``owned_leaked_segments``): /dev/shm is machine-global, so
-    an unrelated concurrent ``bfhrf`` process's healthy transient
-    segments must not fail the suite.
-    """
-    from repro.runtime.shm import owned_leaked_segments
-
-    before = set(owned_leaked_segments())
-    yield
-    fresh = [name for name in owned_leaked_segments() if name not in before]
-    assert not fresh, f"test leaked shared-memory segments: {fresh}"
-
-
 @pytest.fixture
 def quartet_namespace() -> TaxonNamespace:
     return TaxonNamespace(["A", "B", "C", "D"])

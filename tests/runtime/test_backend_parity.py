@@ -2,9 +2,9 @@
 results for the core parallel paths (bfhrf, shm, dsmp, store shard
 build), and the merged worker metrics must account for every task.
 
-The matrix covers layouts as well as backends: dict (bfhrf), vectorized
-(in-process arrays), and shared (zero-copy segments) must agree with the
-serial dict path exactly on every executor.
+The matrix covers layouts as well as backends: dict (bfhrf) and the
+sorted table (in-process, inherited by fork, unpickled by spawn) must
+agree with the serial dict path exactly on every executor.
 
 This is the test-suite twin of the ``backend-parity`` selfcheck oracle.
 """
@@ -15,9 +15,10 @@ from repro import observability as obs
 from repro.core.bfhrf import bfhrf_average_rf, build_bfh
 from repro.core.parallel import dsmp_average_rf
 from repro.core.shmrf import shm_average_rf
+from repro.core.table import BipartitionTable
 from repro.core.vectorized import VectorizedBFH
 from repro.observability.metrics import metrics_snapshot
-from repro.runtime import BACKENDS, SharedBFH, set_default_executor
+from repro.runtime import BACKENDS, set_default_executor
 from repro.store.shards import parallel_build_tables
 
 ALL_BACKENDS = ["serial", "thread", "fork", "spawn"]
@@ -65,7 +66,7 @@ class TestBfhrfParity:
 
 
 class TestShmParity:
-    """The zero-copy shared layout vs the serial dict path, per backend."""
+    """The shipped table layout vs the serial dict path, per backend."""
 
     @pytest.fixture(scope="class")
     def serial_values(self, trees):
@@ -79,19 +80,26 @@ class TestShmParity:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_vectorized_layout_agrees(self, backend, trees, serial_values):
-        """The in-process vectorized layout, copied into a borrowed
-        segment and fanned out, scores exactly like the dict path."""
+        """The in-process vectorized layout, passed in as a table and
+        fanned out, scores exactly like the dict path."""
         _skip_unless_available(backend)
         vbfh = VectorizedBFH.from_trees(trees)
         assert vbfh.average_rf_batch(trees).tolist() == serial_values
         n_taxa = len(trees[0].taxon_namespace)
-        shared = SharedBFH.from_table(vbfh.table(n_taxa))
-        try:
-            values = shm_average_rf(trees, shared=shared, n_workers=2,
-                                    executor=backend)
-        finally:
-            shared.release()
+        values = shm_average_rf(trees, table=vbfh.table(n_taxa), n_workers=2,
+                                executor=backend)
         assert values == serial_values
+
+    def test_second_spawn_fanout_sees_fresh_payload(self, trees):
+        """Two spawn fan-outs in a row each score their own payload."""
+        _skip_unless_available("spawn")
+        from tests.conftest import make_collection
+
+        other = make_collection(n_taxa=12, n_trees=6, seed=77)
+        first = shm_average_rf(trees, trees, n_workers=2, executor="spawn")
+        second = shm_average_rf(other, other, n_workers=2, executor="spawn")
+        assert first == bfhrf_average_rf(trees, trees)
+        assert second == bfhrf_average_rf(other, other)
 
     def test_serial_worker_count_uses_no_segments(self, trees, serial_values):
         assert shm_average_rf(trees, trees, n_workers=1) == serial_values
@@ -108,10 +116,13 @@ class TestShmParity:
             assert tasks >= 2
             assert snapshot["histograms"]["parallel.task_seconds"]["count"] \
                 == tasks
-            # The payload probe must record the segment size, not a pickle.
-            assert snapshot["gauges"]["parallel.shm_payload_bytes"] > 0
-            assert snapshot["gauges"]["shm.segment_bytes"] > 0
-            assert snapshot["counters"]["shm.segments_created"] >= 1
+            # The payload carries the whole reference table, and the
+            # query trees on top of it.
+            table = BipartitionTable.from_bfh(
+                build_bfh(trees), len(trees[0].taxon_namespace))
+            payload = snapshot["histograms"]["parallel.payload_bytes"]
+            assert payload["count"] == 1
+            assert payload["max"] > table.keys.nbytes + table.counts.nbytes
         finally:
             obs.disable()
             obs.reset()

@@ -173,20 +173,6 @@ class _StreamingPart:
         return b"\0" * _StreamingPart.nbytes
 
 
-class _SegmentBacked:
-    """Payload stand-in that reports a segment and refuses to pickle."""
-
-    def __init__(self, nbytes):
-        self._nbytes = nbytes
-
-    def segment_nbytes(self):
-        return self._nbytes
-
-    def __reduce__(self):
-        raise AssertionError("segment-backed payload must never be pickled "
-                             "by the probe")
-
-
 class TestPayloadProbe:
     """Satellite regression: the payload gauge must not pickle the world."""
 
@@ -202,27 +188,10 @@ class TestPayloadProbe:
             obs.disable()
             obs.reset()
 
-    def test_segment_backed_payload_is_never_pickled(self):
-        import pickle
-
-        snapshot = self._probe((_SegmentBacked(4096), "chaff", None))
-        assert snapshot["gauges"]["parallel.shm_payload_bytes"] == 4096.0
-        # The segment counts its own bytes; only the other parts are
-        # pickled (a pickled segment would make the probe give up).
-        rest = len(pickle.dumps(("chaff", None),
-                                protocol=pickle.HIGHEST_PROTOCOL))
-        assert snapshot["histograms"]["parallel.payload_bytes"]["max"] \
-            == 4096.0 + rest
-
-    def test_multiple_segments_sum(self):
-        snapshot = self._probe((_SegmentBacked(100), _SegmentBacked(28)))
-        assert snapshot["gauges"]["parallel.shm_payload_bytes"] == 128.0
-
     def test_plain_payload_records_pickled_size(self):
         snapshot = self._probe(list(range(50)))
         size = snapshot["histograms"]["parallel.payload_bytes"]["max"]
         assert 0 < size < 1024
-        assert "parallel.shm_payload_bytes" not in snapshot["gauges"]
 
     def test_oversized_payload_records_cap_as_floor(self):
         from repro.runtime.executor import PAYLOAD_PROBE_CAP

@@ -230,6 +230,35 @@ class TestQueryNamespace:
         assert reply["reference_trees"] == final
 
 
+    def test_query_only_taxa_rescanned_after_namespace_growth(
+            self, tmp_path, store_dir, collection):
+        """A query scanned before a tail that grew the store namespace is
+        scored at the new state with the new taxon bits.  Its query-only
+        taxon took the next free bit; the tailed tree gives that bit to
+        a different new store taxon, so probing the old scan would score
+        ``Zzz`` as ``Zed`` (10.68 against 10.76).  Calls the daemon's steps directly, so the
+        interleaving is fixed, not timed."""
+        from repro.serve import ServeDaemon
+
+        daemon = ServeDaemon(store_dir, _config(tmp_path))
+        daemon._store = BFHStore.open(store_dir)
+        # ``a`` holds bit 0, so it anchors every split of both trees.
+        a, b, c, d = daemon._store.labels[:4]
+        query = f"(({a},Zzz),({b},{c}),{d});"
+        pending = daemon._parse(query)
+        external = BFHStore.open(store_dir)
+        ns = external.namespace()
+        added = trees_from_string(f"(({a},Zed),({b},{c}),({d},Zzz));", ns)
+        external.add_trees(added)
+        daemon._refresh_store()
+        [(values, stamp)] = daemon._score([pending])
+        reference = trees_from_string(_text(collection), ns) + added
+        assert values == bfhrf_average_rf(trees_from_string(query, ns),
+                                          reference)
+        assert stamp["reference_trees"] == len(collection) + 1
+        assert stamp["epoch"] == daemon._epoch == 1
+
+
 class TestConcurrentBatching:
     N_CLIENTS = 6
 

@@ -178,7 +178,8 @@ class TestInfoReporting:
             assert shard["codec"] == "v1"
             assert shard["file_bytes"] > 0
             assert shard["keys_bytes"] + shard["counts_bytes"] >= 0
-        projected = info["projected_bytes"]
+        assert "projected_bytes" not in info  # encoding is store info's
+        projected = store.projected_bytes()
         assert set(projected) >= {"raw-u64", "succinct-v1"}
         assert projected["succinct-v1"] < projected["raw-u64"]
 

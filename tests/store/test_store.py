@@ -126,6 +126,28 @@ class TestLifecycle:
         assert_matches_fresh(reopened, current, reference)
 
 
+class TestWorkerQuery:
+    @pytest.mark.parametrize("backend", ["fork", "spawn"])
+    def test_workers_match_one_worker_bitwise(self, tmp_path, backend):
+        """The table ships to process workers in the executor payload,
+        packed wide enough for a query-only taxon."""
+        from repro.newick import write_newick
+        from repro.runtime import BACKENDS
+
+        if not BACKENDS[backend].available():
+            pytest.skip(f"{backend} unavailable here")
+        reference = make_collection(n_taxa=16, n_trees=12, seed=7)
+        store = build_store(tmp_path / "s", reference)
+        text = "\n".join(write_newick(tree) for tree in reference[:6])
+        query = trees_from_string(
+            f"{text}\n({write_newick(reference[6])[:-1]},Zed);",
+            store.namespace())
+        serial = store.average_rf(query, n_workers=1)
+        assert store.average_rf(query, n_workers=2,
+                                executor=backend) == serial
+        assert serial == bfhrf_average_rf(query, reference)
+
+
 class TestValidation:
     def test_remove_unknown_tree_rejected_atomically(self, tmp_path, trees):
         store = build_store(tmp_path / "s", trees[:2])

@@ -37,6 +37,10 @@ class TestBuildAndInfo:
         assert info["trees"] == 4
         assert len(info["shards"]) == 2
         assert info["journal_records"] == 0
+        # The verb adds the codec projections where info() once had them.
+        keys = list(info)
+        assert keys.index("projected_bytes") + 1 == keys.index("shards")
+        assert set(info["projected_bytes"]) == {"raw-u64", "succinct-v1"}
 
     def test_build_refuses_overwrite(self, store_dir, trees_file, capsys):
         assert main(["store", "build", store_dir, "-r", trees_file,

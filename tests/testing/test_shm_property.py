@@ -1,22 +1,24 @@
-"""Property tests: the shared-memory BFH round-trips the dict BFH exactly.
+"""Property tests: the pickled reference table round-trips the dict BFH
+exactly.
 
 Seeded ``generate_case`` workloads (hostile labels, multifurcations,
 zero-length branches) drive the ``check_shm_roundtrip`` oracle; a
 dedicated profile forces the taxon count onto 64/128-bit word edges,
-where the packed-bitmask row width of the shared layout changes and
+where the packed-bitmask row width of the shipped table changes and
 off-by-one word bugs would live.  Splitless (star) references pin the
 empty-table path.  The same oracle runs inside ``bfhrf selfcheck``'s
 quick profile; this file is its deterministic pytest twin.
 """
 
+import pickle
 from dataclasses import replace
 
 import pytest
 
 from repro.core.bfhrf import build_bfh
 from repro.core.shmrf import shm_average_rf
+from repro.core.table import BipartitionTable
 from repro.newick import trees_from_string
-from repro.runtime.shm import SharedBFH, owned_leaked_segments
 from repro.testing.generators import PROFILES, generate_case
 from repro.testing.oracles import check_shm_roundtrip
 
@@ -29,6 +31,11 @@ BOUNDARY_PROFILE = replace(PROFILES["deep"], name="shm-boundary",
                            boundary_taxa_prob=1.0,
                            max_trees=6)
 BOUNDARY_SEEDS = range(7100, 7112)
+
+
+def _shipped(table: BipartitionTable) -> BipartitionTable:
+    """The table as a spawn worker receives it."""
+    return pickle.loads(pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS)
@@ -51,25 +58,24 @@ def test_roundtrip_at_word_boundaries(seed):
 
 @pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
 def test_keys_span_expected_word_count(seed):
-    """The shared row width must jump exactly at the 64-taxon edge."""
+    """The shipped row width must jump exactly at the 64-taxon edge."""
     case = generate_case(seed, BOUNDARY_PROFILE)
     n_taxa = len(case.reference[0].taxon_namespace)
     bfh = build_bfh(case.reference, include_trivial=case.include_trivial)
-    with SharedBFH.from_bfh(bfh, max(1, n_taxa)) as shared:
-        assert shared.n_words == max(1, -(-n_taxa // 64))
-        assert shared.to_bfh().counts == bfh.counts
-    assert owned_leaked_segments() == []
+    table = _shipped(BipartitionTable.from_bfh(bfh, max(1, n_taxa)))
+    assert table.n_words == table.keys.shape[1] == max(1, -(-n_taxa // 64))
+    assert table.to_bfh().counts == bfh.counts
 
 
 def test_splitless_star_reference():
-    """A star tree contributes no internal splits: empty shared table."""
+    """A star tree contributes no internal splits: empty shipped table."""
     trees = trees_from_string("(A,B,C,D,E);\n(A,B,C,D,E);\n(A,B,C,D,E);")
     bfh = build_bfh(trees)
     assert not bfh.counts
-    with SharedBFH.from_bfh(bfh, 5) as shared:
-        assert len(shared) == 0
-        # Every query is maximally distant from an empty reference table.
-        got = shm_average_rf(trees, shared=shared)
+    table = _shipped(BipartitionTable.from_bfh(bfh, 5))
+    assert len(table) == 0
+    # Every query is maximally distant from an empty reference table.
+    got = shm_average_rf(trees, table=table)
     from repro.core.bfhrf import bfhrf_average_rf
 
     assert got == bfhrf_average_rf(trees, trees)
