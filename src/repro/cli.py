@@ -20,7 +20,7 @@ Subcommands::
     bfhrf supertree  SRC1.nwk SRC2.nwk [...] [--ascii]
     bfhrf topologies TREES.nwk [--credible F]
     bfhrf dist       PAIR.nwk [--metric rf|matching|triplet|quartet|branch-score]
-    bfhrf store      build DIR -r REF.nwk [--shards N] [--workers N]
+    bfhrf store      build DIR -r REF.nwk [--shards N]
                          [--snapshot-format CODEC] |
                      add DIR TREES.nwk | remove DIR TREES.nwk |
                      query DIR QUERY.nwk [--workers N] |
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("-r", "--reference", required=True,
                     help="Newick/NEXUS file of reference trees")
     sb.add_argument("--shards", type=int, default=1, help="key-range shard count")
-    sb.add_argument("--workers", type=int, default=1, help="executor workers for the count")
     sb.add_argument("--include-trivial", action="store_true",
                     help="count pendant splits too")
     sb.add_argument("--weighted", action="store_true",
@@ -558,10 +557,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
     verb = args.store_verb
     if verb == "build":
-        ns = TaxonNamespace()
-        reference = as_trees(args.reference, ns)
-        store = build_store(args.store_dir, reference,
-                            n_workers=args.workers, n_shards=args.shards,
+        store = build_store(args.store_dir, args.reference,
+                            n_shards=args.shards,
                             include_trivial=args.include_trivial,
                             weighted=args.weighted,
                             codec=args.snapshot_format)
@@ -576,11 +573,11 @@ def _cmd_store(args: argparse.Namespace) -> int:
         _info(f"store {args.store_dir}: dropped a torn journal tail "
               "(recovered to the last consistent state)")
     if verb == "add":
-        added = store.add_trees(as_trees(args.trees, store.namespace()))
+        added = store.add_trees(args.trees)
         _info(f"added {added} tree(s); store now holds {store.n_trees} "
               f"({store.journal_records} journal record(s) pending)")
     elif verb == "remove":
-        removed = store.remove_trees(as_trees(args.trees, store.namespace()))
+        removed = store.remove_trees(args.trees)
         _info(f"removed {removed} tree(s); store now holds {store.n_trees} "
               f"({store.journal_records} journal record(s) pending)")
     elif verb == "query":

@@ -26,7 +26,6 @@ name                              kind        meaning
 ``store.shard_load_seconds``      histogram   per-shard snapshot decode on open
 ``store.journal_replay_seconds``  histogram   journal replay latency on open
 ``store.shard_write_seconds``     histogram   per-shard snapshot write on compact
-``store.shard_build_seconds``     histogram   per-slice count latency in parallel builds
 ``store.query_seconds``           histogram   store.average_rf latencies
 ``store.journal_tail_records``    gauge       journal records pending since compaction
 ``store.journal_tail_bytes``      gauge       journal bytes pending since compaction

@@ -20,12 +20,7 @@ from repro.store.format import (
     words_for_taxa,
     write_snapshot,
 )
-from repro.store.shards import (
-    parallel_build_tables,
-    partition_rows,
-    shard_boundaries,
-    shard_of,
-)
+from repro.store.shards import partition_rows, shard_boundaries, shard_of
 from repro.store.store import BFHStore, build_store
 
 __all__ = [
@@ -43,5 +38,4 @@ __all__ = [
     "shard_boundaries",
     "shard_of",
     "partition_rows",
-    "parallel_build_tables",
 ]

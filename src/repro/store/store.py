@@ -38,11 +38,14 @@ import os
 import time
 from bisect import bisect_left, insort
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import groupby
+from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
 
+from repro.bipartitions.extract import bipartition_masks, bipartitions_with_lengths
+from repro.core.api import TreesLike, _SCANNABLE, _read_trees, _scan, \
+    _source_kind
 from repro.core.table import BipartitionTable, default_codec_name, \
     get_codec, masks_to_words, probe_order, words_to_masks
 from repro.hashing.bfh import BipartitionFrequencyHash
@@ -71,8 +74,7 @@ from repro.store.format import (
     words_for_taxa,
     write_snapshot,
 )
-from repro.store.shards import parallel_build_tables, partition_rows
-from repro.bipartitions.extract import bipartition_masks, bipartitions_with_lengths
+from repro.store.shards import partition_rows
 from repro.trees.taxon import TaxonNamespace
 from repro.trees.tree import Tree
 from repro.util.errors import StoreCorruptError, StoreError
@@ -138,13 +140,90 @@ def _merge_weights(weights: dict[int, list[float]], rows: np.ndarray,
     return out
 
 
+# Trees per merge in build_store.  A merge's working set is a few times
+# its rows, so one merge of a whole collection would add several times
+# the collection's rows to a build's peak memory.
+_BUILD_BATCH = 128
+
+_PAST_WIDTH = ("tree has taxa the store does not hold; removing a tree "
+               "that was never added")
+
+_TreeRows = tuple[list[str], np.ndarray, list[float] | None]
+
+
+def _new_labels(labels: list[str], known: list[str]) -> list[str]:
+    """The labels past ``known`` of a namespace listing ``labels``, which
+    must agree with ``known`` index by index."""
+    if labels[:len(known)] != known[:len(labels)]:
+        i = next(i for i, (a, b) in enumerate(zip(labels, known)) if a != b)
+        raise StoreError(
+            f"taxon namespace conflict at index {i}: store has "
+            f"{known[i]!r}, trees have {labels[i]!r} — parse "
+            "the trees with store.namespace() to keep bit indices "
+            "aligned")
+    return labels[len(known):]
+
+
+def _split_rows(source: TreesLike, labels: list[str], *,
+                include_trivial: bool, weighted: bool,
+                grow: bool) -> Iterator[_TreeRows]:
+    """Read ``source`` against a store holding ``labels``: per tree, the
+    labels it adds (none unless ``grow``), its split rows packed for the
+    labels known by then, and, for weighted stores, their branch lengths.
+
+    Newick paths and text for an unweighted store are scanned, and no
+    ``Tree`` is built: the first tree adds every new label.  NEXUS
+    sources and weighted stores parse ``Tree``s, because the scanner
+    keeps no branch lengths.  The source is read before this returns,
+    so a parse error comes before any row.
+    """
+    kind = _source_kind(source)
+    namespace = TaxonNamespace(labels)
+    if kind in _SCANNABLE and not weighted:
+        scanned = _scan(source, kind, namespace)
+        new = namespace.labels[len(labels):] if grow else []
+        try:
+            block = scanned.block(words_for_taxa(len(labels) + len(new)),
+                                  include_trivial=include_trivial)
+        except ValueError:  # a taxon past the store's key width
+            raise StoreError(_PAST_WIDTH) from None
+        counts = block.counts.tolist()
+        ends = np.cumsum(counts).tolist()
+        return ((new if i == 0 else [], block.words[end - count:end], None)
+                for i, (end, count) in enumerate(zip(ends, counts)))
+    return _tree_rows(_read_trees(source, kind, namespace), labels,
+                      include_trivial=include_trivial, weighted=weighted,
+                      grow=grow)
+
+
+def _tree_rows(trees: list[Tree], labels: list[str], *,
+               include_trivial: bool, weighted: bool,
+               grow: bool) -> Iterator[_TreeRows]:
+    """:func:`_split_rows` for parsed trees."""
+    labels = list(labels)
+    for tree in trees:
+        new = _new_labels(tree.taxon_namespace.labels, labels)
+        if grow:
+            labels.extend(new)
+        splits = (bipartitions_with_lengths if weighted else
+                  bipartition_masks)(tree, include_trivial=include_trivial)
+        try:
+            rows = masks_to_words(list(splits), words_for_taxa(len(labels)))
+        except ValueError:  # a split past the store's key width
+            raise StoreError(_PAST_WIDTH) from None
+        yield (new if grow else [], rows,
+               list(splits.values()) if weighted else None)
+
+
 class BFHStore:
     """A BFH that survives across runs and absorbs reference-set deltas.
 
     Construct with :meth:`create` (new, empty), :meth:`open` (existing),
-    or :func:`build_store` (bulk, parallel).  All tree arguments must be
-    parsed in a namespace that extends the store's label order —
-    use :meth:`namespace` when loading query or delta files.
+    or :func:`build_store` (bulk).  Every write to the state, a bulk
+    build included, is a :meth:`_merge` of split rows.  ``Tree`` arguments
+    must be parsed in a namespace that extends the store's label order —
+    use :meth:`namespace` when loading query files; delta files can be
+    passed as paths.
     """
 
     def __init__(self, path: Path, *, include_trivial: bool, weighted: bool):
@@ -425,20 +504,6 @@ class BFHStore:
         """Fingerprint of the *current* namespace (base + journal extends)."""
         return namespace_fingerprint(self._labels)
 
-    def _sync_namespace(self, ns: TaxonNamespace,
-                        known: list[str]) -> list[str]:
-        """Validate index-stability against ``ns``; return new labels."""
-        labels = ns.labels
-        n_shared = min(len(labels), len(known))
-        for i in range(n_shared):
-            if labels[i] != known[i]:
-                raise StoreError(
-                    f"taxon namespace conflict at index {i}: store has "
-                    f"{known[i]!r}, trees have {labels[i]!r} — parse "
-                    "the trees with store.namespace() to keep bit indices "
-                    "aligned")
-        return labels[len(known):]
-
     # -- deltas --------------------------------------------------------------
 
     def _merge(self, run: list[tuple[np.ndarray, list[float] | None]], *,
@@ -512,16 +577,19 @@ class BFHStore:
         self._journal_good_offset += len(data)
         self.recovered = False
 
-    def add_trees(self, trees: Iterable[Tree]) -> int:
+    def add_trees(self, trees: TreesLike) -> int:
         """Absorb reference trees; returns how many were added.
 
+        ``trees`` is what :func:`~repro.core.api.average_rf` takes: a
+        ``Tree`` sequence parsed through :meth:`namespace`, or a
+        Newick/NEXUS path or text, read against the store's labels.
         Each tree becomes one journal record; new taxa extend the
         namespace (an ``extend-ns`` record) without touching existing
         bit assignments.
         """
         return self._change(trees, remove=False)
 
-    def remove_trees(self, trees: Iterable[Tree]) -> int:
+    def remove_trees(self, trees: TreesLike) -> int:
         """Un-count previously added trees; returns how many were removed.
 
         The whole batch is checked against the current frequencies
@@ -530,42 +598,32 @@ class BFHStore:
         """
         return self._change(trees, remove=True)
 
-    def _change(self, trees: Iterable[Tree], *, remove: bool) -> int:
-        trees = list(trees)
-        if not trees:
+    def _change(self, trees: TreesLike, *, remove: bool) -> int:
+        per_tree = list(_split_rows(trees, self._labels,
+                                    include_trivial=self.include_trivial,
+                                    weighted=self.weighted,
+                                    grow=not remove))
+        if not per_tree:
             return 0
         verb = "remove" if remove else "add"
-        with trace(f"store.{verb}", trees=len(trees)) as span:
+        with trace(f"store.{verb}", trees=len(per_tree)) as span:
             # Validate, encode and merge the whole batch against a
             # *pending* copy of the namespace; nothing in self mutates
             # until the journal append commits, so a bad tree late in
             # the batch (or an append failure) leaves the store exactly
             # as it was.
             blobs: list[bytes] = []
-            run = []
             labels = list(self._labels)
-            for tree in trees:
-                new_labels = self._sync_namespace(tree.taxon_namespace, labels)
-                if new_labels and not remove:
+            for new_labels, rows, lengths in per_tree:
+                if new_labels:
                     blobs.append(encode_record(
                         OP_EXTEND_NS, encode_labels_payload(new_labels)))
                     labels.extend(new_labels)
-                splits = (bipartitions_with_lengths if self.weighted else
-                          bipartition_masks)(
-                    tree, include_trivial=self.include_trivial)
-                lengths = list(splits.values()) if self.weighted else None
-                try:
-                    rows = masks_to_words(list(splits),
-                                          words_for_taxa(len(labels)))
-                except ValueError:  # a split past the store's key width
-                    raise StoreError("tree has taxa the store does not "
-                                     "hold; removing a tree that was never "
-                                     "added") from None
                 blobs.append(encode_record(
                     OP_REMOVE if remove else OP_ADD,
                     encode_tree_payload(rows, len(labels), lengths)))
-                run.append((rows, lengths))
-            table = self._merge(run, n_taxa=len(labels), remove=remove)
+            table = self._merge([(r, lengths) for _, r, lengths in per_tree],
+                                n_taxa=len(labels), remove=remove)
             self._append_records(blobs)
             self._labels = labels
             self._commit(table)
@@ -574,9 +632,9 @@ class BFHStore:
         if _obs_enabled():
             _metric("store.journal_records").inc(len(blobs))
             _metric("store.trees_removed" if remove
-                    else "store.trees_added").inc(len(trees))
+                    else "store.trees_added").inc(len(per_tree))
         self._record_journal_tail()
-        return len(trees)
+        return len(per_tree)
 
     # -- queries -------------------------------------------------------------
 
@@ -876,45 +934,40 @@ class BFHStore:
                 f"journal={self.journal_records})")
 
 
-def build_store(path: str | os.PathLike, reference: Sequence[Tree], *,
-                n_workers: int = 1, n_shards: int = 1,
-                include_trivial: bool = False,
+def build_store(path: str | os.PathLike, reference: TreesLike, *,
+                n_shards: int = 1, include_trivial: bool = False,
                 weighted: bool = False,
-                executor: str | None = None,
                 codec: str | None = None) -> BFHStore:
     """Bulk-build a store from a reference collection (``store build``).
 
-    The count fans out over the runtime executor at the tree level; the
-    partial tables reduce through the associative BFH merge; the result
-    is compacted straight into ``n_shards`` key-range snapshots (the
-    journal starts empty).  ``codec`` overrides the snapshot write
-    format (``"v1"`` builds a legacy-format store, e.g. for the CI
-    format-compat fixture); the default is the registry's promoted
-    codec.
+    ``reference`` is read as :meth:`BFHStore.add_trees` reads trees, and
+    merged into a new store :data:`_BUILD_BATCH` trees at a time with
+    the merge every add uses; the result is compacted straight into
+    ``n_shards`` key-range snapshots (the journal starts empty).
+    ``codec`` overrides the snapshot write format (``"v1"`` builds a
+    legacy-format store, e.g. for the CI format-compat fixture); the
+    default is the registry's promoted codec.
     """
-    reference = list(reference)
-    namespaces = {id(t.taxon_namespace) for t in reference}
-    if len(namespaces) > 1:
+    if isinstance(reference, (list, tuple)) and \
+            len({id(t.taxon_namespace) for t in reference}) > 1:
         raise StoreError(
             "reference trees must share one taxon namespace; parse them "
             "together (or through store.namespace()) before building")
-    with trace("store.build", r=len(reference), workers=n_workers,
-               shards=n_shards) as span:
-        counts, weights, n_trees, total = parallel_build_tables(
-            reference, include_trivial=include_trivial, weighted=weighted,
-            n_workers=n_workers, executor=executor)
+    with trace("store.build", shards=n_shards) as span:
+        rows = _split_rows(reference, [], include_trivial=include_trivial,
+                           weighted=weighted, grow=True)
         store = BFHStore.create(path, include_trivial=include_trivial,
                                 weighted=weighted)
         if codec is not None:
             if codec != "v1":
                 get_codec(codec)  # validate the name before building
             store.snapshot_codec = codec
-        if reference:
-            store._labels = reference[0].taxon_namespace.labels
-        store._commit(BipartitionTable.from_counts(
-            counts, n_taxa=len(store._labels), n_trees=n_trees, total=total,
-            include_trivial=include_trivial,
-            weights=(weights or {}) if weighted else None))
+        while batch := list(islice(rows, _BUILD_BATCH)):
+            for new_labels, _, _ in batch:
+                store._labels.extend(new_labels)
+            store._commit(store._merge(
+                [(r, lengths) for _, r, lengths in batch],
+                n_taxa=len(store._labels), remove=False))
         store.compact(n_shards=n_shards)
-        span.set(unique=len(store))
+        span.set(r=store.n_trees, unique=len(store))
     return store

@@ -23,6 +23,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.table import words_to_masks
 from repro.hashing.bfh import BipartitionFrequencyHash
 from repro.hashing.weighted import WeightedBipartitionHash
 from repro.observability.metrics import counter as _metric
@@ -116,11 +117,15 @@ def _inject_weighted_total() -> Callable[[], None]:
 
 
 def _inject_store_count() -> Callable[[], None]:
-    """Corrupt the store: silently over-count one split per added batch.
+    """Corrupt the store: silently over-count one split per merge that
+    adds trees.
 
-    Mirrors ``bfh-count`` but on the persistent path — the store's
-    journaled/in-memory frequencies drift from a fresh build, which only
-    the ``store-roundtrip`` oracle can notice.
+    Mirrors ``bfh-count`` but on the persistent path.  Every add, every
+    bulk-build batch and every replayed run of add records is such a
+    merge, so the store's in-memory frequencies drift from a fresh
+    build, which only the ``store-roundtrip`` oracle can notice.  A
+    weighted store's multiset gains a length with the count, so the
+    drifted state still compacts.
     """
     original = BFHStore._merge
 
@@ -128,6 +133,10 @@ def _inject_store_count() -> Callable[[], None]:
         table = original(self, run, n_taxa=n_taxa, remove=remove)
         if not remove and len(table):
             table.counts[0] += 1  # one count drifts; total does not
+            if table.weights is not None:
+                (mask,) = words_to_masks(table.keys[:1])
+                held = table.weights[mask]
+                table.weights[mask] = held[:1] + held  # least length twice
         return table
 
     BFHStore._merge = corrupted

@@ -42,7 +42,6 @@ from repro.newick.io import trees_from_string
 from repro.newick.writer import write_newick
 from repro.runtime import fork_available, get_method, methods
 from repro.store import BFHStore, build_store
-from repro.store.shards import parallel_build_tables
 from repro.testing.generators import TreeCase, caterpillar_tree, max_rf_caterpillar_orders
 from repro.trees.taxon import TaxonNamespace
 from repro.trees.tree import Tree
@@ -216,8 +215,8 @@ def check_backend_parity(case: TreeCase) -> list[Failure]:
     """Executor backends must be invisible in the numbers.
 
     Runs the BFHRF comparison fan-out, the ``shm`` fan-out (dict vs
-    sorted-table layouts), the DSMP pipeline, and the store-shard
-    count on every locally available backend with two workers and
+    sorted-table layouts) and the DSMP pipeline on every locally
+    available backend with two workers and
     demands results bitwise-identical to the serial path — the executor
     abstraction's core contract.  The ``spawn`` backend costs a
     fresh-interpreter pool per fan-out, so it runs on a deterministic
@@ -236,9 +235,6 @@ def check_backend_parity(case: TreeCase) -> list[Failure]:
                                include_trivial=case.include_trivial)
     want_dsmp = dsmp_average_rf(case.query, case.reference, n_workers=1,
                                 include_trivial=case.include_trivial)
-    want_tables = parallel_build_tables(case.reference,
-                                        include_trivial=case.include_trivial,
-                                        weighted=False, n_workers=1)
 
     def compare(name: str, backend: str, got, want) -> None:
         for i, (g, w) in enumerate(zip(got, want)):
@@ -268,14 +264,6 @@ def check_backend_parity(case: TreeCase) -> list[Failure]:
                                 include_trivial=case.include_trivial,
                                 executor=backend),
                 want_dsmp)
-        counts, _weights, n_trees, total = parallel_build_tables(
-            case.reference, include_trivial=case.include_trivial,
-            weighted=False, n_workers=2, executor=backend)
-        if (counts, n_trees, total) != (want_tables[0], want_tables[2],
-                                        want_tables[3]):
-            failures.append(Failure(
-                "backend-parity", "shard-build count tables diverge",
-                implementation=backend))
     return failures
 
 
@@ -596,16 +584,17 @@ def check_codec_roundtrip(case: TreeCase) -> list[Failure]:
     differential.
     """
     failures: list[Failure] = []
-    counts, weights, n_trees, total = parallel_build_tables(
-        list(case.reference), include_trivial=case.include_trivial,
-        weighted=case.weighted, n_workers=1)
+    bfh = build_bfh(case.reference, include_trivial=case.include_trivial)
+    weights = WeightedBipartitionHash.from_trees(
+        case.reference, include_trivial=case.include_trivial)._weights \
+        if case.weighted else None
     # Width comes from the namespace, not case.n_taxa: masks are
     # namespace-relative, and partial-coverage trees set bits above the
     # covered-taxa count.
     table = BipartitionTable.from_counts(
-        counts, n_taxa=len(case.namespace), n_trees=n_trees, total=total,
-        include_trivial=case.include_trivial,
-        weights=weights if case.weighted else None)
+        bfh.counts, n_taxa=len(case.namespace), n_trees=bfh.n_trees,
+        total=bfh.total, include_trivial=case.include_trivial,
+        weights=weights)
     for spec in codecs():
         if table.weighted and not spec.supports_weighted:
             continue

@@ -148,13 +148,11 @@ class TestInstrumentation:
         trees = variable_taxa(8, r=12, seed=20260808).trees
         bfhrf_average_rf(trees, trees, n_workers=2)
         shm_average_rf(trees, trees, n_workers=2, executor="thread")
-        store = build_store(tmp_path / "store", trees, n_workers=2,
-                            n_shards=4)
+        store = build_store(tmp_path / "store", trees, n_shards=4)
         store.average_rf(trees[:4])
         hists = obs.metrics_snapshot()["histograms"]
         for name in ("parallel.fanout_seconds", "vectorized.probe_seconds",
-                     "store.shard_build_seconds", "store.query_seconds",
-                     "store.shard_write_seconds"):
+                     "store.query_seconds", "store.shard_write_seconds"):
             assert name in hists, f"missing {name}"
 
     def test_disabled_records_nothing(self):

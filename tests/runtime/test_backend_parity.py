@@ -1,6 +1,6 @@
 """Backend-parity matrix: every executor must produce bitwise-identical
-results for the core parallel paths (bfhrf, shm, dsmp, store shard
-build), and the merged worker metrics must account for every task.
+results for the core parallel paths (bfhrf, shm, dsmp), and the merged
+worker metrics and spans must account for every task.
 
 The matrix covers layouts as well as backends: dict (bfhrf) and the
 sorted table (in-process, inherited by fork, unpickled by spawn) must
@@ -18,10 +18,18 @@ from repro.core.shmrf import shm_average_rf
 from repro.core.table import BipartitionTable
 from repro.core.vectorized import VectorizedBFH
 from repro.observability.metrics import metrics_snapshot
-from repro.runtime import BACKENDS, set_default_executor
-from repro.store.shards import parallel_build_tables
+from repro.runtime import BACKENDS, get_executor, get_payload, \
+    set_default_executor
 
 ALL_BACKENDS = ["serial", "thread", "fork", "spawn"]
+
+
+def _traced_range(bounds):
+    """A worker task that opens a span (module level, so spawn workers
+    can import it)."""
+    lo, hi = bounds
+    with obs.trace("parity.task", lo=lo, hi=hi):
+        return sum(get_payload()[lo:hi])
 
 
 def _skip_unless_available(backend: str) -> None:
@@ -141,21 +149,6 @@ class TestDsmpParity:
         assert values == serial_values
 
 
-class TestShardBuildParity:
-    @pytest.fixture(scope="class")
-    def serial_tables(self, trees):
-        return parallel_build_tables(trees, include_trivial=False,
-                                     weighted=False, n_workers=1)
-
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_bitwise_identical(self, backend, trees, serial_tables):
-        _skip_unless_available(backend)
-        tables = parallel_build_tables(trees, include_trivial=False,
-                                       weighted=False, n_workers=2,
-                                       executor=backend)
-        assert tables == serial_tables
-
-
 class TestMergedWorkerMetrics:
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_every_task_accounted_for(self, backend, trees):
@@ -206,45 +199,45 @@ def _collect_span_names(spans):
 class TestWorkerSpanParity:
     """Worker-side spans must survive every backend, including spawn.
 
-    ``_count_range`` opens a ``store.count`` span inside the worker; the
-    process executors ship finished span subtrees home in the worker
+    ``_traced_range`` opens a ``parity.task`` span inside the worker;
+    the process executors ship finished span subtrees home in the worker
     snapshot and graft them under the dispatching span, so the report
     shows the same tree shape regardless of backend.
     """
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_worker_spans_present(self, backend, trees):
+    def test_worker_spans_present(self, backend):
         _skip_unless_available(backend)
         obs.reset()
         obs.enable()
         try:
             with obs.trace("parity.dispatch"):
-                parallel_build_tables(trees, include_trivial=False,
-                                      weighted=False, n_workers=2,
-                                      executor=backend)
+                sums = get_executor(backend).submit_ranges(
+                    _traced_range, 12, list(range(12)), n_workers=2)
+            assert sum(sums) == sum(range(12))
             roots = obs.finished_spans()
             # Thread-pool workers have their own (empty) span stacks, so
             # their spans surface as extra roots; every other backend
             # nests them under the dispatching span.
             assert "parity.dispatch" in [r.name for r in roots]
             names = _collect_span_names(roots)
-            assert "store.count" in names
+            assert "parity.task" in names
         finally:
             obs.disable()
             obs.reset()
 
     @pytest.mark.parametrize("backend", ["serial", "fork", "spawn"])
-    def test_grafted_spans_nest_under_dispatching_span(self, backend, trees):
+    def test_grafted_spans_nest_under_dispatching_span(self, backend):
         _skip_unless_available(backend)
         obs.reset()
         obs.enable()
         try:
             with obs.trace("parity.dispatch"):
-                parallel_build_tables(trees, include_trivial=False,
-                                      weighted=False, n_workers=2,
-                                      executor=backend)
+                sums = get_executor(backend).submit_ranges(
+                    _traced_range, 12, list(range(12)), n_workers=2)
+            assert sum(sums) == sum(range(12))
             (root,) = obs.finished_spans()
-            counts = [c for c in root.children if c.name == "store.count"]
+            counts = [c for c in root.children if c.name == "parity.task"]
             # One span per chunk: serial runs a single chunk inline, the
             # process backends split across two workers and graft home.
             assert len(counts) >= (1 if backend == "serial" else 2)

@@ -3,7 +3,8 @@
 A 600-taxon caterpillar nests 599 levels deep.  Spawn workers receive
 their trees pickled, and pickling the node graph recursively overflows
 the interpreter stack at that depth; ``Tree.__reduce__`` pickles it
-flat.  Every spawn path must score it exactly like serial ``bfhrf``.
+flat.  Every spawn path must score it exactly like serial ``bfhrf``,
+and a store built from it must hold what a fresh count gives.
 """
 
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from repro.core.bfhrf import bfhrf_average_rf, build_bfh
 from repro.core.parallel import dsmp_average_rf
 from repro.core.shmrf import shm_average_rf
-from repro.store.shards import parallel_build_tables
+from repro.hashing.weighted import WeightedBipartitionHash
+from repro.store import build_store
 
 from tests.conftest import make_caterpillars
 
@@ -34,11 +36,10 @@ def test_spawn_average_rf_matches_serial(method, caterpillars):
 
 
 @pytest.mark.parametrize("weighted", [False, True])
-def test_spawn_shard_build_matches_serial(weighted, caterpillars):
-    serial = parallel_build_tables(caterpillars, include_trivial=False,
-                                   weighted=weighted, n_workers=1)
-    tables = parallel_build_tables(caterpillars, include_trivial=False,
-                                   weighted=weighted, n_workers=2,
-                                   executor="spawn")
-    assert tables == serial
-    assert tables[0] == build_bfh(caterpillars).counts
+def test_store_build_matches_fresh_hashes(weighted, caterpillars, tmp_path):
+    store = build_store(tmp_path / "s", caterpillars, weighted=weighted)
+    assert store.bfh().counts == build_bfh(caterpillars).counts
+    if weighted:
+        fresh = WeightedBipartitionHash.from_trees(caterpillars)
+        assert store.weighted_hash()._weights == \
+            {m: sorted(v) for m, v in fresh._weights.items()}

@@ -1,4 +1,4 @@
-"""Key-range sharding: boundaries, routing, and the parallel build."""
+"""Key-range sharding: boundaries, routing, and the bulk build."""
 
 from __future__ import annotations
 
@@ -6,13 +6,8 @@ import pytest
 
 from repro.core.bfhrf import build_bfh
 from repro.core.table import masks_to_words, words_to_masks
-from repro.runtime import fork_available
-from repro.store.shards import (
-    parallel_build_tables,
-    partition_rows,
-    shard_boundaries,
-    shard_of,
-)
+from repro.store import build_store
+from repro.store.shards import partition_rows, shard_boundaries, shard_of
 
 
 def rows_of(keys: list[int]):
@@ -77,38 +72,16 @@ class TestRouting:
 
 
 class TestParallelBuild:
-    def test_serial_matches_build_bfh(self):
+    def test_serial_matches_build_bfh(self, tmp_path):
         trees = make_collection(12, 9, seed=31)
-        counts, weights, n, total = parallel_build_tables(
-            trees, include_trivial=False, weighted=False, n_workers=1)
+        table = build_store(tmp_path / "s", trees).table()
         fresh = build_bfh(trees)
-        assert counts == fresh.counts
-        assert (n, total) == (fresh.n_trees, fresh.total)
-        assert weights is None
+        assert table.to_bfh().counts == fresh.counts
+        assert (table.n_trees, table.total) == (fresh.n_trees, fresh.total)
+        assert table.weights is None
 
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_fork_build_is_bitwise_identical(self):
-        trees = make_collection(14, 17, seed=5)
-        serial = parallel_build_tables(trees, include_trivial=False,
-                                       weighted=False, n_workers=1)
-        forked = parallel_build_tables(trees, include_trivial=False,
-                                       weighted=False, n_workers=3)
-        assert forked == serial
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_fork_weighted_multisets_match(self):
-        trees = make_collection(10, 11, seed=13)
-        s_counts, s_weights, s_n, s_total = parallel_build_tables(
-            trees, include_trivial=False, weighted=True, n_workers=1)
-        f_counts, f_weights, f_n, f_total = parallel_build_tables(
-            trees, include_trivial=False, weighted=True, n_workers=3)
-        assert f_counts == s_counts
-        assert (f_n, f_total) == (s_n, s_total)
-        assert {m: sorted(v) for m, v in f_weights.items()} == \
-               {m: sorted(v) for m, v in s_weights.items()}
-
-    def test_weight_multiset_sizes_match_frequencies(self):
+    def test_weight_multiset_sizes_match_frequencies(self, tmp_path):
         trees = make_collection(8, 6, seed=3)
-        counts, weights, _n, _total = parallel_build_tables(
-            trees, include_trivial=False, weighted=True, n_workers=1)
-        assert {m: len(v) for m, v in weights.items()} == counts
+        table = build_store(tmp_path / "s", trees, weighted=True).table()
+        assert {m: len(v) for m, v in table.weights.items()} == \
+            table.to_bfh().counts

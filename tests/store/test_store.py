@@ -235,6 +235,28 @@ class TestValidation:
             BFHStore.open(tmp_path / "s")
 
 
+class TestBatchedBuild:
+    """build_store merges a fixed number of trees at a time; a reference
+    one tree longer than a batch ends in a one-tree merge."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_batch_boundary_matches_fresh_count(self, tmp_path, weighted):
+        from repro.store.store import _BUILD_BATCH
+
+        reference = make_collection(12, _BUILD_BATCH + 1, seed=12)
+        table = build_store(tmp_path / "s", reference,
+                            weighted=weighted).table()
+        fresh = build_bfh(reference)
+        assert table.to_bfh().counts == fresh.counts
+        assert (table.n_trees, table.total) == (fresh.n_trees, fresh.total)
+        if weighted:
+            hashed = WeightedBipartitionHash.from_trees(reference)
+            assert table.weights == {m: sorted(v)
+                                     for m, v in hashed._weights.items()}
+        else:
+            assert table.weights is None
+
+
 class TestWeighted:
     def test_multisets_match_fresh_hash(self, tmp_path):
         reference = make_collection(10, 12, seed=7)

@@ -116,3 +116,84 @@ class TestObservability:
         err = capsys.readouterr().err
         assert "store.open" in err
         assert "store.query" in err
+
+
+# An add file whose second tree brings two new taxa, and a remove file
+# holding one tree of each file.
+ADD = "((A,B),(C,E),D);\n((A,F),(B,G),(C,D),E);\n((A,F),(B,C),(D,E),G);\n"
+REMOVE = "((A,C),(B,D),E);\n((A,F),(B,G),(C,D),E);\n"
+
+
+def _dir_bytes(path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+class TestTextInput:
+    """``store build|add|remove`` pass their files straight to the store,
+    which scans Newick text with no ``Tree``; the directory it leaves
+    must be the one the ``Tree`` path writes, byte for byte."""
+
+    @pytest.fixture
+    def files(self, tmp_path, trees_file):
+        (tmp_path / "add.nwk").write_text(ADD)
+        (tmp_path / "remove.nwk").write_text(REMOVE)
+        return trees_file, str(tmp_path / "add.nwk"), \
+            str(tmp_path / "remove.nwk")
+
+    def test_cli_text_matches_tree_path(self, tmp_path, files):
+        from repro.store import build_store
+
+        reference, add, remove = files
+        scanned = tmp_path / "scanned"
+        for argv in (["build", str(scanned), "-r", reference,
+                      "--shards", "2"],
+                     ["add", str(scanned), add],
+                     ["remove", str(scanned), remove]):
+            assert main(["store", *argv, "--quiet"]) == 0
+        parsed = tmp_path / "parsed"
+        store = build_store(parsed, read_newick_file(
+            reference, TaxonNamespace()), n_shards=2)
+        store.add_trees(read_newick_file(add, store.namespace()))
+        store.remove_trees(read_newick_file(remove, store.namespace()))
+        assert _dir_bytes(scanned) == _dir_bytes(parsed)
+        from repro.store.format import OP_EXTEND_NS, read_journal
+
+        records, _offset, _torn = read_journal(
+            scanned / "journal-000001.log")
+        assert [r.op == OP_EXTEND_NS for r in records] == \
+            [True] + [False] * 5  # one extend-ns, 3 adds, 2 removes
+
+    def test_remove_of_never_added_text_journals_nothing(self, tmp_path,
+                                                         files):
+        from repro.store import BFHStore, build_store
+        from repro.util.errors import StoreError
+
+        reference, add, _remove = files
+        store = build_store(tmp_path / "s", reference)
+        journal = tmp_path / "s" / "journal-000001.log"
+        before = journal.read_bytes()
+        for never_added in (add, "((A,D),(B,E),C);"):
+            with pytest.raises(StoreError, match="never added"):
+                store.remove_trees(never_added)
+        assert journal.read_bytes() == before
+        assert BFHStore.open(tmp_path / "s").n_trees == 4
+
+    def test_newick_build_and_add_build_no_tree(self, tmp_path, files,
+                                                monkeypatch):
+        import repro.newick.io
+        import repro.newick.parser
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Tree was parsed")
+
+        monkeypatch.setattr(repro.newick.parser, "parse_newick", refuse)
+        monkeypatch.setattr(repro.newick.io, "parse_newick", refuse)
+        reference, add, _remove = files
+        path = str(tmp_path / "s")
+        assert main(["store", "build", path, "-r", reference, "--quiet"]) == 0
+        assert main(["store", "add", path, add, "--quiet"]) == 0
+        from repro.store import BFHStore
+
+        store = BFHStore.open(path)
+        assert store.n_trees == 7
+        assert store.labels == list("ABCDEFG")
