@@ -23,7 +23,7 @@ Subcommands::
     bfhrf store      build DIR -r REF.nwk [--shards N]
                          [--snapshot-format CODEC] |
                      add DIR TREES.nwk | remove DIR TREES.nwk |
-                     query DIR QUERY.nwk [--workers N] |
+                     query DIR QUERY.nwk |
                      compact DIR [--shards N] |
                      migrate DIR [--codec CODEC] [--shards N] | info DIR
     bfhrf serve      start STORE_DIR [--addr URL ...] [--procs N]
@@ -244,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sq = add_store_parser("query", help="average RF of query trees vs the stored collection")
     sq.add_argument("query", help="Newick/NEXUS file of query trees")
-    sq.add_argument("--workers", type=int, default=1,
-                    help="executor workers for the comparisons")
 
     sc = add_store_parser("compact", help="fold the journal into fresh shard snapshots")
     sc.add_argument("--shards", type=int, default=None,
@@ -581,8 +579,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         _info(f"removed {removed} tree(s); store now holds {store.n_trees} "
               f"({store.journal_records} journal record(s) pending)")
     elif verb == "query":
-        values = store.average_rf(as_trees(args.query, store.namespace()),
-                                  n_workers=args.workers)
+        values = store.average_rf(args.query)
         for i, value in enumerate(values):
             print(f"{i}\t{value:.6f}")
     elif verb == "compact":

@@ -106,10 +106,12 @@ def as_trees(source: TreesLike, namespace: TaxonNamespace | None = None) -> list
 _SCANNABLE = ("newick", "newick-text")
 
 
-def _scan(source: str | os.PathLike, kind: str,
-          namespace: TaxonNamespace) -> ScannedTrees:
-    """:func:`_read_trees` for the columnar scanner: Newick sources only,
-    same spans."""
+def _read(source: TreesLike, kind: str, namespace: TaxonNamespace, *,
+          scan: bool = True) -> ScannedTrees | list[Tree]:
+    """:func:`_read_trees`, except that a Newick path or text is scanned
+    when ``scan`` is set: same spans, and no ``Tree`` is built."""
+    if not (scan and kind in _SCANNABLE):
+        return _read_trees(source, kind, namespace)
     with _parse_span(source, kind, columnar=True) as span:
         scanned = scan_newick_file(source, namespace) if kind == "newick" \
             else scan_newick_text(source, namespace)
@@ -164,8 +166,8 @@ def average_rf(query: TreesLike, reference: TreesLike | None = None, *,
         means ``Q is R``.  When both are paths or strings they are
         parsed into one shared namespace automatically.  Newick paths
         and text are scored with no ``Tree`` built when the method has
-        a ``scan_runner`` (the default ``shm``), at ``n_workers=1`` with
-        no transform (:mod:`repro.bipartitions.scan`).
+        a ``scan_runner`` (the default ``shm``) and no transform is
+        given, at any ``n_workers`` (:mod:`repro.bipartitions.scan`).
     method:
         One of the registered methods (see
         :func:`repro.runtime.methods`).  ``None`` resolves through
@@ -175,7 +177,8 @@ def average_rf(query: TreesLike, reference: TreesLike | None = None, *,
 
 <<METHOD_LIST>>
     n_workers:
-        Worker count for the parallel methods (serial methods ignore it).
+        Worker count for the parallel methods (serial methods, and
+        scanned Newick as above, ignore it).
     normalized:
         Scale each value into [0, 1] by that tree's own ``2(n-3)``.
     executor:
@@ -230,14 +233,14 @@ def average_rf(query: TreesLike, reference: TreesLike | None = None, *,
                           transform=transform is not None)
     query_kind = _source_kind(query)
     reference_kind = None if reference is None else _source_kind(reference)
-    if (spec.scan_runner is not None and n_workers == 1 and transform is None
+    if (spec.scan_runner is not None and transform is None
             and query_kind in _SCANNABLE
             and reference_kind in (None, *_SCANNABLE)):
         # Scored straight from the text: no Tree is built.
         ns = TaxonNamespace()
-        scanned = _scan(query, query_kind, ns)
+        scanned = _read(query, query_kind, ns)
         reference_scan = scanned if reference is None \
-            else _scan(reference, reference_kind, ns)
+            else _read(reference, reference_kind, ns)
         values = spec.scan_runner(scanned, reference_scan,
                                   n_taxa=max(1, len(ns)),
                                   include_trivial=include_trivial)

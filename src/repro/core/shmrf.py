@@ -84,8 +84,8 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree],
     ----------
     table:
         A prebuilt reference :class:`BipartitionTable`, packed wide
-        enough for every query taxon; skips the reference pass (the
-        store's query path).  ``reference`` and ``include_trivial`` are
+        enough for every query taxon; skips the reference pass (a
+        parallel store query passes ``store.table(n)``).  ``reference`` and ``include_trivial`` are
         then ignored.
 
     Examples

@@ -194,7 +194,8 @@ class VectorizedBFH:
                                self.n_words)
         return SplitBlock(words, counts)
 
-    def average_rf_batch(self, trees: Sequence[Tree]) -> np.ndarray:
+    def average_rf_batch(self, trees: Sequence[Tree] | ScannedTrees
+                         ) -> np.ndarray:
         """Average RF for a whole query batch in one vectorized pass."""
         return self.average_rf_block(self.split_block(trees))
 

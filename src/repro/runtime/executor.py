@@ -3,7 +3,7 @@
 The paper's central observation is that tree-vs-hash comparisons are
 embarrassingly parallel; everything in this repo that exploits it (the
 BFHRF comparison loop, the parallel hash build, DSMP, the MapReduce
-engine, the store's sharded count) fans out the same way: chunk an index
+engine, the sorted-table probe) fans out the same way: chunk an index
 space, publish heavy read-only state to workers, map a range task, fold
 small results (and worker metric snapshots) back into the parent.  This
 module owns that skeleton once, behind a four-backend interface:

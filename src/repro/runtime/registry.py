@@ -73,8 +73,8 @@ class MethodSpec:
         ``scan_runner(query, reference, *, n_taxa, include_trivial)``
         on two :class:`~repro.bipartitions.scan.ScannedTrees` of one
         namespace.  When set, ``average_rf`` scans Newick file or text
-        inputs at ``n_workers=1`` with no transform
-        (:mod:`repro.bipartitions.scan`) and calls it instead of
+        inputs given with no transform, at any ``n_workers``
+        (:mod:`repro.bipartitions.scan`), and calls it instead of
         ``runner``, so no ``Tree`` is built; it must return bit for bit
         what ``runner`` returns on the parsed trees.
     """

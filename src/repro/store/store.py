@@ -37,15 +37,15 @@ import math
 import os
 import time
 from bisect import bisect_left, insort
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from itertools import groupby, islice
 from pathlib import Path
 
 import numpy as np
 
 from repro.bipartitions.extract import bipartition_masks, bipartitions_with_lengths
-from repro.core.api import TreesLike, _SCANNABLE, _read_trees, _scan, \
-    _source_kind
+from repro.bipartitions.scan import ScannedTrees
+from repro.core.api import TreesLike, _read, _source_kind
 from repro.core.table import BipartitionTable, default_codec_name, \
     get_codec, masks_to_words, probe_order, words_to_masks
 from repro.hashing.bfh import BipartitionFrequencyHash
@@ -177,23 +177,21 @@ def _split_rows(source: TreesLike, labels: list[str], *,
     keeps no branch lengths.  The source is read before this returns,
     so a parse error comes before any row.
     """
-    kind = _source_kind(source)
     namespace = TaxonNamespace(labels)
-    if kind in _SCANNABLE and not weighted:
-        scanned = _scan(source, kind, namespace)
+    read = _read(source, _source_kind(source), namespace, scan=not weighted)
+    if isinstance(read, ScannedTrees):
         new = namespace.labels[len(labels):] if grow else []
         try:
-            block = scanned.block(words_for_taxa(len(labels) + len(new)),
-                                  include_trivial=include_trivial)
+            block = read.block(words_for_taxa(len(labels) + len(new)),
+                               include_trivial=include_trivial)
         except ValueError:  # a taxon past the store's key width
             raise StoreError(_PAST_WIDTH) from None
         counts = block.counts.tolist()
         ends = np.cumsum(counts).tolist()
         return ((new if i == 0 else [], block.words[end - count:end], None)
                 for i, (end, count) in enumerate(zip(ends, counts)))
-    return _tree_rows(_read_trees(source, kind, namespace), labels,
-                      include_trivial=include_trivial, weighted=weighted,
-                      grow=grow)
+    return _tree_rows(read, labels, include_trivial=include_trivial,
+                      weighted=weighted, grow=grow)
 
 
 def _tree_rows(trees: list[Tree], labels: list[str], *,
@@ -220,10 +218,9 @@ class BFHStore:
 
     Construct with :meth:`create` (new, empty), :meth:`open` (existing),
     or :func:`build_store` (bulk).  Every write to the state, a bulk
-    build included, is a :meth:`_merge` of split rows.  ``Tree`` arguments
-    must be parsed in a namespace that extends the store's label order —
-    use :meth:`namespace` when loading query files; delta files can be
-    passed as paths.
+    build included, is a :meth:`_merge` of split rows.  Query and delta
+    files can be passed as paths; ``Tree`` arguments must be parsed
+    through :meth:`namespace`.
     """
 
     def __init__(self, path: Path, *, include_trivial: bool, weighted: bool):
@@ -489,11 +486,8 @@ class BFHStore:
     # -- namespace -----------------------------------------------------------
 
     def namespace(self) -> TaxonNamespace:
-        """A fresh namespace with the store's labels in index order.
-
-        Parse query/delta files through this so their bitmasks share the
-        store's taxon→bit assignment.
-        """
+        """A fresh namespace with the store's labels in index order: parse
+        ``Tree`` arguments through it to share the store's taxon bits."""
         return TaxonNamespace(self._labels)
 
     @property
@@ -675,28 +669,26 @@ class BFHStore:
         wh.finalize()
         return wh
 
-    def average_rf(self, query: Sequence[Tree], *,
-                   n_workers: int = 1,
-                   executor: str | None = None) -> list[float]:
+    def average_rf(self, query: TreesLike) -> list[float]:
         """Average RF of each query tree against the stored collection,
-        probing :meth:`table` (shipped to workers when ``n_workers > 1``);
-        bitwise-identical to ``bfhrf_average_rf(query, reference)`` over a
-        fresh build of the current reference set."""
-        query = list(query)
+        probing :meth:`table`; bitwise-identical to
+        ``bfhrf_average_rf(query, reference)`` over a fresh build of the
+        current reference set.  ``query`` is what :meth:`add_trees`
+        takes; Newick is scanned (no ``Tree``) and NEXUS parsed into a
+        fresh :meth:`namespace`, so query-only taxa leave the store's
+        labels as they are."""
+        namespace = self.namespace()
+        query = _read(query, _source_kind(query), namespace)
         with trace("store.query", q=len(query), r=self.n_trees):
             t0 = time.perf_counter()
             # Query trees may carry taxa past the store's: pack wide
             # enough for all of them, or a probe would truncate masks.
-            table = self.table(max([len(self._labels), 1] + [
-                len(tree.taxon_namespace) for tree in query]))
-            if n_workers > 1:
-                from repro.core.shmrf import shm_average_rf  # writers skip it
-                values = shm_average_rf(query, table=table,
-                                        n_workers=n_workers,
-                                        executor=executor)
-            else:
-                values = table.vectorized().average_rf_batch(query).tolist() \
-                    if query else []
+            widths = [len(namespace), 1]
+            if not isinstance(query, ScannedTrees):
+                widths += [len(tree.taxon_namespace) for tree in query]
+            table = self.table(max(widths))
+            values = table.vectorized().average_rf_batch(query).tolist() \
+                if len(query) else []
             if _obs_enabled():
                 _histogram("store.query_seconds").observe(
                     time.perf_counter() - t0)

@@ -434,7 +434,8 @@ def check_store_roundtrip(case: TreeCase) -> list[Failure]:
     plain tree list, then demands that (a) the live store, (b) the store
     reopened from disk, and (c) a fresh :func:`bfhrf_average_rf` over the
     mirrored list all return *bitwise-identical* averages — the store's
-    incremental-exactness contract.  Weighted cases additionally compare
+    incremental-exactness contract, for the query trees and for the same
+    query as Newick text.  Weighted cases additionally compare
     the store's branch-length multisets against a freshly built
     :class:`WeightedBipartitionHash`.
 
@@ -443,6 +444,7 @@ def check_store_roundtrip(case: TreeCase) -> list[Failure]:
     """
     rng = np.random.default_rng(derive_seed(case.seed, [0x570BE]))
     failures: list[Failure] = []
+    query_text = case.query_newick()
 
     def compare(store: BFHStore, current: list[Tree], where: str) -> None:
         if store.n_trees != len(current):
@@ -459,13 +461,15 @@ def check_store_roundtrip(case: TreeCase) -> list[Failure]:
                     implementation=where))
             return
         got = store.average_rf(case.query)
+        # The same query as Newick text is scanned, with no Tree built.
+        text = store.average_rf(query_text) if case.query else []
         want = bfhrf_average_rf(case.query, current,
                                 include_trivial=case.include_trivial)
-        for i, (g, w) in enumerate(zip(got, want)):
-            if g != w:
+        for i, (g, t, w) in enumerate(zip(got, text, want)):
+            if g != w or t != w:
                 failures.append(Failure(
-                    "store-roundtrip",
-                    f"store says {g!r}, fresh build says {w!r}",
+                    "store-roundtrip", f"store says {g!r} for trees and "
+                    f"{t!r} for Newick text, fresh build says {w!r}",
                     implementation=where, index=i))
         if case.weighted:
             fresh = WeightedBipartitionHash.from_trees(

@@ -274,13 +274,14 @@ class TestAverageRF:
         with pytest.raises(AssertionError):
             average_rf(q, r, method="bfhrf")
         for n_workers in (2, 0):
-            with pytest.raises(AssertionError):
-                average_rf(q, r, n_workers=n_workers)
+            assert average_rf(q, r, n_workers=n_workers) == [2.0]
 
     def test_all_cpu_worker_count_keeps_the_tree_path_values(self, tmp_path):
         q, r = self._files(tmp_path, "((A,B),(C,D),E);\n((A,C),(B,D),E);\n",
                            "((A,C),(B,D),E);\n((A,B),(C,E),D);\n")
-        assert average_rf(q, r, n_workers=0) == average_rf(q, r)
+        ns = TaxonNamespace()
+        trees = read_newick_file(q, ns), read_newick_file(r, ns)
+        assert average_rf(*trees, n_workers=0) == average_rf(q, r, n_workers=0)
 
 
 class TestSplitBlock:

@@ -76,8 +76,9 @@ class TestMetricsOut:
         if not fork_available():
             pytest.skip("fork start method unavailable")
         out = tmp_path / "run.json"
+        # Scanned Newick is scored in one pass; bfhrf parses and fans out.
         assert main(["avg-rf", quartet_file, "--workers", "2",
-                     "--metrics-out", str(out)]) == 0
+                     "--method", "bfhrf", "--metrics-out", str(out)]) == 0
         report = RunReport.from_dict(json.loads(out.read_text()))
         assert report.counter("parallel.tasks") >= 1
         hist = report.metrics["histograms"]["parallel.task_seconds"]

@@ -129,8 +129,9 @@ class TestLifecycle:
 class TestWorkerQuery:
     @pytest.mark.parametrize("backend", ["fork", "spawn"])
     def test_workers_match_one_worker_bitwise(self, tmp_path, backend):
-        """The table ships to process workers in the executor payload,
-        packed wide enough for a query-only taxon."""
+        """The store's table ships to process workers in the executor
+        payload, packed wide enough for a query-only taxon."""
+        from repro.core.shmrf import shm_average_rf
         from repro.newick import write_newick
         from repro.runtime import BACKENDS
 
@@ -142,10 +143,52 @@ class TestWorkerQuery:
         query = trees_from_string(
             f"{text}\n({write_newick(reference[6])[:-1]},Zed);",
             store.namespace())
-        serial = store.average_rf(query, n_workers=1)
-        assert store.average_rf(query, n_workers=2,
-                                executor=backend) == serial
+        serial = store.average_rf(query)
+        table = store.table(len(query[0].taxon_namespace))
+        assert shm_average_rf(query, table=table, n_workers=2,
+                              executor=backend) == serial
         assert serial == bfhrf_average_rf(query, reference)
+
+
+class TestQuerySources:
+    """``average_rf`` takes what ``add_trees`` takes: Newick paths and
+    text are scanned, NEXUS and ``Tree`` lists go through ``Tree``s."""
+
+    def test_every_source_matches_fresh_build(self, tmp_path):
+        from repro.newick import write_newick
+        from repro.newick.nexus_writer import write_nexus_file
+
+        reference = make_collection(n_taxa=16, n_trees=12, seed=7)
+        store = build_store(tmp_path / "s", reference)
+        labels = store.labels
+        text = "\n".join(write_newick(tree) for tree in reference[:6]) \
+            + f"\n({write_newick(reference[6])[:-1]},Zed);\n"
+        query = trees_from_string(text, store.namespace())
+        want = bfhrf_average_rf(query, reference)
+        newick, nexus = tmp_path / "q.nwk", tmp_path / "q.nex"
+        newick.write_text(text)
+        write_nexus_file(nexus, query)
+        for source in (str(newick), newick, text, str(nexus), query):
+            assert store.average_rf(source) == want, source
+        assert store.labels == labels
+
+        # Zed took no bit in the store: a later add of a new taxon gets
+        # the next one, and the query still matches a fresh build.
+        added = f"({write_newick(reference[7])[:-1]},Yam);"
+        store.add_trees(added)
+        assert store.labels == labels + ["Yam"]
+        ns = store.namespace()
+        current = reference + trees_from_string(added, ns)
+        want = bfhrf_average_rf(trees_from_string(text, ns), current)
+        assert store.average_rf(text) == want
+        assert BFHStore.open(tmp_path / "s").average_rf(str(newick)) == want
+
+    def test_empty_query(self, tmp_path, trees):
+        store = build_store(tmp_path / "s", trees)
+        assert store.average_rf([]) == []
+        path = tmp_path / "empty.nwk"
+        path.write_text("")
+        assert store.average_rf(path) == []
 
 
 class TestValidation:

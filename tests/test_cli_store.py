@@ -129,9 +129,10 @@ def _dir_bytes(path) -> dict:
 
 
 class TestTextInput:
-    """``store build|add|remove`` pass their files straight to the store,
-    which scans Newick text with no ``Tree``; the directory it leaves
-    must be the one the ``Tree`` path writes, byte for byte."""
+    """``store build|add|remove|query`` pass their files straight to the
+    store, which scans Newick text with no ``Tree``; the directory a
+    write leaves must be the one the ``Tree`` path writes, byte for
+    byte."""
 
     @pytest.fixture
     def files(self, tmp_path, trees_file):
@@ -179,7 +180,7 @@ class TestTextInput:
         assert BFHStore.open(tmp_path / "s").n_trees == 4
 
     def test_newick_build_and_add_build_no_tree(self, tmp_path, files,
-                                                monkeypatch):
+                                                monkeypatch, capsys):
         import repro.newick.io
         import repro.newick.parser
 
@@ -192,8 +193,16 @@ class TestTextInput:
         path = str(tmp_path / "s")
         assert main(["store", "build", path, "-r", reference, "--quiet"]) == 0
         assert main(["store", "add", path, add, "--quiet"]) == 0
+        assert main(["store", "query", path, add, "--quiet"]) == 0
+        out = capsys.readouterr().out
         from repro.store import BFHStore
 
         store = BFHStore.open(path)
         assert store.n_trees == 7
         assert store.labels == list("ABCDEFG")
+        monkeypatch.undo()
+        ns = TaxonNamespace()
+        current = read_newick_file(reference, ns) + read_newick_file(add, ns)
+        want = bfhrf_average_rf(read_newick_file(add, ns), current)
+        assert out == "".join(f"{i}\t{value:.6f}\n"
+                              for i, value in enumerate(want))
