@@ -47,13 +47,19 @@ string at character offsets.  The grammar is then checked on the token
 kinds of every record at once, with lookup tables.  A record the
 scanner rejects is re-run through ``parse_newick``, so the error type,
 message and position are the parser's own.
+
+Every intermediate is only as wide as its values, and is freed once
+used.  Byte classes, token kinds and flags are one byte, mapped through
+256-byte tables with ``bytes.translate``.  Positions, depths and prefix
+counts are int32 unless twice the input bytes plus the record count
+reaches 2**31 (``_INT32_LIMIT``), when they are int64; keys packed from
+them, and the ``ScannedTrees`` fields, are int64.
 """
 
 from __future__ import annotations
 
-import io
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -73,12 +79,28 @@ __all__ = ["SplitBlock", "ScannedTrees", "scan_records", "scan_newick_text",
 # closes a record that has no ';' (end of input or a lexical error).
 _START, _OPEN, _CLOSE, _COMMA, _SEMI, _COLON, _LABEL, _END = range(8)
 _STRUCTURAL = {"(": _OPEN, ")": _CLOSE, ",": _COMMA, ";": _SEMI, ":": _COLON}
+
+
+def _table(values: np.ndarray) -> bytes:
+    """A lookup of uint8 codes as a ``bytes.translate`` table, which maps
+    an array without the intp copy of its codes ``np.take`` makes."""
+    table = np.zeros(256, dtype=np.uint8)
+    table[:len(values)] = values.view(np.uint8)
+    return table.tobytes()
+
+
+def _lookup(table: bytes, codes: np.ndarray) -> np.ndarray:
+    """``table[codes]`` for a uint8 ``codes`` array, read-only uint8."""
+    return np.frombuffer(codes.tobytes().translate(table), dtype=np.uint8)
+
+
 _STEP = np.zeros(8, dtype=np.int8)  # depth change
 _STEP[[_OPEN, _CLOSE]] = 1, -1
+_STEP = _table(_STEP)
 # _LEAF[prev << 3 | kind]: a label where a subtree may start is a leaf.
 _LEAF = np.zeros((8, 8), dtype=bool)
 _LEAF[[_START, _OPEN, _COMMA], _LABEL] = True
-_LEAF = _LEAF.ravel()
+_LEAF = _table(_LEAF.ravel())
 
 # The grammar: _RULES[prev, kind] says when a token may follow the token
 # before it, and _ALLOWED[rule, nested, after a length] whether it does.
@@ -98,7 +120,7 @@ _ALLOWED[_ALWAYS] = True
 _ALLOWED[_AT_TOP, 0] = True
 _ALLOWED[_NESTED, 1] = True
 _ALLOWED[_NOT_AFTER_LENGTH, :, 0] = True
-_GRAMMAR = _ALLOWED[_RULES].ravel()
+_GRAMMAR = _table(_ALLOWED[_RULES].ravel())
 
 # Byte classes: whitespace is 0, structural characters are their token
 # kind, quotes and comment brackets are _QUOTING, and everything else
@@ -108,10 +130,30 @@ _BYTE_KIND = np.full(256, _LABEL, dtype=np.uint8)
 for _char in LABEL_STOP:
     _BYTE_KIND[ord(_char)] = _STRUCTURAL.get(_char, 0)
 _BYTE_KIND[list(b"'[]")] = _QUOTING
+_BYTE_KIND = _table(_BYTE_KIND)
 _SEMI_BYTE = ord(";")
 # In memory order, byte k of _PAD[n] is 0xFF for k >= n and 0 otherwise.
 _PAD = np.frombuffer(b"".join(b"\0" * k + b"\xff" * (8 - k)
                               for k in range(9)), dtype=np.uint64)
+
+# Byte and token positions, depths and prefix counts are int32 while
+# twice the input bytes plus the record count is below this, and int64
+# from there on.  No such value reaches that sum: the text labels are
+# sliced from is the input followed by the unquoted labels of the
+# records that hold quotes or comments, at most as long again, and a
+# record has at most one token that spans no byte.
+_INT32_LIMIT = 2**31
+# Rows of a block XOR-ed per gather (768 KiB of temporaries at 3 words).
+_CHUNK_ROWS = 1 << 15
+
+
+def _running_sum(values: np.ndarray, dtype) -> np.ndarray:
+    """Inclusive prefix sum of ``values`` as ``dtype``, accumulated in
+    place: ``cumsum(dtype=...)`` of a narrower input first casts all of
+    it to a temporary as wide as the result."""
+    out = values.astype(dtype)
+    np.cumsum(out, out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -162,33 +204,53 @@ class ScannedTrees:
         if include_trivial:
             leaves = np.arange(n_leaves, dtype=np.int64)
             lo, hi = np.concatenate([lo, leaves]), np.concatenate([hi, leaves + 1])
-        tree = offsets.searchsorted(lo, side="right") - 1
-        start, end = offsets[tree], offsets[tree + 1]
+            del leaves
+        tree = offsets.searchsorted(lo, side="right")  # the tree, plus 1
+        end = offsets[tree]
+        tree -= 1
+        start = offsets[tree]
+        del tree
         size, n = hi - lo, end - start
         keep = size < n if include_trivial else (size >= 2) & (size <= n - 2)
+        del size, n
         # A prefix [start, hi) and the suffix [hi, end) are one split:
         # key both by the suffix, then keep one row per distinct key.
         prefix = lo == start
-        clo = np.where(prefix, hi, lo)[keep]
-        chi = np.where(prefix, end, hi)[keep]
-        key = clo * (n_leaves + 1) + chi
+        del start
+        key = np.where(prefix, hi, lo)[keep]
+        key *= n_leaves + 1
+        key += np.where(prefix, end, hi)[keep]
+        del prefix, end, keep, lo, hi
         key.sort()
         distinct = np.ones(len(key), dtype=bool)
         distinct[1:] = key[1:] != key[:-1]
         key = key[distinct]
+        del distinct
         clo, chi = np.divmod(key, n_leaves + 1)
-        tree = offsets.searchsorted(clo, side="right") - 1
-
-        prefix_xor = self._prefix_xor(n_words)
-        words = prefix_xor.take(chi, axis=0)
-        words ^= prefix_xor.take(clo, axis=0)
-        anchor = self._anchors()[tree]
-        flip = (anchor < clo) | (anchor >= chi)
-        leaf_sets = prefix_xor[offsets[1:]] ^ prefix_xor[offsets[:-1]]
-        np.bitwise_xor(words, leaf_sets.take(tree, axis=0), out=words,
-                       where=flip[:, None])
+        del key
+        tree = offsets.searchsorted(clo, side="right")
+        tree -= 1
         counts = np.bincount(tree, minlength=len(self)).astype(np.int64,
                                                                copy=False)
+        # A row whose interval misses its tree's anchor is XOR-ed with
+        # the tree's leaf set, any other with the zero row after them.
+        anchor = self._anchors()[tree]
+        sets = np.where((anchor < clo) | (anchor >= chi), tree, len(self))
+        del anchor, tree
+
+        prefix_xor = self._prefix_xor(n_words)
+        leaf_sets = np.zeros((len(self) + 1, n_words), dtype=np.uint64)
+        np.bitwise_xor(prefix_xor[offsets[1:]], prefix_xor[offsets[:-1]],
+                       out=leaf_sets[:-1])
+        # The rows are P[chi] ^ P[clo] ^ leaf_sets[sets], the last two
+        # gathered _CHUNK_ROWS rows at a time, so no second array of all
+        # the rows is alive beside P and the rows.
+        words = prefix_xor.take(chi, axis=0)
+        del chi
+        for at in range(0, len(words), _CHUNK_ROWS):
+            rows = slice(at, at + _CHUNK_ROWS)
+            words[rows] ^= prefix_xor.take(clo[rows], axis=0)
+            words[rows] ^= leaf_sets.take(sets[rows], axis=0)
         return SplitBlock(words, counts)
 
     def _prefix_xor(self, n_words: int) -> np.ndarray:
@@ -197,11 +259,15 @@ class ScannedTrees:
             # Refuse to truncate, as masks_to_words does.
             raise ValueError(
                 f"taxon {int(taxa.max())} does not fit in {n_words} words")
+        # Leaf i sets bit taxon & 63 of word n_words - 1 - (taxon >> 6)
+        # in row i + 1; the rows then accumulate in place.
         out = np.zeros((len(taxa) + 1, n_words), dtype=np.uint64)
-        bits = np.left_shift(np.uint64(1), (taxa & 63).astype(np.uint64))
-        out.reshape(-1)[np.arange(n_words, n_words * (len(taxa) + 1), n_words)
-                        + (n_words - 1 - (taxa >> 6))] = bits
-        return np.bitwise_xor.accumulate(out, axis=0)
+        bits = taxa.view(np.uint64) & np.uint64(63)
+        np.left_shift(np.uint64(1), bits, out=bits)
+        word = taxa >> 6
+        for w in range(n_words):
+            np.copyto(out[1:, n_words - 1 - w], bits, where=word == w)
+        return np.bitwise_xor.accumulate(out, axis=0, out=out)
 
     def _anchors(self) -> np.ndarray:
         """Leaf position of each tree's lowest taxon."""
@@ -241,20 +307,24 @@ def _tokens(records: list[str]) -> tuple[np.ndarray, str, np.ndarray,
     label token, in token order.
 
     The text is the records, then the unquoted labels of records that
-    hold quotes or comments; 8 bytes of padding follow its bytes.
+    hold quotes or comments; 8 bytes of padding follow its bytes.  The
+    spans are int32 or int64 by the ``_INT32_LIMIT`` rule.
     """
     joined = "".join(records)
     data = joined.encode("utf-8", "surrogatepass")
+    index = np.int32 if 2 * len(data) + len(records) < _INT32_LIMIT \
+        else np.int64
     sizes = list(map(len, records)) if len(data) == len(joined) else [
         len(record.encode("utf-8", "surrogatepass")) for record in records]
-    bounds = np.fromiter(accumulate(sizes, initial=0), dtype=np.int64,
+    bounds = np.fromiter(accumulate(sizes, initial=0), dtype=index,
                          count=len(records) + 1)
+    byte_kinds = np.frombuffer(data.translate(_BYTE_KIND), dtype=np.uint8)
     padded = _padded(data)
-    text = padded[:-8]
+    n_data = len(data)
+    del data
 
     # A record is plain when its one ';', quote or comment bracket is the
     # ';' that ends it; its bytes are then classified one by one.
-    byte_kinds = _BYTE_KIND.take(text)
     marks = ((byte_kinds == _SEMI) | (byte_kinds == _QUOTING)).nonzero()[0]
     cuts = marks.searchsorted(bounds)
     # (An empty first record reads its last byte from the padding.)
@@ -262,24 +332,37 @@ def _tokens(records: list[str]) -> tuple[np.ndarray, str, np.ndarray,
         & (padded[bounds[1:] - 1] == _SEMI_BYTE)
     all_plain = plain.all()
     if not all_plain:
+        byte_kinds = byte_kinds.copy()
         byte_kinds[(~plain).repeat(sizes)] = 0
     label = byte_kinds == _LABEL
     token = byte_kinds != 0
-    token[1:] &= ~(label[1:] & label[:-1])  # a run of label bytes is one token
-    kinds = byte_kinds.compress(token)
+    run = label[1:] & label[:-1]  # a run of label bytes is one token
+    np.invert(run, out=run)
+    token[1:] &= run
+    kinds = byte_kinds[token]  # (compress would build an intp index)
+    del byte_kinds
+    if not all_plain:
+        # The tokens before each odd record, whose own bytes hold none.
+        odd = (~plain).nonzero()[0]
+        at = bounds[odd].tolist()
+        token_cuts = list(accumulate(
+            np.count_nonzero(token[a:b]) for a, b in zip([0, *at], at)))
+    del token
     # Label runs start and end where the byte class changes; every plain
     # record ends with ';', so every run ends inside the text.
-    edges = (label[1:] != label[:-1]).nonzero()[0] + 1
-    if len(label) and label[0]:
-        edges = np.concatenate(([0], edges))
+    np.not_equal(label[1:], label[:-1], out=run)
+    first_label = len(label) and label[0]
+    del label
+    edges = np.add(run.nonzero()[0], 1, dtype=index)
+    del run
+    if first_label:
+        edges = np.insert(edges, 0, 0)
     starts, ends = edges[0::2], edges[1::2]
     if all_plain:
         return kinds, joined, padded, starts, ends
 
     # Other records go through the parser's own tokenizer; their labels,
     # unquoted, are appended to the text and joined to the spans there.
-    odd = (~plain).nonzero()[0]
-    token_cuts = token.nonzero()[0].searchsorted(bounds[odd]).tolist()
     label_cuts = starts.searchsorted(bounds[odd]).tolist()
     kind_parts, start_parts, end_parts = [], [], []
     names: list[str] = []
@@ -289,7 +372,7 @@ def _tokens(records: list[str]) -> tuple[np.ndarray, str, np.ndarray,
         kind_parts += [kinds[token_at:token_cut], record_kinds]
         start_parts.append(starts[label_at:label_cut])
         end_parts.append(ends[label_at:label_cut])
-        start_parts.append(np.full(len(labels), -1, dtype=np.int64))
+        start_parts.append(np.full(len(labels), -1, dtype=index))
         end_parts.append(start_parts[-1])
         names += labels
         token_at, label_at = token_cut, label_cut
@@ -299,12 +382,12 @@ def _tokens(records: list[str]) -> tuple[np.ndarray, str, np.ndarray,
     starts = np.concatenate(start_parts)
     ends = np.concatenate(end_parts)
     extra = [name.encode("utf-8", "surrogatepass") for name in names]
-    sizes = np.fromiter(map(len, extra), dtype=np.int64, count=len(extra))
+    sizes = np.fromiter(map(len, extra), dtype=index, count=len(extra))
     appended = starts < 0
-    ends[appended] = len(data) + sizes.cumsum()
+    ends[appended] = n_data + sizes.cumsum()
     starts[appended] = ends[appended] - sizes
     return (np.concatenate(kind_parts), joined + "".join(names),
-            _padded(data + b"".join(extra)), starts, ends)
+            _padded(b"".join([padded[:-8], *extra])), starts, ends)
 
 
 # ---------------------------------------------------------------------------
@@ -344,40 +427,50 @@ def _intern(text: np.ndarray, starts: np.ndarray,
     n = len(starts)
     sizes = ends - starts
     longest = int(sizes.max(initial=0))
-    group = np.empty(n, dtype=np.int64)
+    group = np.empty(n, dtype=sizes.dtype)
     n_groups = 0
-    firsts = [np.zeros(0, dtype=np.int64)]
-    active, at, left = np.arange(n), starts, sizes
+    firsts = [np.zeros(0, dtype=np.intp)]
+    active, at, left = None, starts, sizes  # None: every span
     offset = 0
-    while len(active):
+    while n:
         words = _words(text, at, left)
         if offset:
             tied = group[active]
             order = np.lexsort((words, tied))
             tied = tied[order]
+            active = active[order]
         else:
-            order = words.argsort()
-        active, words = active[order], words[order]
+            order = active = words.argsort()
+        words = words[order]
+        del order
         head = np.ones(len(active), dtype=bool)
         head[1:] = words[1:] != words[:-1]
+        del words
         if offset:
             head[1:] |= tied[1:] != tied[:-1]
-        rank = head.cumsum()
-        rank -= 1
-        group[active] = rank + n_groups
+        rank = _running_sum(head, group.dtype)
+        rank += n_groups - 1
+        group[active] = rank
         firsts.append(np.minimum.reduceat(active, head.nonzero()[0]))
-        n_groups += int(rank[-1]) + 1
+        n_groups = int(rank[-1]) + 1
+        del rank
         offset += 8
         if offset > longest:
             break
-        active = active[(np.bincount(rank)[rank] > 1)
-                        & (sizes[active] >= offset)]
+        # A span stays when another in its run is still tied with it.
+        shared = ~head
+        shared[:-1] |= ~head[1:]
+        active = active[shared & (sizes[active] >= offset)]
+        if not len(active):
+            break
         at, left = starts[active] + offset, sizes[active] - offset
     first = np.concatenate(firsts)
     if offset > 8:  # groups split after the first word left gaps
         live = np.zeros(n_groups, dtype=bool)
         live[group] = True
-        group = (live.cumsum() - 1)[group]
+        renumber = _running_sum(live, group.dtype)
+        renumber -= 1
+        group = renumber[group]
         first = first[live]
     return group, first
 
@@ -417,32 +510,42 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
     """
     records = list(records)
     kinds, string, text, label_starts, label_ends = _tokens(records)
+    index = label_starts.dtype
+    n_tokens = len(kinds)
+    # Record r owns tokens starts[r]..ends[r]; the record of a token is
+    # found by a search of ends.
     ends = ((kinds == _SEMI) | (kinds == _END)).nonzero()[0]
     starts = np.zeros(len(ends), dtype=ends.dtype)
     starts[1:] = ends[:-1] + 1
-    record_tokens = ends - starts + 1
-    record_of = np.arange(len(records)).repeat(record_tokens)
 
     # The grammar as rules on (previous kind, kind, depth).
-    prev = np.empty_like(kinds)
-    prev[1:] = kinds[:-1]
-    prev[starts] = _START
-    pair = (prev << 3) | kinds
+    context = np.empty_like(kinds)  # the previous kind, for now
+    context[1:] = kinds[:-1]
+    context[starts] = _START
     is_label = kinds == _LABEL
-    leaf = _LEAF.take(pair)
-    length = is_label & (prev == _COLON)
-    after_length = np.zeros(len(length), dtype=bool)
-    after_length[1:] = length[:-1]
-    step = _STEP.take(kinds)
-    depth = step.cumsum(dtype=np.int64)
-    before = depth - step
-    before -= before[starts].repeat(record_tokens)
-    context = pair << 2
-    context |= (before > 0).view(np.uint8) << 1
-    context |= after_length
-    ok = _GRAMMAR.take(context)
+    length = is_label & (context == _COLON)
+    context <<= 3
+    context |= kinds
+    leaf = _lookup(_LEAF, context).view(bool)
+    step = _lookup(_STEP, kinds).view(np.int8)
+    del kinds
+    # The depth before a token, tested for > 0, runs on across records.
+    # A record that leaves a group open or closes one too many is
+    # rejected on its own tokens, and every record before the first
+    # rejected one starts at depth 0, so that record is still the first.
+    depth = _running_sum(step, index)
+    nested = depth > step
+    del depth
+    context <<= 2
+    context |= nested.view(np.uint8) << 1
+    del nested
+    context[1:] |= length[:-1]
+    ok = _lookup(_GRAMMAR, context).view(bool)
+    del context
     bad = np.zeros(len(records), dtype=bool)
-    bad[record_of[~ok]] = True
+    if not ok.all():
+        bad[ends.searchsorted((~ok).nonzero()[0])] = True
+    del ok
 
     if length.any():
         in_length = length[is_label]
@@ -455,15 +558,19 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
                 try:
                     float(value)
                 except ValueError:
-                    bad[record_of[at]] = True
+                    bad[ends.searchsorted(at)] = True
+    del length
 
     # Each distinct leaf label is decoded once and looked up in the
     # namespace; new labels are numbered in order of first appearance,
     # as TaxonNamespace.require numbers them.
     in_leaf = leaf[is_label]
+    del is_label
     leaf_starts, leaf_ends = label_starts[in_leaf], label_ends[in_leaf]
+    del label_starts, label_ends, in_leaf
     group, first = _intern(text, leaf_starts, leaf_ends)
     names = _strings(string, text, leaf_starts[first], leaf_ends[first])
+    del leaf_starts, leaf_ends, text, string
     ids = np.fromiter(namespace.indices(names), dtype=np.int64,
                       count=len(names))
     base = len(namespace)
@@ -474,17 +581,26 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
         ids[new] = np.arange(base, base + len(new))
         fresh = [names[i] for i in new.tolist()]
     taxa = ids[group]
-    leaf_record = record_of[leaf]
+    # Tree r owns leaves tree_offsets[r]:tree_offsets[r + 1].
+    leaf_at = leaf.nonzero()[0]
+    tree_offsets = np.empty(len(records) + 1, dtype=np.int64)
+    tree_offsets[:-1] = leaf_at.searchsorted(starts)
+    tree_offsets[-1] = len(leaf_at)
     if "" in names:  # '' names no taxon
-        bad[leaf_record[group == names.index("")]] = True
+        bad[ends.searchsorted(leaf_at[group == names.index("")])] = True
+    del leaf_at, group
+    # A taxon twice in one record: its (record, taxon) key repeats.
     n_ids = max(1, base + len(new))
-    keys = leaf_record * n_ids + taxa
+    keys = np.arange(0, len(records) * n_ids, n_ids).repeat(
+        tree_offsets[1:] - tree_offsets[:-1])
+    keys += taxa
     keys.sort()
     bad[keys[1:][keys[1:] == keys[:-1]] // n_ids] = True
+    del keys
 
     if bad.any():
         first_bad = int(np.argmax(bad))
-        seen = taxa[:leaf_record.searchsorted(first_bad)]
+        seen = taxa[:tree_offsets[first_bad]]
         known = int(seen.max()) + 1 - base if len(seen) else 0
         for label in fresh[:max(0, known)]:
             namespace.require(label)
@@ -492,29 +608,36 @@ def scan_records(records: Iterable[str], namespace: TaxonNamespace, *,
     for label in fresh:
         namespace.require(label)
 
-    # All records are valid, so every one starts and ends at depth 0.
-    # At one depth opens and closes alternate, so sorting them by
-    # (depth, position) pairs each open with the close after it.
+    # All records are valid, so every one starts and ends at depth 0,
+    # and the depth after a parenthesis is the sum of the steps of the
+    # parentheses up to it.  An open is at the depth after it, a close
+    # at the depth before it.  At one depth opens and closes alternate,
+    # so sorting them by (depth, position) pairs each open with the
+    # close after it.
     parens = step.nonzero()[0]
-    level = depth[parens]
-    level += kinds[parens] == _CLOSE
-    shift = len(kinds).bit_length()
+    moves = step[parens]
+    del step
+    level = _running_sum(moves, np.int64)
+    level += moves < 0
+    del moves
+    shift = n_tokens.bit_length()
     if 2 * shift < 63:  # sort (level, position) packed in one int64
         level <<= shift
         level |= parens
+        del parens
         level.sort()
-        parens = level & ((1 << shift) - 1)
-        level >>= shift
+        nonroot = level[0::2] >= 2 << shift
+        level &= (1 << shift) - 1
+        parens = level
     else:
         order = np.lexsort((parens, level))
         level, parens = level[order], parens[order]
-    nonroot = level[0::2] > 1
-    leaves_upto = leaf.cumsum()  # at a paren: the leaves before it
-    lo = leaves_upto[parens[0::2][nonroot]]
-    hi = leaves_upto[parens[1::2][nonroot]]
-    tree_offsets = np.zeros(len(records) + 1, dtype=np.int64)
-    np.bincount(leaf_record, minlength=len(records)).cumsum(
-        out=tree_offsets[1:])
+        nonroot = level[0::2] > 1
+    del level
+    leaves_upto = _running_sum(leaf, index)  # at a paren: the leaves before it
+    del leaf
+    lo = leaves_upto[parens[0::2][nonroot]].astype(np.int64)
+    hi = leaves_upto[parens[1::2][nonroot]].astype(np.int64)
     if _obs_enabled():
         _metric("newick.trees_parsed").inc(len(records))
     return ScannedTrees(taxa, tree_offsets, lo, hi)
@@ -537,7 +660,17 @@ def _reparse(record: str, namespace: TaxonNamespace,
 
 def scan_newick_text(text: str, namespace: TaxonNamespace) -> ScannedTrees:
     """Scan a block of Newick records, as ``trees_from_string`` reads it."""
-    return _scan_lines(io.StringIO(text), namespace)
+    return _scan_lines(_lines(text), namespace)
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``io.StringIO(text)``, which would hold a copy of
+    ``text`` at 4 bytes a character."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def scan_newick_file(path: str | os.PathLike,

@@ -56,12 +56,15 @@ def _source_kind(source: TreesLike) -> str:
 
     One of ``"trees"`` (a tree sequence), ``"nexus-text"``, ``"nexus"``
     (a NEXUS path), ``"newick"`` (a Newick path) or ``"newick-text"``.
+    A string is a path unless it holds a ';' or is empty: ``""`` is
+    Newick text with no trees, read as an empty Newick file is.
     """
     if isinstance(source, (list, tuple)):
         return "trees"
     if isinstance(source, str) and source.lstrip().upper().startswith("#NEXUS"):
         return "nexus-text"
-    if isinstance(source, os.PathLike) or (isinstance(source, str) and ";" not in source):
+    if isinstance(source, os.PathLike) or (
+            isinstance(source, str) and source and ";" not in source):
         return "nexus" if _is_nexus_path(source) else "newick"
     if isinstance(source, str):
         return "newick-text"

@@ -676,16 +676,23 @@ class BFHStore:
         current reference set.  ``query`` is what :meth:`add_trees`
         takes; Newick is scanned (no ``Tree``) and NEXUS parsed into a
         fresh :meth:`namespace`, so query-only taxa leave the store's
-        labels as they are."""
+        labels as they are.  ``Tree`` queries may hold taxa past the
+        store's labels, but a namespace that disagrees with them raises
+        :class:`StoreError`, as a write does."""
         namespace = self.namespace()
         query = _read(query, _source_kind(query), namespace)
         with trace("store.query", q=len(query), r=self.n_trees):
             t0 = time.perf_counter()
             # Query trees may carry taxa past the store's: pack wide
             # enough for all of them, or a probe would truncate masks.
+            # Parsed trees must agree with the store's labels index by
+            # index, as written trees must.
             widths = [len(namespace), 1]
             if not isinstance(query, ScannedTrees):
-                widths += [len(tree.taxon_namespace) for tree in query]
+                for query_ns in {id(tree.taxon_namespace): tree.taxon_namespace
+                                 for tree in query}.values():
+                    _new_labels(query_ns.labels, self._labels)
+                    widths.append(len(query_ns))
             table = self.table(max(widths))
             values = table.vectorized().average_rf_batch(query).tolist() \
                 if len(query) else []

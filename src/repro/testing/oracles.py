@@ -462,7 +462,7 @@ def check_store_roundtrip(case: TreeCase) -> list[Failure]:
             return
         got = store.average_rf(case.query)
         # The same query as Newick text is scanned, with no Tree built.
-        text = store.average_rf(query_text) if case.query else []
+        text = store.average_rf(query_text)
         want = bfhrf_average_rf(case.query, current,
                                 include_trivial=case.include_trivial)
         for i, (g, t, w) in enumerate(zip(got, text, want)):

@@ -49,6 +49,13 @@ class TestAverageRF:
     def test_text_input(self):
         assert average_rf(NEWICK_TEXT) == [1.0, 1.0]
 
+    def test_empty_text_reads_as_an_empty_newick_file(self):
+        assert as_trees("") == []
+        assert average_rf("", NEWICK_TEXT) == []
+        for args in [("",), (NEWICK_TEXT, "")]:
+            with pytest.raises(CollectionError, match="empty"):
+                average_rf(*args)
+
     def test_query_and_reference_share_namespace(self):
         values = average_rf("((A,B),(C,D));", "((A,C),(B,D));\n((A,B),(C,D));")
         assert values == [1.0]

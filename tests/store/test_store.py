@@ -189,6 +189,20 @@ class TestQuerySources:
         path = tmp_path / "empty.nwk"
         path.write_text("")
         assert store.average_rf(path) == []
+        assert store.average_rf("") == []  # text, not a path
+
+    def test_foreign_namespace_trees_rejected(self, tmp_path):
+        store = build_store(tmp_path / "s",
+                            "((A,B),(C,D),E);((A,C),(B,D),E);")
+        query = "((E,D),(C,B),A);"
+        assert store.average_rf(query) == [4.0]
+        with pytest.raises(StoreError, match="namespace conflict"):
+            store.average_rf(trees_from_string(query))
+        # Taxa past the store's labels are still allowed.
+        grown = trees_from_string("((E,D),(C,B),(A,F));", store.namespace())
+        reference = trees_from_string("((A,B),(C,D),E);((A,C),(B,D),E);",
+                                      grown[0].taxon_namespace)
+        assert store.average_rf(grown) == bfhrf_average_rf(grown, reference)
 
 
 class TestValidation:
