@@ -19,9 +19,9 @@ import numpy as np
 
 from common import emit
 
-from repro.core.bfhrf import bfhrf_average_rf
+from repro.core.bfhrf import bfhrf_average_rf, build_bfh
 from repro.core.mrsrf import mrsrf_average_rf
-from repro.core.vectorized import VectorizedBFH
+from repro.core.table import BipartitionTable
 from repro.simulation.datasets import variable_trees
 from repro.util.timing import Stopwatch
 
@@ -39,8 +39,9 @@ def _sweep():
     timings["dict"] = sw.elapsed
 
     with Stopwatch() as sw:
-        vbfh = VectorizedBFH.from_trees(trees)
-        results["vectorized"] = vbfh.average_rf_batch(trees).tolist()
+        table = BipartitionTable.from_bfh(build_bfh(trees), N_TAXA)
+        results["vectorized"] = table.vectorized().average_rf_batch(
+            trees).tolist()
     timings["vectorized"] = sw.elapsed
 
     with Stopwatch() as sw:

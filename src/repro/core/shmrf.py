@@ -111,7 +111,7 @@ def shm_average_rf(query: Sequence[Tree] | Iterable[Tree],
     workers = resolve_workers(n_workers) if n_workers > 1 else 1
     if workers <= 1 or len(query) < 2:
         vbfh = table.vectorized(transform=transform)
-        with trace("shmrf.query", q=len(query), r=vbfh.n_trees, workers=1):
+        with trace("shmrf.query", q=len(query), r=table.n_trees, workers=1):
             return vbfh.average_rf_batch(query).tolist()
 
     runner = get_executor(executor)
@@ -149,6 +149,6 @@ def shm_average_rf_scanned(query: ScannedTrees, reference: ScannedTrees, *,
     if not len(query):
         return []
     vbfh = table.vectorized()
-    with trace("shmrf.query", q=len(query), r=vbfh.n_trees, workers=1):
+    with trace("shmrf.query", q=len(query), r=table.n_trees, workers=1):
         block = rows if query is reference else vbfh.split_block(query)
         return vbfh.average_rf_block(block).tolist()

@@ -277,7 +277,7 @@ class BipartitionTable:
         table's arrays zero-copy (no re-sort, no copy)."""
         from repro.core.vectorized import VectorizedBFH
 
-        return VectorizedBFH.from_table(self, transform=transform)
+        return VectorizedBFH(self, transform=transform)
 
     def same_contents(self, other: "BipartitionTable") -> bool:
         """Exact content equality (metadata + keys + counts + weights)."""

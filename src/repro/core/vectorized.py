@@ -25,14 +25,14 @@ point of writing it this way.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.bipartitions.extract import bipartition_masks
 from repro.bipartitions.scan import ScannedTrees, SplitBlock
 from repro.core.table import BipartitionTable, masks_to_words
-from repro.hashing.bfh import BipartitionFrequencyHash, MaskTransform
+from repro.hashing.bfh import MaskTransform
 from repro.observability.metrics import histogram as _histogram
 from repro.observability.state import enabled as _obs_enabled
 from repro.trees.tree import Tree
@@ -42,103 +42,38 @@ __all__ = ["VectorizedBFH"]
 
 
 class VectorizedBFH:
-    """Array-backed bipartition frequency table with batched probes.
+    """Batched probes over one :class:`~repro.core.table.BipartitionTable`.
 
-    Built from a reference collection (or an existing
-    :class:`BipartitionFrequencyHash`); scores whole query batches with
+    A stateless view: every key, count and metadata field is read from
+    ``table`` in place, so probing copies nothing.  Get one with
+    :meth:`BipartitionTable.vectorized`; score whole query batches with
     :meth:`average_rf_batch`.
 
     Examples
     --------
+    >>> from repro.core.bfhrf import build_bfh
     >>> from repro.newick import trees_from_string
     >>> trees = trees_from_string("((A,B),(C,D));\\n((A,C),(B,D));")
-    >>> vbfh = VectorizedBFH.from_trees(trees)
-    >>> vbfh.average_rf_batch(trees).tolist()
+    >>> table = BipartitionTable.from_bfh(build_bfh(trees), 4)
+    >>> table.vectorized().average_rf_batch(trees).tolist()
     [1.0, 1.0]
     """
 
-    __slots__ = ("keys", "freqs", "n_trees", "total", "n_words",
-                 "include_trivial", "transform", "_void_keys")
+    __slots__ = ("table", "transform", "_void_keys")
 
-    def __init__(self, keys: np.ndarray, freqs: np.ndarray, n_trees: int,
-                 total: int, *, include_trivial: bool = False,
+    def __init__(self, table: BipartitionTable, *,
                  transform: MaskTransform | None = None):
-        """Adopt arrays *already sorted* in this class's void-byte order.
+        """Probe ``table`` as it is: its rows are already in probe order.
 
-        The arrays are used as-is (read-only views included), never
-        copied, so a table is probed zero-copy.
-        The caller guarantees the order; every build path goes through
-        :class:`~repro.core.table.BipartitionTable`, whose rows are kept
-        in that order, so the guarantee is structural.  Void scalars
-        compare as raw bytes (little-endian within each ``uint64``), not
-        numerically; exact probes only need the keys and the query to
-        share one total order.
+        Void scalars compare as raw bytes (little-endian within each
+        ``uint64``), not numerically; exact probes only need the keys
+        and the query to share one total order, and the table keeps its
+        rows in that order.
         """
-        if keys.ndim != 2 or keys.shape[0] != freqs.shape[0]:
-            raise ValueError("keys must be (U, n_words) aligned with freqs")
-        if keys.dtype != np.uint64 or freqs.dtype != np.int64 \
-                or not keys.flags.c_contiguous or not freqs.flags.c_contiguous:
-            raise ValueError("VectorizedBFH requires contiguous uint64 keys "
-                             "and int64 freqs")
-        self.keys = keys
-        self.freqs = freqs
-        self.n_trees = n_trees
-        self.total = total
-        self.n_words = keys.shape[1]
-        self.include_trivial = include_trivial
+        self.table = table
         self.transform = transform
-        self._void_keys = keys.view(
-            np.dtype((np.void, keys.dtype.itemsize * self.n_words))).ravel()
-
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def from_bfh(cls, bfh: BipartitionFrequencyHash, n_taxa: int) -> "VectorizedBFH":
-        """Convert a dict-backed hash (sorting its keys once)."""
-        if bfh.n_trees == 0:
-            raise CollectionError("empty hash")
-        return cls.from_table(BipartitionTable.from_bfh(bfh, n_taxa),
-                              transform=bfh.transform)
-
-    @classmethod
-    def from_table(cls, table: BipartitionTable, *,
-                   transform: MaskTransform | None = None) -> "VectorizedBFH":
-        """Probe a :class:`~repro.core.table.BipartitionTable` zero-copy.
-
-        Table rows are already in this class's probe (void-byte) order,
-        so the arrays are adopted as-is — the table is the one canonical
-        array form every layer shares.
-        """
-        return cls(
-            table.keys, table.counts, table.n_trees, table.total,
-            include_trivial=table.include_trivial, transform=transform)
-
-    def table(self, n_taxa: int) -> BipartitionTable:
-        """This probe's arrays as a :class:`BipartitionTable` (zero-copy).
-
-        ``n_taxa`` must match the width the keys were packed under — the
-        probe itself only remembers ``n_words``.
-        """
-        return BipartitionTable(self.keys, self.freqs, n_taxa=n_taxa,
-                                n_trees=self.n_trees, total=self.total,
-                                include_trivial=self.include_trivial)
-
-    @classmethod
-    def from_trees(cls, trees: Iterable[Tree], *, include_trivial: bool = False,
-                   transform: MaskTransform | None = None) -> "VectorizedBFH":
-        trees = list(trees)
-        if not trees:
-            raise CollectionError("reference collection is empty")
-        bfh = BipartitionFrequencyHash.from_trees(
-            trees, include_trivial=include_trivial, transform=transform)
-        # Size keys by the namespace, not the widest stored key: query
-        # masks may set higher taxon bits than any reference split, and
-        # truncating them would fabricate false probe hits.
-        n_taxa = len(trees[0].taxon_namespace)
-        return cls.from_bfh(bfh, max(1, n_taxa))
-
-    def __len__(self) -> int:
-        return len(self.freqs)
+        self._void_keys = table.keys.view(
+            np.dtype((np.void, 8 * table.n_words))).ravel()
 
     # -- probes ------------------------------------------------------------------
 
@@ -157,19 +92,16 @@ class VectorizedBFH:
         return freqs
 
     def _lookup(self, words: np.ndarray) -> np.ndarray:
-        if words.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if len(self._void_keys) == 0:
+        if words.size == 0 or len(self._void_keys) == 0:
             # A splitless reference (e.g. all star trees) stores no keys;
             # every probe misses.  The clamp below would index at -1.
             return np.zeros(len(words), dtype=np.int64)
         query_void = np.ascontiguousarray(words, dtype=np.uint64).view(
-            np.dtype((np.void, words.dtype.itemsize * self.n_words))).ravel()
+            self._void_keys.dtype).ravel()
         positions = np.searchsorted(self._void_keys, query_void)
         positions = np.minimum(positions, len(self._void_keys) - 1)
         hit = self._void_keys[positions] == query_void
-        freqs = np.where(hit, self.freqs[positions], 0)
-        return freqs.astype(np.int64)
+        return np.where(hit, self.table.counts[positions], 0)
 
     def split_block(self, query: Sequence[Tree] | ScannedTrees) -> SplitBlock:
         """Per-tree split rows of a query batch at this probe's width.
@@ -177,21 +109,22 @@ class VectorizedBFH:
         Trees go through ``bipartition_masks`` (and the transform) and
         are packed; scanned text is packed straight from its intervals.
         """
+        table = self.table
         if isinstance(query, ScannedTrees):
             if self.transform is not None:
                 raise ValueError("a transform needs Tree input, not scanned text")
-            return query.block(self.n_words,
-                               include_trivial=self.include_trivial)
+            return query.block(table.n_words,
+                               include_trivial=table.include_trivial)
         per_tree = []
         for tree in query:
-            masks = bipartition_masks(tree, include_trivial=self.include_trivial)
+            masks = bipartition_masks(tree, include_trivial=table.include_trivial)
             if self.transform is not None:
                 masks = self.transform(masks, tree.leaf_mask())
             per_tree.append(masks)
         counts = np.fromiter(map(len, per_tree), dtype=np.int64,
                              count=len(per_tree))
         words = masks_to_words([m for masks in per_tree for m in masks],
-                               self.n_words)
+                               table.n_words)
         return SplitBlock(words, counts)
 
     def average_rf_batch(self, trees: Sequence[Tree] | ScannedTrees
@@ -206,7 +139,7 @@ class VectorizedBFH:
         with prefix sums — Algorithm 2 with the loop over query trees
         flattened into array ops.
         """
-        if self.n_trees == 0:
+        if self.table.n_trees == 0:
             raise CollectionError("empty hash; average RF is undefined")
         if not _obs_enabled():
             return self._reduce(block)
@@ -226,6 +159,7 @@ class VectorizedBFH:
         np.cumsum(freqs, out=prefix[1:])
         ends = np.cumsum(counts)
         seg_freq = prefix[ends] - prefix[ends - counts]
-        rf_left = self.total - seg_freq
-        rf_right = counts * self.n_trees - seg_freq
-        return (rf_left + rf_right) / self.n_trees
+        n_trees = self.table.n_trees
+        rf_left = self.table.total - seg_freq
+        rf_right = counts * n_trees - seg_freq
+        return (rf_left + rf_right) / n_trees

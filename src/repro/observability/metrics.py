@@ -46,7 +46,7 @@ name                              kind        meaning
 ``serve.batches``                 counter     vectorized probes executed by the batcher
 ``serve.batch_requests``          histogram   queries coalesced into each batch
 ``serve.batch_trees``             histogram   trees scored per batch
-``serve.probe_seconds``           histogram   scoring latency per batch (probe only)
+``serve.probe_seconds``           histogram   scoring latency per batch (re-scan, pack, probe, reduce)
 ``serve.tail_applied``            counter     tail ticks that applied new journal records
 ``serve.tail_errors``             counter     tail ticks that failed (and will retry)
 ``serve.reopens``                 counter     full store reopens (generation change / compaction race)

@@ -61,11 +61,11 @@ loudly.  Sockets pre-bound by a :class:`~repro.serve.supervisor.\
 ServeSupervisor` are inherited as-is and never unlinked here — their
 lifecycle belongs to the supervisor.
 
-Metrics are recorded unconditionally into a private
+Metrics are recorded only into a private
 :class:`~repro.observability.metrics.MetricsRegistry` (served by the
-``stats`` request) and mirrored into the process-global observability
-registry when tracing is enabled, so ``--trace``/``--metrics-out`` see
-``serve.*`` spans and metrics with zero overhead otherwise.
+``stats`` request).  When :meth:`ServeDaemon.serve` returns with tracing
+enabled, that registry's snapshot is merged into the process-global one
+once, so ``--trace``/``--metrics-out`` see ``serve.*`` metrics.
 """
 
 from __future__ import annotations
@@ -86,8 +86,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 from repro.bipartitions.scan import ScannedTrees, SplitBlock, \
     scan_newick_text
 from repro.newick import read_nexus_trees
-from repro.observability.metrics import MetricsRegistry, counter as _g_counter, \
-    gauge as _g_gauge, histogram as _g_histogram
+from repro.observability.metrics import MetricsRegistry, merge_metrics
 from repro.observability.spans import trace
 from repro.observability.state import enabled as _obs_enabled
 from repro.serve.endpoint import Endpoint
@@ -250,23 +249,16 @@ class ServeDaemon:
         ports resolved.  Populated by the time ``on_ready`` fires."""
         return tuple(listener.endpoint for listener in self._listeners)
 
-    # -- metrics: always into the private registry, mirrored when the
-    # -- observability layer is enabled ------------------------------------
+    # -- metrics: only into the private registry ---------------------------
 
     def _inc(self, name: str, n: int = 1) -> None:
         self._metrics.counter(name).inc(n)
-        if _obs_enabled():
-            _g_counter(name).inc(n)
 
     def _observe(self, name: str, value: float) -> None:
         self._metrics.histogram(name).observe(value)
-        if _obs_enabled():
-            _g_histogram(name).observe(value)
 
     def _set_gauge(self, name: str, value: float) -> None:
         self._metrics.gauge(name).set(value)
-        if _obs_enabled():
-            _g_gauge(name).set(value)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -424,6 +416,8 @@ class ServeDaemon:
                 with contextlib.suppress(OSError):
                     path.unlink()
             self._loop = None
+            if _obs_enabled():
+                merge_metrics(self._metrics.snapshot())
 
     # -- connection handling ----------------------------------------------
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import pickle
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from repro.core.table import BipartitionTable, codecs, masks_to_words, \
     words_to_masks
 from repro.hashing.weighted import WeightedBipartitionHash
 from repro.newick.io import trees_from_string
-from repro.newick.writer import write_newick
+from repro.newick.writer import format_label, write_newick
 from repro.runtime import fork_available, get_method, methods
 from repro.store import BFHStore, build_store
 from repro.testing.generators import TreeCase, caterpillar_tree, max_rf_caterpillar_orders
@@ -638,6 +639,81 @@ def check_codec_roundtrip(case: TreeCase) -> list[Failure]:
     return failures
 
 
+def _tail_replies(client, query_text: str, states: dict[int, list[float]],
+                  final: int, implementation: str) -> list[Failure]:
+    """Query until a reply stamps ``final`` reference trees; every reply
+    must equal ``states`` at the reference-tree count it stamps."""
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        reply = client.request("query", trees=query_text)
+        got = [float(v) for v in reply["values"]]
+        if got != states.get(reply["reference_trees"]):
+            return [Failure(
+                "serve-parity", f"reply at {reply['reference_trees']} "
+                f"reference trees says {got!r}",
+                implementation=implementation)]
+        if reply["reference_trees"] == final:
+            return []
+        time.sleep(0.02)
+    return [Failure(
+        "serve-parity",
+        "daemon never converged on the externally added tree (last values "
+        f"{got!r}, wanted {states[final]!r}, {reply['reference_trees']} "
+        "reference trees)", implementation=implementation)]
+
+
+def _check_extend_ns(store_dir: Path, reference: list[Tree],
+                     include_trivial: bool) -> list[Failure]:
+    """A query-only taxon across a tailed ``extend-ns`` record.
+
+    The query ``((a,stranger),(b,c),d)`` binds ``stranger`` to the next
+    free taxon bit.  An external writer then adds
+    ``((a,newcomer),(b,c),(d,stranger))``, which names ``newcomer``
+    first, so the store gives ``newcomer`` that bit: a query scanned
+    before the tail and probed after it would read its split
+    ``(a,stranger)`` as the stored ``(a,newcomer)``.  A batch window
+    longer than the tail period lets the tail land between the scan and
+    the probe.  Every reply must equal ``average_rf`` at the state it
+    stamps, computed in the store's own bit order: a split over a leaf
+    set the other tree lacks is anchored at its tree's lowest taxon bit,
+    so the order matters.
+    """
+    from repro.core.api import average_rf
+    from repro.serve import ServeClient, ServeConfig, serving
+
+    writer = BFHStore.open(store_dir)
+    if len(writer.labels) < 4:
+        return []
+    a, b, c, d = map(format_label, writer.labels[:4])  # ``a`` has bit 0
+    # Longer than every stored label, so both are new taxa.
+    stranger, newcomer = (ch * (1 + max(map(len, writer.labels)))
+                          for ch in "xy")
+    query = f"(({a},{stranger}),({b},{c}),{d});"
+    added = f"(({a},{newcomer}),({b},{c}),({d},{stranger}));"
+    reference_text = "\n".join(write_newick(t) for t in reference)
+    states = {}
+    for grown in (0, 1):
+        ns = writer.namespace()
+        # Parsing ``added`` first binds its new taxa in the store's order.
+        extra = trees_from_string(added, ns) if grown else []
+        states[writer.n_trees + grown] = average_rf(
+            trees_from_string(query, ns),
+            trees_from_string(reference_text, ns) + extra,
+            include_trivial=include_trivial)
+    socket_path = store_dir.parent / "extend-ns.sock"
+    config = ServeConfig(endpoints=[str(socket_path)], tail_interval_s=0.01,
+                         batch_window_s=0.03)
+    with serving(store_dir, config), \
+            ServeClient.connect(socket_path, retries=5) as client:
+        failures = _tail_replies(client, query, states, writer.n_trees,
+                                 "extend-ns")
+        if not failures:
+            writer.add_trees(added)
+            failures = _tail_replies(client, query, states, writer.n_trees,
+                                     "extend-ns")
+    return failures
+
+
 def check_serve_parity(case: TreeCase) -> list[Failure]:
     """The query daemon vs direct ``api.average_rf`` over the same store.
 
@@ -652,10 +728,9 @@ def check_serve_parity(case: TreeCase) -> list[Failure]:
     construction, and this oracle holds it there.  Then one reference
     tree is added by a *second* store handle (an external writer) and
     the daemon must tail it into view without restarting, again
-    bit-for-bit.
+    bit-for-bit.  Last, :func:`_check_extend_ns` sends a query holding
+    a query-only taxon across a tailed ``extend-ns`` record.
     """
-    import time as _time
-
     from repro.core.api import average_rf
     from repro.serve import ServeClient, ServeConfig, serving
 
@@ -700,32 +775,16 @@ def check_serve_parity(case: TreeCase) -> list[Failure]:
                 extra = case.reference[:1]
                 writer.add_trees(extra)
                 reference = list(case.reference) + extra
-                states = {len(case.reference): want,
-                          len(reference): average_rf(
-                              case.query, reference,
-                              include_trivial=case.include_trivial)}
-                want = states[len(reference)]
-                deadline = _time.monotonic() + 10.0
-                while _time.monotonic() < deadline:
-                    reply = client.request("query", trees=query_text)
-                    got = [float(v) for v in reply["values"]]
-                    if got != states.get(reply["reference_trees"]):
-                        failures.append(Failure(
-                            "serve-parity", f"reply at "
-                            f"{reply['reference_trees']} reference trees "
-                            f"says {got!r}", implementation="tail"))
-                        break
-                    if reply["reference_trees"] == len(reference):
-                        break
-                    _time.sleep(0.02)
-                else:
-                    failures.append(Failure(
-                        "serve-parity",
-                        "daemon never converged on the externally added "
-                        f"tree (last values {got!r}, wanted {want!r}, "
-                        f"{reply['reference_trees']} reference trees)",
-                        implementation="tail"))
-    return failures
+                failures = _tail_replies(
+                    client, query_text,
+                    {len(case.reference): want,
+                     len(reference): average_rf(
+                         case.query, reference,
+                         include_trivial=case.include_trivial)},
+                    len(reference), "tail")
+                if failures:
+                    return failures
+        return _check_extend_ns(store_dir, reference, case.include_trivial)
 
 
 # ---------------------------------------------------------------------------

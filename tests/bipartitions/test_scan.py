@@ -286,12 +286,13 @@ class TestAverageRF:
 
 class TestSplitBlock:
     def test_tree_and_scan_blocks_score_alike(self):
-        from repro.core.vectorized import VectorizedBFH
+        from repro.core.bfhrf import build_bfh
+        from repro.core.table import BipartitionTable
 
         text = "(A,B,C,D,E);\n((A,B),(C,(D,E)));\n(A,B,(C,D,E));\n"
         ns = TaxonNamespace()
         trees = trees_from_string(text, ns)
-        vbfh = VectorizedBFH.from_trees(trees)
+        vbfh = BipartitionTable.from_bfh(build_bfh(trees), len(ns)).vectorized()
         scanned = scan_newick_text(text, TaxonNamespace())
         tree_block = vbfh.split_block(trees)
         scan_block = vbfh.split_block(scanned)

@@ -7,13 +7,20 @@ from hypothesis import given, settings
 
 from repro.core.bfhrf import bfhrf_average_rf, build_bfh
 from repro.core.shmrf import shm_average_rf
-from repro.core.table import masks_to_words
+from repro.core.table import BipartitionTable, masks_to_words
 from repro.core.variants import size_filter_transform
-from repro.core.vectorized import VectorizedBFH
 from repro.newick import parse_newick, trees_from_string
 from repro.util.errors import CollectionError
 
 from tests.conftest import collection_shapes, make_collection
+
+
+def _probe(trees):
+    """The vectorized probe over a reference table of ``trees``, packed
+    at the width of their namespace."""
+    table = BipartitionTable.from_bfh(build_bfh(trees),
+                                      len(trees[0].taxon_namespace))
+    return table.vectorized()
 
 
 class TestWordPacking:
@@ -34,12 +41,10 @@ class TestWordPacking:
         assert len(set(void.tolist())) == len(masks)
 
     def test_probe_finds_every_stored_key(self, medium_collection):
-        from repro.core.bfhrf import build_bfh
-
         bfh = build_bfh(medium_collection)
-        vbfh = VectorizedBFH.from_bfh(bfh, 16)
+        vbfh = BipartitionTable.from_bfh(bfh, 16).vectorized()
         masks = sorted(bfh.counts)
-        words = masks_to_words(masks, vbfh.n_words)
+        words = masks_to_words(masks, vbfh.table.n_words)
         freqs = vbfh.lookup_frequencies(words)
         assert freqs.tolist() == [bfh.counts[m] for m in masks]
 
@@ -76,8 +81,8 @@ class TestEquivalence:
 
     def test_from_bfh_conversion(self, medium_collection):
         bfh = build_bfh(medium_collection)
-        vbfh = VectorizedBFH.from_bfh(bfh, 16)
-        assert len(vbfh) == len(bfh)
+        vbfh = BipartitionTable.from_bfh(bfh, 16).vectorized()
+        assert len(vbfh.table) == len(bfh)
         got = vbfh.average_rf_batch(medium_collection)
         assert got.tolist() == pytest.approx(bfhrf_average_rf(medium_collection))
 
@@ -85,7 +90,7 @@ class TestEquivalence:
 class TestProbeEdgeCases:
     def test_unseen_splits_score_zero_frequency(self):
         trees = trees_from_string("((A,B),(C,D));\n((A,B),(C,D));")
-        vbfh = VectorizedBFH.from_trees(trees)
+        vbfh = _probe(trees)
         ns = trees[0].taxon_namespace
         novel = trees_from_string("((A,D),(B,C));", ns)
         assert vbfh.average_rf_batch(novel).tolist() == [2.0]
@@ -97,19 +102,19 @@ class TestProbeEdgeCases:
         base = trees_from_string(ns_text)
         ns = base[0].taxon_namespace
         reference = trees_from_string("((A,B),(C,D),E);\n((A,B),(C,D),E);", ns)
-        vbfh = VectorizedBFH.from_trees(reference)
+        vbfh = _probe(reference)
         query = trees_from_string("((A,B),(C,E),D);", ns)
         expected = bfhrf_average_rf(query, reference)
         assert vbfh.average_rf_batch(query).tolist() == pytest.approx(expected)
 
     def test_empty_batch(self, medium_collection):
-        vbfh = VectorizedBFH.from_trees(medium_collection)
+        vbfh = _probe(medium_collection)
         assert vbfh.average_rf_batch([]).shape == (0,)
 
     def test_star_query_tree(self, quartet_namespace):
         """A star tree has no internal splits: avgRF = mean split count."""
         reference = trees_from_string("((A,B),(C,D));\n((A,B),(C,D));")
-        vbfh = VectorizedBFH.from_trees(reference)
+        vbfh = _probe(reference)
         star = parse_newick("(A,B,C,D);", reference[0].taxon_namespace)
         # Left term: every reference split unmatched (1 per tree);
         # right term: zero query splits. avg = 2/2 = 1.
@@ -121,13 +126,16 @@ class TestProbeEdgeCases:
         batch = [parse_newick("(A,B,C,D);", ns),
                  parse_newick("((A,B),(C,D));", ns),
                  parse_newick("(A,B,C,D);", ns)]
-        got = VectorizedBFH.from_trees(reference).average_rf_batch(batch)
+        got = _probe(reference).average_rf_batch(batch)
         expected = [1.0, 1.0, 1.0]
         assert got.tolist() == pytest.approx(expected)
 
     def test_empty_reference(self):
         with pytest.raises(CollectionError):
-            VectorizedBFH.from_trees([])
+            shm_average_rf([])
+        empty = BipartitionTable.from_counts({}, n_taxa=4, n_trees=0)
+        with pytest.raises(CollectionError):
+            empty.vectorized().average_rf_batch([])
 
     def test_splitless_reference(self):
         """Regression (selfcheck-found): a reference of star trees stores
@@ -135,7 +143,7 @@ class TestProbeEdgeCases:
         reference = trees_from_string("(A,B,C,D);")
         ns = reference[0].taxon_namespace
         query = trees_from_string("((A,B),(C,D));\n(A,B,C,D);", ns)
-        got = VectorizedBFH.from_trees(reference).average_rf_batch(query)
+        got = _probe(reference).average_rf_batch(query)
         assert got.tolist() == bfhrf_average_rf(query, reference)
         assert got.tolist() == [1.0, 0.0]
 
@@ -145,6 +153,6 @@ class TestProbeEdgeCases:
         clamped ``reduceat`` index stole that segment's final term."""
         trees = trees_from_string(
             "((A,B),(C,D),(E,F));\n((A,C),(B,D),(E,F));\n(A,B,C,D,E,F);")
-        got = VectorizedBFH.from_trees(trees).average_rf_batch(trees)
+        got = _probe(trees).average_rf_batch(trees)
         assert got.tolist() == bfhrf_average_rf(trees)
         assert got.tolist() == [7 / 3, 7 / 3, 2.0]

@@ -16,7 +16,6 @@ from repro.core.bfhrf import bfhrf_average_rf, build_bfh
 from repro.core.parallel import dsmp_average_rf
 from repro.core.shmrf import shm_average_rf
 from repro.core.table import BipartitionTable
-from repro.core.vectorized import VectorizedBFH
 from repro.observability.metrics import metrics_snapshot
 from repro.runtime import BACKENDS, get_executor, get_payload, \
     set_default_executor
@@ -91,10 +90,11 @@ class TestShmParity:
         """The in-process vectorized layout, passed in as a table and
         fanned out, scores exactly like the dict path."""
         _skip_unless_available(backend)
-        vbfh = VectorizedBFH.from_trees(trees)
-        assert vbfh.average_rf_batch(trees).tolist() == serial_values
-        n_taxa = len(trees[0].taxon_namespace)
-        values = shm_average_rf(trees, table=vbfh.table(n_taxa), n_workers=2,
+        table = BipartitionTable.from_bfh(build_bfh(trees),
+                                          len(trees[0].taxon_namespace))
+        assert table.vectorized().average_rf_batch(trees).tolist() \
+            == serial_values
+        values = shm_average_rf(trees, table=table, n_workers=2,
                                 executor=backend)
         assert values == serial_values
 

@@ -12,8 +12,10 @@ import time
 
 import pytest
 
+from repro import observability as obs
 from repro.core.bfhrf import bfhrf_average_rf
 from repro.newick import trees_from_string, write_newick
+from repro.observability.metrics import metrics_snapshot
 from repro.serve import Endpoint, ServeClient, ServeConfig, serving
 from repro.store import BFHStore, build_store
 from repro.util.errors import ServeRequestError
@@ -601,3 +603,45 @@ class TestReconnectBackoff:
 
         with pytest.raises(ServeConnectionError, match="cannot connect"):
             ServeClient.connect(tmp_path / "nobody-home.sock")
+
+
+class TestMetricsExport:
+    """The daemon records into its own registry only; a traced run hands
+    that registry to the process one once, when ``serve()`` returns."""
+
+    def test_traced_run_merges_its_registry_on_exit(self, tmp_path,
+                                                    store_dir, collection):
+        obs.reset()
+        obs.enable(memory=False)
+        try:
+            with serving(store_dir, _config(tmp_path)) as daemon:
+                with ServeClient.connect(
+                        daemon.config.endpoints[0].path) as client:
+                    client.query(_text(collection[:3]))
+                    live = client.stats()["metrics"]
+                # No second write path: nothing reaches the process
+                # registry while the daemon runs.
+                assert not any(name.startswith("serve.") for kind in
+                               metrics_snapshot().values() for name in kind)
+            private = daemon._metrics.snapshot()
+            exported = metrics_snapshot()
+        finally:
+            obs.disable()
+            obs.reset()
+        assert live["counters"]["serve.batches"] == 1
+        for kind, values in private.items():
+            for name, value in values.items():
+                assert exported[kind][name] == value, name
+        assert exported["counters"]["serve.requests"] == 2  # query + stats
+        assert exported["histograms"]["serve.batch_trees"]["sum"] == 3
+
+    def test_untraced_run_leaves_the_process_registry_alone(
+            self, tmp_path, store_dir, collection):
+        obs.reset()
+        with serving(store_dir, _config(tmp_path)) as daemon:
+            with ServeClient.connect(
+                    daemon.config.endpoints[0].path) as client:
+                client.query(_text(collection[:2]))
+        assert metrics_snapshot() == {"counters": {}, "gauges": {},
+                                      "histograms": {}}
+        assert daemon._metrics.snapshot()["counters"]["serve.batches"] == 1

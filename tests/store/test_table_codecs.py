@@ -605,8 +605,11 @@ class TestTableViews:
     def test_vectorized_adoption_is_zero_copy(self):
         table = random_table(64, _SEED)
         vbfh = table.vectorized()
-        assert vbfh.keys is table.keys
-        assert vbfh.freqs is table.counts
+        assert vbfh.table is table
+        assert np.shares_memory(vbfh._void_keys, table.keys)
+        # A probe of the stored keys answers with the table's own counts.
+        assert vbfh.lookup_frequencies(table.keys).tolist() \
+            == table.counts.tolist()
 
     def test_width_mismatch_rejected(self):
         keys = masks_to_words([1, 2], 2)

@@ -177,3 +177,30 @@ class TestEndpointAddressing:
         assert main(["serve", "query", "http://nope:80", trees_file,
                      "--quiet"]) == 2
         assert "unsupported endpoint scheme" in capsys.readouterr().err
+
+
+class TestServeMetricsOut:
+    def test_metrics_out_carries_serve_metrics(self, tmp_path, store_dir):
+        from repro.serve import ServeClient
+
+        socket_path = str(tmp_path / "metrics.sock")
+        out = tmp_path / "serve.json"
+        rc: list[int] = []
+
+        def _start() -> None:
+            rc.append(main(["serve", "start", store_dir,
+                            "--addr", f"unix://{socket_path}",
+                            "--tail-interval", "0.05",
+                            "--metrics-out", str(out), "--quiet"]))
+
+        thread = threading.Thread(target=_start, daemon=True)
+        thread.start()
+        with ServeClient.connect(socket_path, retries=20) as client:
+            assert len(client.query(NWK)) == 4
+            client.shutdown()
+        thread.join(timeout=15)
+        assert rc == [0]
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["counters"]["serve.batches"] == 1
+        assert metrics["counters"]["serve.requests"] == 2  # query + shutdown
+        assert metrics["histograms"]["serve.batch_trees"]["sum"] == 4

@@ -10,7 +10,7 @@ from repro.bipartitions import (
     tree_from_bipartitions,
 )
 from repro.core import bfhrf_average_rf, build_bfh, robinson_foulds
-from repro.core.vectorized import VectorizedBFH
+from repro.core.shmrf import shm_average_rf
 from repro.newick import parse_newick, trees_from_string, write_newick
 from repro.trees import TaxonNamespace, reroot_at_leaf, suppress_unifurcations
 from repro.util.errors import (
@@ -99,8 +99,11 @@ class TestNamespaceSuperset:
         trees = [parse_newick("((t60,t61),(t68,t69));", ns),
                  parse_newick("((t60,t68),(t61,t69));", ns)]
         assert bfhrf_average_rf(trees) == [1.0, 1.0]
-        vbfh = VectorizedBFH.from_trees(trees)
-        assert vbfh.average_rf_batch(trees).tolist() == [1.0, 1.0]
+        # The table is sized by the namespace (70 taxa, two words), not by
+        # the widest stored split.
+        assert shm_average_rf(trees) == [1.0, 1.0]
+        query = [parse_newick("((t60,t61),(t68,t0));", ns)]
+        assert shm_average_rf(query, trees) == bfhrf_average_rf(query, trees)
 
 
 class TestBuilderDegenerate:
