@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--snapshot-format", default=None, metavar="CODEC",
                     help="snapshot write format: a table codec name "
                          "(raw-u64, succinct-v1) or 'v1' for the legacy "
-                         "layout (default: the registry's promoted codec)")
+                         "layout (default: succinct-v1)")
 
     sa = add_store_parser("add", help="absorb reference trees into the journal")
     sa.add_argument("trees", help="Newick/NEXUS file of trees to add")
@@ -253,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         "migrate", help="rewrite every shard in a new snapshot format "
                         "(atomic; v1 stores stay readable until then)")
     sm.add_argument("--codec", default=None, metavar="CODEC",
-                    help="target table codec (default: the registry's "
-                         "promoted write format, succinct-v1)")
+                    help="target table codec (default: succinct-v1)")
     sm.add_argument("--shards", type=int, default=None,
                     help="rebalance into this many shards (default: keep)")
 

@@ -5,8 +5,8 @@ bitmasks — used to be materialized several separate times: as a dict
 (:mod:`repro.hashing.bfh`), as sorted NumPy arrays
 (:mod:`repro.core.vectorized`), and as a hand-packed on-disk layout
 (:mod:`repro.store.format`).  :class:`BipartitionTable` is the one core
-those layers now share: sorted keys + counts (+ optional branch-length
-multisets) with ``n_taxa``/``n_words``/``n_trees`` metadata.  The
+those layers now share: sorted keys + counts (+ an optional column of
+branch lengths) with ``n_taxa``/``n_words``/``n_trees`` metadata.  The
 vectorized backend probes a table's arrays zero-copy, a process fan-out
 ships a table to its workers in the executor payload (it pickles as its
 two flat arrays), and a store snapshot is a table run through a *codec*.
@@ -28,17 +28,23 @@ Keys live in two total orders:
 ``from_counts`` and ``from_rows`` sort into probe order once at
 construction; codecs convert probe → numeric once at encode, and
 decoders numeric → probe once.  Rows already in numeric order (a
-compaction's shard slice) are encoded as they are.  Exactness is
-unaffected: both are total orders over the same multiset.
+compaction's shard slice) are encoded as they are.  A weighted table's
+``lengths`` column follows its rows: :func:`take_runs` moves each row's
+run of lengths with it.  Exactness is unaffected: both are total orders
+over the same multiset.
 
 Codecs
 ------
-A codec turns a table into three byte sections (keys, counts, weights)
-and back, registered with capability flags exactly like the method
-registry in :mod:`repro.runtime.registry`:
+A codec turns a table's numeric-order keys and counts into two byte
+sections and back, registered with a permanent tag like the method
+registry in :mod:`repro.runtime.registry`.  The third section, a
+weighted table's branch lengths, is the same in every codec: the
+``lengths`` column in numeric row order as raw ``f64`` (floats must
+round-trip exactly, so there is nothing lossless-and-simple to squeeze
+out of them).  :class:`CodecSpec` writes and reads it for all of them.
 
 * ``raw-u64`` — today's layout, bit-for-bit: packed little-endian
-  64-bit-word keys, ``u64`` counts, ``f64`` weight runs.
+  64-bit-word keys and ``u64`` counts.
 * ``succinct-v1`` — the paper's §IX "loss less and reversible
   compression of the bipartitions as keys", as the snapshot format.
   Each key is framed as whichever is shorter: a LEB128 varint delta
@@ -50,10 +56,8 @@ registry in :mod:`repro.runtime.registry`:
   the leaf set).  CGAPS exists because normalized splits keep the
   anchor taxon on the 1-side, which is usually the dense side; the
   0-side is the small clade, so coding the complement is where most of
-  the saving lies.  Counts are run-length blocks.  Registered with
-  ``default_write=True``, so it is the promoted snapshot write format —
-  the same last-registered promotion rule the method registry uses for
-  ``fast_path``.
+  the saving lies.  Counts are run-length blocks.  It is
+  :data:`DEFAULT_CODEC`, the format new snapshots are written in.
 
 Every codec decode is exact: the decoded table equals the encoded one
 key-for-key and count-for-count (the ``codec-roundtrip`` selfcheck
@@ -64,7 +68,6 @@ word boundaries, splitless references, and weighted multisets).
 
 from __future__ import annotations
 
-import struct
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -77,9 +80,9 @@ from repro.util.errors import BipartitionError, StoreCorruptError
 
 __all__ = [
     "BipartitionTable", "TableSections",
-    "masks_to_words", "words_to_masks", "probe_order",
+    "masks_to_words", "words_to_masks", "probe_order", "take_runs",
     "CodecSpec", "register_codec", "get_codec", "codec_by_tag",
-    "codec_names", "codecs", "default_codec_name",
+    "codec_names", "codecs", "DEFAULT_CODEC", "default_codec_name",
     "compress_mask", "decompress_mask",
 ]
 
@@ -151,24 +154,39 @@ def probe_order(keys: np.ndarray) -> np.ndarray:
     return np.lexsort(keys.T[::-1])
 
 
+def take_runs(values: np.ndarray | None, counts: np.ndarray,
+              order: np.ndarray) -> np.ndarray | None:
+    """``values`` laid out as one run of ``counts[i]`` entries per row
+    ``i``, with whole runs reordered as ``order`` reorders the rows
+    (``None`` stays ``None``)."""
+    if values is None:
+        return None
+    sizes = counts[order]
+    ends = np.cumsum(sizes)
+    starts = np.cumsum(counts) - counts
+    return values[np.repeat(starts[order] - (ends - sizes), sizes)
+                  + np.arange(ends[-1] if len(ends) else 0)]
+
+
 class BipartitionTable:
-    """Sorted bipartition keys + counts (+ weights) with metadata.
+    """Sorted bipartition keys + counts (+ branch lengths) with metadata.
 
     ``keys`` is ``(U, n_words)`` uint64 in probe order; ``counts`` is
-    ``(U,)`` int64 aligned with it.  ``weights`` — present only for
-    weighted tables — maps each mask to its sorted branch-length
-    multiset (the store's exact-removal representation).
+    ``(U,)`` int64 aligned with it.  ``lengths`` — present only for
+    weighted tables — is one float64 column of ``counts.sum()`` entries:
+    each row's ``count`` branch lengths, sorted ascending, in row order
+    (the store's exact-removal representation).
 
     Construct with :meth:`from_counts` / :meth:`from_bfh` (sorts once)
     or directly with arrays already in probe order (zero-copy adoption).
     """
 
-    __slots__ = ("keys", "counts", "weights", "n_taxa", "n_words",
+    __slots__ = ("keys", "counts", "lengths", "n_taxa", "n_words",
                  "n_trees", "total", "include_trivial")
 
     def __init__(self, keys: np.ndarray, counts: np.ndarray, *, n_taxa: int,
                  n_trees: int, total: int, include_trivial: bool = False,
-                 weights: dict[int, list[float]] | None = None):
+                 lengths: np.ndarray | None = None):
         if keys.ndim != 2 or keys.shape[0] != counts.shape[0]:
             raise ValueError("keys must be (U, n_words) aligned with counts")
         if keys.dtype != np.uint64 or counts.dtype != np.int64 \
@@ -179,9 +197,13 @@ class BipartitionTable:
             raise ValueError(
                 f"key width {keys.shape[1]} words does not match "
                 f"{n_taxa} taxa")
+        if lengths is not None and len(lengths) != counts.sum():
+            raise ValueError(
+                f"{len(lengths)} branch lengths for {int(counts.sum())} "
+                "counted splits")
         self.keys = keys
         self.counts = counts
-        self.weights = weights
+        self.lengths = lengths
         self.n_taxa = n_taxa
         self.n_words = keys.shape[1]
         self.n_trees = n_trees
@@ -197,20 +219,24 @@ class BipartitionTable:
                     weights: dict[int, list[float]] | None = None
                     ) -> "BipartitionTable":
         """Build from a frequency dict (one probe sort, from the dict's
-        own order)."""
+        own order); ``weights`` maps each mask to its ``count`` branch
+        lengths."""
         keys = masks_to_words(list(counts), words_for_taxa(n_taxa))
         freqs = np.fromiter(counts.values(), dtype=np.int64,
                             count=len(counts))
-        if len(counts):
-            order = probe_order(keys)
-            keys = np.take(keys, order, axis=0)
-            freqs = np.take(freqs, order)
+        lengths = None
         if weights is not None:
-            weights = {mask: sorted(lengths)
-                       for mask, lengths in weights.items()}
-        return cls(keys, freqs, n_taxa=n_taxa, n_trees=n_trees,
+            runs = [sorted(weights.get(mask, ())) for mask in counts]
+            if list(map(len, runs)) != freqs.tolist():
+                raise ValueError("a split's branch lengths are not its count")
+            lengths = np.array([x for run in runs for x in run],
+                               dtype=np.float64)
+        order = probe_order(keys)
+        return cls(np.take(keys, order, axis=0), np.take(freqs, order),
+                   n_taxa=n_taxa, n_trees=n_trees,
                    total=sum(counts.values()) if total is None else total,
-                   include_trivial=include_trivial, weights=weights)
+                   include_trivial=include_trivial,
+                   lengths=take_runs(lengths, freqs, order))
 
     @classmethod
     def from_rows(cls, rows: np.ndarray, *, n_taxa: int, n_trees: int,
@@ -244,7 +270,7 @@ class BipartitionTable:
 
     @property
     def weighted(self) -> bool:
-        return self.weights is not None
+        return self.lengths is not None
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -253,16 +279,18 @@ class BipartitionTable:
         """Masks as Python ints in row (probe) order."""
         return words_to_masks(self.keys)
 
-    def numeric_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(keys, counts)`` in ascending numeric mask order — the
-        codec/on-disk order (one lexsort, word 0 as the primary key).
+    def numeric_rows(self) -> tuple[np.ndarray, np.ndarray,
+                                    np.ndarray | None]:
+        """``(keys, counts, lengths)`` in ascending numeric mask order —
+        the codec/on-disk order (one lexsort, word 0 as the primary key).
 
         A table whose rows are already in that order (a compaction's
         shard slice) is returned as it is."""
         if _ascending_rows(self.keys):
-            return self.keys, self.counts
+            return self.keys, self.counts, self.lengths
         order = np.lexsort(self.keys.T[::-1])
-        return self.keys[order], self.counts[order]
+        return (self.keys[order], self.counts[order],
+                take_runs(self.lengths, self.counts, order))
 
     def to_bfh(self):
         """Materialize as a dict-backed hash (verification aid)."""
@@ -280,7 +308,7 @@ class BipartitionTable:
         return VectorizedBFH(self, transform=transform)
 
     def same_contents(self, other: "BipartitionTable") -> bool:
-        """Exact content equality (metadata + keys + counts + weights)."""
+        """Exact content equality (metadata + keys + counts + lengths)."""
         return (self.n_taxa == other.n_taxa
                 and self.n_words == other.n_words
                 and self.n_trees == other.n_trees
@@ -288,7 +316,7 @@ class BipartitionTable:
                 and self.include_trivial == other.include_trivial
                 and np.array_equal(self.keys, other.keys)
                 and np.array_equal(self.counts, other.counts)
-                and self.weights == other.weights)
+                and np.array_equal(self.lengths, other.lengths))  # None too
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"BipartitionTable(keys={len(self)}, words={self.n_words}, "
@@ -315,7 +343,7 @@ class TableSections:
 
 @dataclass(frozen=True)
 class CodecSpec:
-    """One registered table codec and what it can do.
+    """One registered table codec.
 
     Attributes
     ----------
@@ -326,52 +354,73 @@ class CodecSpec:
         Tags are forever: a reader maps tag → codec for any snapshot it
         will ever meet, so a registered tag must never be reused.
     encoder / decoder:
-        ``encoder(table) -> TableSections`` and
-        ``decoder(sections, *, n_taxa, entries, weighted,
-        include_trivial, n_trees, total) -> BipartitionTable``.
-        Decoding malformed bytes raises
-        :class:`~repro.util.errors.StoreCorruptError` — loud, never a
-        silently wrong table.
+        ``encoder(keys, counts, n_taxa) -> (key_bytes, count_bytes)`` of
+        numeric-order rows, and ``decoder(key_bytes, count_bytes, *,
+        n_taxa, entries) -> (keys, counts)`` back.  Decoding malformed
+        bytes raises :class:`~repro.util.errors.StoreCorruptError` —
+        loud, never a silently wrong table.  :meth:`encode` and
+        :meth:`decode` add the branch-length section, the same for
+        every codec.
     estimator:
-        ``estimator(table) -> int`` projected encoded byte size, without
-        writing anything (``store info`` shows the compression win
-        before a migrate).
-    supports_weighted:
-        Whether the codec can carry branch-length multisets.
-    default_write:
-        Promotion flag: the most recently registered codec with
-        ``default_write=True`` is what new snapshots are written with
-        (same rule as the method registry's ``fast_path``).
+        ``estimator(table) -> int`` projected key and count section
+        bytes, without writing anything (``store info`` shows the
+        compression win before a migrate).
     """
 
     name: str
     tag: int
-    encoder: Callable[[BipartitionTable], TableSections]
-    decoder: Callable[..., BipartitionTable]
+    encoder: Callable[[np.ndarray, np.ndarray, int], tuple[bytes, bytes]]
+    decoder: Callable[..., tuple[np.ndarray, np.ndarray]]
     estimator: Callable[[BipartitionTable], int]
     summary: str
-    supports_weighted: bool = True
-    default_write: bool = False
 
     def encode(self, table: BipartitionTable) -> TableSections:
-        if table.weighted and not self.supports_weighted:
-            raise ValueError(
-                f"codec {self.name!r} does not support weighted tables")
-        return self.encoder(table)
+        keys, counts, lengths = table.numeric_rows()
+        key_bytes, count_bytes = self.encoder(keys, counts, table.n_taxa)
+        weights = b"" if lengths is None else lengths.astype("<f8").tobytes()
+        return TableSections(keys=key_bytes, counts=count_bytes,
+                             weights=weights)
 
-    def decode(self, sections: TableSections, **meta) -> BipartitionTable:
-        return self.decoder(sections, **meta)
+    def decode(self, sections: TableSections, *, n_taxa: int, entries: int,
+               weighted: bool, include_trivial: bool, n_trees: int = 0,
+               total: int | None = None) -> BipartitionTable:
+        """The table of encoded sections, put into probe order."""
+        keys, counts = self.decoder(sections.keys, sections.counts,
+                                    n_taxa=n_taxa, entries=entries)
+        if not _ascending_rows(keys):
+            raise StoreCorruptError("snapshot keys are not strictly ascending")
+        held = sum(counts.tolist())
+        lengths = None
+        if weighted:
+            if len(sections.weights) != 8 * held:
+                raise StoreCorruptError(
+                    f"weight section is {len(sections.weights)} bytes, "
+                    f"expected {8 * held}")
+            lengths = np.frombuffer(sections.weights, "<f8").astype(np.float64)
+        elif sections.weights:
+            raise StoreCorruptError(
+                "unweighted snapshot carries a weight section")
+        order = probe_order(keys)
+        return BipartitionTable(
+            np.take(keys, order, axis=0), np.take(counts, order),
+            n_taxa=n_taxa, n_trees=n_trees,
+            total=held if total is None else total,
+            include_trivial=include_trivial,
+            lengths=take_runs(lengths, counts, order))
 
     def estimated_bytes(self, table: BipartitionTable) -> int:
-        return self.estimator(table)
+        lengths = 0 if table.lengths is None else table.lengths.nbytes
+        return self.estimator(table) + lengths
 
 
 _REGISTRY: dict[str, CodecSpec] = {}
 
+# The codec new snapshots are written with.
+DEFAULT_CODEC = "succinct-v1"
+
 
 def register_codec(name: str, *, tag: int, encoder, decoder, estimator,
-                   summary: str, supports_weighted: bool = True,
-                   default_write: bool = False) -> CodecSpec:
+                   summary: str) -> CodecSpec:
     """Register a table codec; returns its :class:`CodecSpec`.
 
     Re-registering a *name* replaces the previous entry (reload
@@ -383,9 +432,7 @@ def register_codec(name: str, *, tag: int, encoder, decoder, estimator,
             raise ValueError(
                 f"codec tag {tag} is already taken by {spec.name!r}")
     spec = CodecSpec(name=name, tag=tag, encoder=encoder, decoder=decoder,
-                     estimator=estimator, summary=summary,
-                     supports_weighted=supports_weighted,
-                     default_write=default_write)
+                     estimator=estimator, summary=summary)
     _REGISTRY[name] = spec
     return spec
 
@@ -414,117 +461,42 @@ def codecs() -> tuple[CodecSpec, ...]:
 
 
 def default_codec_name() -> str:
-    """The codec new snapshots are written with (last default_write wins)."""
-    chosen = "raw-u64"
-    for spec in _REGISTRY.values():
-        if spec.default_write:
-            chosen = spec.name
-    return chosen
-
-
-# ---------------------------------------------------------------------------
-# Shared section helpers.
-# ---------------------------------------------------------------------------
-
-def _encode_weight_runs(weights: dict[int, list[float]] | None,
-                        keys: np.ndarray, counts: np.ndarray) -> bytes:
-    """Per-key sorted f64 branch-length runs, ascending key order.
-
-    ``keys``/``counts`` are the table's :meth:`~BipartitionTable.numeric_rows`.
-    Identical bytes in both codecs (floats must round-trip exactly, so
-    there is nothing lossless-and-simple to squeeze out of them); the
-    keys/counts sections are where the codecs differ.
-    """
-    if weights is None:
-        return b""
-    parts = []
-    for mask, count in zip(words_to_masks(keys), counts.tolist()):
-        run = sorted(weights.get(mask, ()))
-        if len(run) != count:
-            raise StoreCorruptError(
-                f"split {mask:#x}: {len(run)} weights for frequency {count}")
-        parts.append(struct.pack(f"<{len(run)}d", *run))
-    return b"".join(parts)
-
-
-def _decode_weight_runs(blob: bytes, masks: list[int],
-                        freqs: list[int]) -> dict[int, list[float]]:
-    weights: dict[int, list[float]] = {}
-    offset = 0
-    for mask, freq in zip(masks, freqs):
-        end = offset + freq * 8
-        if end > len(blob):
-            raise StoreCorruptError("weight section is truncated")
-        weights[mask] = sorted(struct.unpack_from(f"<{freq}d", blob, offset))
-        offset = end
-    if offset != len(blob):
-        raise StoreCorruptError(
-            f"weight section has {len(blob) - offset} trailing bytes")
-    return weights
-
-
-def _build_decoded(keys: np.ndarray, freqs: np.ndarray, weights_blob: bytes,
-                   *, n_taxa: int, weighted: bool, include_trivial: bool,
-                   n_trees: int, total: int | None) -> BipartitionTable:
-    """The table of decoded numeric-order rows (put into probe order)."""
-    if not _ascending_rows(keys):
-        raise StoreCorruptError("snapshot keys are not strictly ascending")
-    weights = None
-    if weighted:
-        weights = _decode_weight_runs(weights_blob, words_to_masks(keys),
-                                      freqs.tolist())
-    elif weights_blob:
-        raise StoreCorruptError(
-            "unweighted snapshot carries a weight section")
-    order = probe_order(keys)
-    return BipartitionTable(
-        np.take(keys, order, axis=0), np.take(freqs, order),
-        n_taxa=n_taxa, n_trees=n_trees,
-        total=sum(freqs.tolist()) if total is None else total,
-        include_trivial=include_trivial, weights=weights)
+    """The codec new snapshots are written with."""
+    return DEFAULT_CODEC
 
 
 # ---------------------------------------------------------------------------
 # raw-u64: today's layout, bit-for-bit.
 # ---------------------------------------------------------------------------
 
-def _raw_encode(table: BipartitionTable) -> TableSections:
-    keys, counts = table.numeric_rows()
+def _raw_encode(keys: np.ndarray, counts: np.ndarray,
+                n_taxa: int) -> tuple[bytes, bytes]:
     # Each key little-endian as a whole: least significant word first.
-    return TableSections(keys=keys[:, ::-1].astype("<u8").tobytes(),
-                         counts=counts.astype("<u8").tobytes(),
-                         weights=_encode_weight_runs(table.weights, keys,
-                                                     counts))
+    return (keys[:, ::-1].astype("<u8").tobytes(),
+            counts.astype("<u8").tobytes())
 
 
-def _raw_decode(sections: TableSections, *, n_taxa: int, entries: int,
-                weighted: bool, include_trivial: bool, n_trees: int = 0,
-                total: int | None = None) -> BipartitionTable:
-    key_bytes = words_for_taxa(n_taxa) * 8
-    if len(sections.keys) != entries * key_bytes:
+def _raw_decode(key_bytes: bytes, count_bytes: bytes, *, n_taxa: int,
+                entries: int) -> tuple[np.ndarray, np.ndarray]:
+    width = words_for_taxa(n_taxa) * 8
+    if len(key_bytes) != entries * width:
         raise StoreCorruptError(
-            f"raw-u64 key section is {len(sections.keys)} bytes, expected "
-            f"{entries * key_bytes}")
-    if len(sections.counts) != entries * 8:
+            f"raw-u64 key section is {len(key_bytes)} bytes, expected "
+            f"{entries * width}")
+    if len(count_bytes) != entries * 8:
         raise StoreCorruptError(
-            f"raw-u64 count section is {len(sections.counts)} bytes, "
+            f"raw-u64 count section is {len(count_bytes)} bytes, "
             f"expected {entries * 8}")
-    keys = np.frombuffer(sections.keys, dtype="<u8").reshape(
-        entries, key_bytes // 8)[:, ::-1].astype(np.uint64)
-    counts = np.frombuffer(sections.counts, dtype="<u8")
+    keys = np.frombuffer(key_bytes, dtype="<u8").reshape(
+        entries, width // 8)[:, ::-1].astype(np.uint64)
+    counts = np.frombuffer(count_bytes, dtype="<u8")
     if entries and counts.max() >> np.uint64(63):
         raise StoreCorruptError("raw-u64 count does not fit int64")
-    return _build_decoded(keys, counts.astype(np.int64), sections.weights,
-                          n_taxa=n_taxa,
-                          weighted=weighted, include_trivial=include_trivial,
-                          n_trees=n_trees, total=total)
+    return keys, counts.astype(np.int64)
 
 
 def _raw_estimate(table: BipartitionTable) -> int:
-    size = len(table) * (table.n_words * 8 + 8)
-    if table.weighted:
-        size += 8 * int(table.counts.sum())
-    return size
+    return len(table) * (table.n_words * 8 + 8)
 
 
 # ---------------------------------------------------------------------------
@@ -1140,27 +1112,21 @@ def _succinct_decode_counts(blob: bytes, entries: int) -> np.ndarray:
     return np.repeat(counts[:used], runs[:used])
 
 
-def _succinct_encode(table: BipartitionTable) -> TableSections:
-    keys, counts = table.numeric_rows()
-    return TableSections(
-        keys=_succinct_encode_keys(keys, table.n_taxa),
-        counts=_succinct_encode_counts(counts),
-        weights=_encode_weight_runs(table.weights, keys, counts))
+def _succinct_encode(keys: np.ndarray, counts: np.ndarray,
+                     n_taxa: int) -> tuple[bytes, bytes]:
+    return (_succinct_encode_keys(keys, n_taxa),
+            _succinct_encode_counts(counts))
 
 
-def _succinct_decode(sections: TableSections, *, n_taxa: int, entries: int,
-                     weighted: bool, include_trivial: bool, n_trees: int = 0,
-                     total: int | None = None) -> BipartitionTable:
-    keys = _succinct_decode_keys(sections.keys, entries, n_taxa)
-    freqs = _succinct_decode_counts(sections.counts, entries)
-    return _build_decoded(keys, freqs, sections.weights, n_taxa=n_taxa,
-                          weighted=weighted, include_trivial=include_trivial,
-                          n_trees=n_trees, total=total)
+def _succinct_decode(key_bytes: bytes, count_bytes: bytes, *, n_taxa: int,
+                     entries: int) -> tuple[np.ndarray, np.ndarray]:
+    return (_succinct_decode_keys(key_bytes, entries, n_taxa),
+            _succinct_decode_counts(count_bytes, entries))
 
 
 def _succinct_estimate(table: BipartitionTable) -> int:
-    sections = _succinct_encode(table)
-    return sections.nbytes
+    keys, counts, _ = table.numeric_rows()
+    return sum(map(len, _succinct_encode(keys, counts, table.n_taxa)))
 
 
 register_codec(
@@ -1173,5 +1139,4 @@ register_codec(
     encoder=_succinct_encode, decoder=_succinct_decode,
     estimator=_succinct_estimate,
     summary="shortest-of delta-varint / reversible-gap keys with "
-            "run-length count blocks",
-    default_write=True)
+            "run-length count blocks")

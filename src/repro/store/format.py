@@ -157,17 +157,16 @@ def _atomic_write(path: Path, blob: bytes) -> None:
 def write_snapshot(path: str | Path, keys: np.ndarray, counts: np.ndarray, *,
                    n_taxa: int, fingerprint: bytes,
                    include_trivial: bool = False,
-                   weights: dict[int, list[float]] | None = None,
+                   lengths: np.ndarray | None = None,
                    codec: str | None = None) -> int:
     """Write one shard snapshot; returns the number of entries written.
 
     ``keys``/``counts`` are the shard's rows in ascending numeric order
     (a slice of :meth:`~repro.core.table.BipartitionTable.numeric_rows`);
-    ``weights`` maps each of their masks to its branch lengths and may
-    hold other masks too.  ``codec`` selects the table codec for a v2
-    snapshot (default: the registry's promoted write codec); the special
-    name ``"v1"`` writes the legacy v1 layout, whose body is the
-    raw-u64 sections.
+    ``lengths``, for a weighted store, is their slice of its
+    branch-length column.  ``codec`` selects the table codec for a v2
+    snapshot (default: succinct-v1); the special name ``"v1"`` writes
+    the legacy v1 layout, whose body is the raw-u64 sections.
     """
     path = Path(path)
     if codec is None:
@@ -178,10 +177,10 @@ def write_snapshot(path: str | Path, keys: np.ndarray, counts: np.ndarray, *,
     # already in numeric order back as they are: no sort here.
     sections = spec.encode(BipartitionTable(
         keys, counts, n_taxa=n_taxa, n_trees=0, total=int(counts.sum()),
-        include_trivial=include_trivial, weights=weights))
+        include_trivial=include_trivial, lengths=lengths))
     header = _SNAP_HEADER.pack(
         SNAPSHOT_MAGIC, SNAPSHOT_VERSION if legacy else SNAPSHOT_VERSION_V2,
-        _snapshot_flags(include_trivial, weights is not None), n_taxa,
+        _snapshot_flags(include_trivial, lengths is not None), n_taxa,
         words_for_taxa(n_taxa), len(keys), fingerprint)
     if not legacy:
         header += _V2_EXT.pack(spec.tag, 0, len(sections.keys),

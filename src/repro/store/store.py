@@ -11,7 +11,8 @@ A store is one directory::
 State at any moment = (shard snapshots at the manifest's generation)
 ⊕ (journal records in order).  In memory that state is one
 :class:`~repro.core.table.BipartitionTable`: keys in probe order,
-counts, and (weighted stores) sorted branch-length multisets.
+counts, and (weighted stores) a column of each key's sorted branch
+lengths.
 ``add_trees`` / ``remove_trees`` append fsync'd journal records and
 merge the same delta into a new table; ``compact``
 folds the journal into a fresh generation of snapshots and an empty
@@ -24,8 +25,8 @@ materialized hash after any add/remove/compact history is *equal as a
 mapping* to a fresh :func:`~repro.core.bfhrf.build_bfh` over the current
 reference multiset, and ``bfhrf_average_rf`` answers through it are
 bitwise-identical (all-integer arithmetic until one final division).
-The weighted view stores each split's branch-length multiset, so
-removal is exact there too; its ``total_weight`` is recomputed with
+The weighted view stores each split's branch lengths, so removal is
+exact there too; its ``total_weight`` is recomputed with
 ``math.fsum`` at query time, making weighted answers independent of the
 add/remove history.
 """
@@ -36,7 +37,6 @@ import json
 import math
 import os
 import time
-from bisect import bisect_left, insort
 from collections.abc import Iterable, Iterator
 from itertools import groupby, islice
 from pathlib import Path
@@ -47,7 +47,7 @@ from repro.bipartitions.extract import bipartition_masks, bipartitions_with_leng
 from repro.bipartitions.scan import ScannedTrees
 from repro.core.api import TreesLike, _read, _source_kind
 from repro.core.table import BipartitionTable, default_codec_name, \
-    get_codec, masks_to_words, probe_order, words_to_masks
+    get_codec, masks_to_words, probe_order, take_runs, words_to_masks
 from repro.hashing.bfh import BipartitionFrequencyHash
 from repro.hashing.weighted import WeightedBipartitionHash
 from repro.observability.metrics import counter as _metric, gauge as _gauge, \
@@ -111,33 +111,51 @@ def _at_width(table: BipartitionTable, n_taxa: int) -> BipartitionTable:
     return BipartitionTable(
         _widen(table.keys, words_for_taxa(n_taxa)), table.counts,
         n_taxa=n_taxa, n_trees=table.n_trees, total=table.total,
-        include_trivial=table.include_trivial, weights=table.weights)
+        include_trivial=table.include_trivial, lengths=table.lengths)
 
 
-def _merge_weights(weights: dict[int, list[float]], rows: np.ndarray,
-                   lengths: list[float], *, remove: bool
-                   ) -> dict[int, list[float]]:
-    """``weights`` with one branch length added or removed per row, as a
-    new dict: every multiset it changes is a new list."""
-    out, copied = dict(weights), set()
-    for mask, length in zip(words_to_masks(rows), lengths):
-        if mask not in copied:
-            copied.add(mask)
-            out[mask] = list(out.get(mask, ()))
-        held = out[mask]
-        if not remove:
-            insort(held, length)
-            continue
-        i = bisect_left(held, length)
-        if held[i:i + 1] != [length]:
-            raise StoreError(
-                f"split {mask:#x} has no stored branch length "
-                f"{length!r}; removing a tree that was never added")
-        del held[i]
-    for mask in copied:
-        if not out[mask]:
-            del out[mask]
-    return out
+def _pair_keys(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``(row, length)`` pairs as 16-byte void items whose byte order is
+    their order: by row, then by length (``-0.0`` as ``0.0``)."""
+    bits = (lengths + 0.0).view(np.uint64)
+    bits = np.where(bits >> np.uint64(63), ~bits, bits | np.uint64(1 << 63))
+    return np.ascontiguousarray(np.stack((rows.astype(np.uint64), bits), 1),
+                                dtype=">u8").view("V16").ravel()
+
+
+def _merge_lengths(keys: np.ndarray, held_at: np.ndarray, held: np.ndarray,
+                   added_at: np.ndarray, added: np.ndarray, *,
+                   remove: bool) -> np.ndarray:
+    """The state's branch-length column ``held`` (its ``(row, length)``
+    pairs sorted, rows indexing the void ``keys``) with the batch's
+    pairs added or removed.  The batch, sorted, finds its places with one
+    ``searchsorted``: an added length goes in after the equal stored
+    ones, and the i-th of equal removed pairs takes the i-th equal
+    stored one.  A removal with no stored pair left raises
+    :class:`StoreError`."""
+    held_keys, added_keys = _pair_keys(held_at, held), _pair_keys(added_at,
+                                                                  added)
+    order = np.argsort(added_keys, kind="stable")
+    added_keys, added_at, added = (a[order] for a in (added_keys, added_at,
+                                                       added))
+    if not remove:
+        return np.insert(held, np.searchsorted(held_keys, added_keys,
+                                               side="right"), added)
+    step = np.arange(len(added_keys))
+    first = np.ones(len(step), dtype=bool)  # first of its equal pairs
+    first[1:] = added_keys[1:] != added_keys[:-1]
+    take = np.searchsorted(held_keys, added_keys) + step \
+        - np.maximum.accumulate(np.where(first, step, 0))
+    short = take >= len(held)
+    short[~short] = held_keys[take[~short]] != added_keys[~short]
+    if short.any():
+        i = np.argmax(short)
+        (mask,) = words_to_masks(keys[added_at[i]:added_at[i] + 1].view(
+            np.uint64).reshape(1, -1))
+        raise StoreError(
+            f"split {mask:#x} has no stored branch length "
+            f"{float(added[i])!r}; removing a tree that was never added")
+    return np.delete(held, take)
 
 
 # Trees per merge in build_store.  A merge's working set is a few times
@@ -209,8 +227,10 @@ def _tree_rows(trees: list[Tree], labels: list[str], *,
             rows = masks_to_words(list(splits), words_for_taxa(len(labels)))
         except ValueError:  # a split past the store's key width
             raise StoreError(_PAST_WIDTH) from None
-        yield (new if grow else [], rows,
-               list(splits.values()) if weighted else None)
+        lengths = list(splits.values()) if weighted else None
+        if weighted and any(map(math.isnan, lengths)):  # never removable
+            raise StoreError("a weighted store cannot hold a NaN length")
+        yield new if grow else [], rows, lengths
 
 
 class BFHStore:
@@ -239,7 +259,7 @@ class BFHStore:
         self._shards: list[dict] = []  # manifest shard entries
         self._boundaries: list[int] = []
         # The codec the *next* compaction writes snapshots with.  New
-        # stores get the registry's promoted default; open() re-detects
+        # stores get the default codec; open() re-detects
         # it from the shard files themselves (snapshots are
         # self-describing), so a legacy v1 store keeps writing v1 until
         # an explicit migrate() — compaction never silently changes a
@@ -256,7 +276,9 @@ class BFHStore:
 
     def _commit(self, table: BipartitionTable) -> None:
         """Make ``table`` the state, frozen: handed-out tables share it."""
-        table.keys.flags.writeable = table.counts.flags.writeable = False
+        for array in (table.keys, table.counts, table.lengths):
+            if array is not None:
+                array.flags.writeable = False
         self._table = table
 
     # -- lifecycle -----------------------------------------------------------
@@ -359,20 +381,19 @@ class BFHStore:
             for entry in self._shards]]  # the empty state, then the shards
         keys = np.concatenate([t.keys for t in tables])
         counts = np.concatenate([t.counts for t in tables])
+        lengths = np.concatenate([t.lengths for t in tables]) \
+            if self.weighted else None
         if len(tables) > 2:
             order = probe_order(keys)
+            lengths = take_runs(lengths, counts, order)
             keys, counts = keys[order], counts[order]
             if (keys[1:] == keys[:-1]).all(axis=1).any():
                 raise StoreCorruptError(
                     f"{self.path}: a key lies in two shards' key ranges")
-        weights = None
-        if self.weighted:
-            weights = {mask: lengths for t in tables
-                       for mask, lengths in t.weights.items()}
         return BipartitionTable(
             keys, counts, n_taxa=n_taxa, n_trees=self.snapshot_trees,
             total=int(counts.sum()), include_trivial=self.include_trivial,
-            weights=weights)
+            lengths=lengths)
 
     def _apply_records(self, records, path: Path) -> None:
         """Apply decoded journal records in order; each run of
@@ -506,8 +527,9 @@ class BFHStore:
         branch lengths) added or removed, as a new table: the batch's
         probe-ordered keys are found in the state's with ``searchsorted``,
         held keys gain or lose their count, new keys are inserted in place
-        and keys that reach 0 go.  A removal raises :class:`StoreError`
-        unless every key (and branch length) is held often enough."""
+        and keys that reach 0 go; :func:`_merge_lengths` does the same for
+        branch lengths.  A removal raises :class:`StoreError` unless
+        every key (and branch length) is held often enough."""
         state = self._table
         n_words = words_for_taxa(n_taxa)
         rows = np.concatenate([np.zeros((0, n_words), dtype=np.uint64)]
@@ -524,6 +546,7 @@ class BFHStore:
         found = pos < len(have)
         found[found] = have[pos[found]] == want[found]
         counts = state.counts.copy()
+        inserted = pos[:0]
         if remove:
             short = ~found
             short[found] = counts[pos[found]] < delta.counts[found]
@@ -532,26 +555,30 @@ class BFHStore:
                 raise StoreError(f"split {mask:#x} is held too few times; "
                                  "removing a tree that was never added")
             counts[pos] -= delta.counts
-            kept = counts > 0
-            have, counts = have[kept], counts[kept]
         else:
             counts[pos[found]] += delta.counts[found]
-            new = ~found
+            inserted = pos[~found]
             # Whole rows move as single void items: ten times faster.
-            have = np.insert(have, pos[new], want[new])
-            counts = np.insert(counts, pos[new], delta.counts[new])
-        keys = have.view(np.uint64).reshape(-1, n_words)
-        weights = state.weights
-        if self.weighted:
-            weights = _merge_weights(
-                weights, rows, [x for _, lengths in run for x in lengths],
-                remove=remove)
+            have = np.insert(have, inserted, want[~found])
+            counts = np.insert(counts, inserted, delta.counts[~found])
         sign = -1 if remove else 1
+        lengths = None
+        if self.weighted:
+            at = np.arange(len(state))  # each state row's row in have
+            at += np.searchsorted(inserted, at, side="right")
+            lengths = _merge_lengths(
+                have, np.repeat(at, state.counts), state.lengths,
+                np.searchsorted(have, rows.view(have.dtype).ravel()),
+                np.concatenate([np.zeros(0)] + [x for _, x in run]),
+                remove=remove)
+        if remove:
+            kept = counts > 0
+            have, counts = have[kept], counts[kept]
         return BipartitionTable(
-            keys, counts, n_taxa=n_taxa,
+            have.view(np.uint64).reshape(-1, n_words), counts, n_taxa=n_taxa,
             n_trees=state.n_trees + sign * delta.n_trees,
             total=state.total + sign * delta.total,
-            include_trivial=self.include_trivial, weights=weights)
+            include_trivial=self.include_trivial, lengths=lengths)
 
     def _append_records(self, blobs: Iterable[bytes]) -> None:
         """Durably append encoded records, truncating any torn tail first."""
@@ -659,13 +686,14 @@ class BFHStore:
         """
         if not self.weighted:
             raise StoreError("store was created without weighted=True")
-        weights = self._table.weights
+        table = self._table
+        lengths = table.lengths.tolist()
+        ends = np.cumsum(table.counts).tolist()
         wh = WeightedBipartitionHash(include_trivial=self.include_trivial)
-        wh._weights = {mask: list(lengths)
-                       for mask, lengths in weights.items()}
+        wh._weights = {mask: lengths[end - count:end] for mask, end, count
+                       in zip(table.masks(), ends, table.counts.tolist())}
         wh.n_trees = self.n_trees
-        wh.total_weight = math.fsum(
-            length for lengths in weights.values() for length in lengths)
+        wh.total_weight = math.fsum(lengths)
         wh.finalize()
         return wh
 
@@ -723,8 +751,9 @@ class BFHStore:
         old_files.append(_journal_name(old_generation))
         generation = old_generation + 1
         table = self._table
-        keys, counts = table.numeric_rows()
+        keys, counts, lengths = table.numeric_rows()
         boundaries, parts = partition_rows(keys, n_shards)
+        ends = np.concatenate(([0], np.cumsum(counts)))
         fingerprint = namespace_fingerprint(self._labels)
         with trace("store.compact", generation=generation,
                    shards=len(parts)) as span:
@@ -737,7 +766,9 @@ class BFHStore:
                         self.path / name, keys[rows], counts[rows],
                         n_taxa=table.n_taxa, fingerprint=fingerprint,
                         include_trivial=self.include_trivial,
-                        weights=table.weights, codec=self.snapshot_codec)
+                        lengths=None if lengths is None else
+                        lengths[ends[rows.start]:ends[rows.stop]],
+                        codec=self.snapshot_codec)
                     if _obs_enabled():
                         _histogram("store.shard_write_seconds").observe(
                             time.perf_counter() - t0)
@@ -783,8 +814,8 @@ class BFHStore:
 
     def migrate(self, codec: str | None = None, *,
                 n_shards: int | None = None) -> dict:
-        """Rewrite every shard in ``codec`` (default: the registry's
-        promoted write format) via the atomic compact path.
+        """Rewrite every shard in ``codec`` (default: the default write
+        codec, succinct-v1) via the atomic compact path.
 
         This is an ordinary compaction with the write codec switched
         first, so it inherits compact's crash contract: the manifest
@@ -945,7 +976,7 @@ def build_store(path: str | os.PathLike, reference: TreesLike, *,
     ``n_shards`` key-range snapshots (the journal starts empty).
     ``codec`` overrides the snapshot write format (``"v1"`` builds a
     legacy-format store, e.g. for the CI format-compat fixture); the
-    default is the registry's promoted codec.
+    default is succinct-v1.
     """
     if isinstance(reference, (list, tuple)) and \
             len({id(t.taxon_namespace) for t in reference}) > 1:

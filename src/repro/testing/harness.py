@@ -23,7 +23,8 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.table import words_to_masks
+import numpy as np
+
 from repro.hashing.bfh import BipartitionFrequencyHash
 from repro.hashing.weighted import WeightedBipartitionHash
 from repro.observability.metrics import counter as _metric
@@ -124,8 +125,8 @@ def _inject_store_count() -> Callable[[], None]:
     bulk-build batch and every replayed run of add records is such a
     merge, so the store's in-memory frequencies drift from a fresh
     build, which only the ``store-roundtrip`` oracle can notice.  A
-    weighted store's multiset gains a length with the count, so the
-    drifted state still compacts.
+    weighted store's branch-length column gains a length with the
+    count, so the drifted state still compacts.
     """
     original = BFHStore._merge
 
@@ -133,10 +134,8 @@ def _inject_store_count() -> Callable[[], None]:
         table = original(self, run, n_taxa=n_taxa, remove=remove)
         if not remove and len(table):
             table.counts[0] += 1  # one count drifts; total does not
-            if table.weights is not None:
-                (mask,) = words_to_masks(table.keys[:1])
-                held = table.weights[mask]
-                table.weights[mask] = held[:1] + held  # least length twice
+            if table.lengths is not None:  # row 0's least length twice
+                table.lengths = np.insert(table.lengths, 0, table.lengths[0])
         return table
 
     BFHStore._merge = corrupted

@@ -601,8 +601,6 @@ def check_codec_roundtrip(case: TreeCase) -> list[Failure]:
         total=bfh.total, include_trivial=case.include_trivial,
         weights=weights)
     for spec in codecs():
-        if table.weighted and not spec.supports_weighted:
-            continue
         try:
             sections = spec.encode(table)
             decoded = spec.decode(sections, n_taxa=table.n_taxa,

@@ -35,6 +35,15 @@ def make_collection(n_taxa: int, n_trees: int, seed: int,
             for _ in range(n_trees)]
 
 
+def length_runs(table) -> dict[int, list[float]]:
+    """A weighted table's branch-length column as ``{mask: lengths}``,
+    each row's run in column order."""
+    lengths = table.lengths.tolist()
+    ends = np.cumsum(table.counts).tolist()
+    return {mask: lengths[end - count:end] for mask, end, count
+            in zip(table.masks(), ends, table.counts.tolist())}
+
+
 def make_caterpillars(n_taxa: int, n_trees: int, seed: int) -> list[Tree]:
     """Caterpillar trees (depth ``n_taxa - 1``) with shuffled leaf orders and
     branch lengths, over one namespace — deeper than any recursive walk of

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.table import masks_to_words, words_to_masks
+from repro.core.table import BipartitionTable, masks_to_words, words_to_masks
 from repro.store.format import (
     JOURNAL_HEADER_SIZE,
     OP_ADD,
@@ -78,25 +78,28 @@ class TestSnapshotRoundtrip:
         assert write_snapshot(path, *rows(counts, n_taxa), n_taxa=n_taxa,
                               fingerprint=FP) == 3
         data = read_snapshot(path)
-        assert_rows_equal(data.table.numeric_rows(), rows(counts, n_taxa))
+        keys, counts_got, lengths = data.table.numeric_rows()
+        assert_rows_equal((keys, counts_got), rows(counts, n_taxa))
         assert data.table.n_taxa == n_taxa
         assert data.fingerprint == FP
-        assert data.table.weights is None
+        assert lengths is None
 
     def test_weighted_roundtrip_sorts_multisets(self, tmp_path):
-        counts = {3: 2, 12: 1}
-        weights = {3: [2.5, 0.5], 12: [1.0]}
+        table = BipartitionTable.from_counts(
+            {3: 2, 12: 1}, n_taxa=4, n_trees=2,
+            weights={3: [2.5, 0.5], 12: [1.0]})
+        keys, counts, lengths = table.numeric_rows()
         path = tmp_path / "w.snap"
-        write_snapshot(path, *rows(counts, 4), n_taxa=4, fingerprint=FP,
-                       weights=weights)
+        write_snapshot(path, keys, counts, n_taxa=4, fingerprint=FP,
+                       lengths=lengths)
         data = read_snapshot(path)
         assert data.table.weighted
-        assert data.table.weights == {3: [0.5, 2.5], 12: [1.0]}
+        assert data.table.numeric_rows()[2].tolist() == [0.5, 2.5, 1.0]
 
     def test_weight_count_mismatch_rejected_at_write(self, tmp_path):
-        with pytest.raises(StoreCorruptError, match="weights for frequency"):
+        with pytest.raises(ValueError, match="1 branch lengths for 2"):
             write_snapshot(tmp_path / "bad.snap", *rows({3: 2}, 4), n_taxa=4,
-                           fingerprint=FP, weights={3: [1.0]})
+                           fingerprint=FP, lengths=np.array([1.0]))
 
     def test_empty_snapshot(self, tmp_path):
         path = tmp_path / "e.snap"

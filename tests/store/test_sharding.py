@@ -14,7 +14,7 @@ def rows_of(keys: list[int]):
     """Sorted distinct masks as the numeric-order word rows compaction cuts."""
     return masks_to_words(keys, 2)
 
-from tests.conftest import make_collection
+from tests.conftest import length_runs, make_collection
 
 
 class TestBoundaries:
@@ -78,10 +78,10 @@ class TestParallelBuild:
         fresh = build_bfh(trees)
         assert table.to_bfh().counts == fresh.counts
         assert (table.n_trees, table.total) == (fresh.n_trees, fresh.total)
-        assert table.weights is None
+        assert table.lengths is None
 
     def test_weight_multiset_sizes_match_frequencies(self, tmp_path):
         trees = make_collection(8, 6, seed=3)
         table = build_store(tmp_path / "s", trees, weighted=True).table()
-        assert {m: len(v) for m, v in table.weights.items()} == \
+        assert {m: len(v) for m, v in length_runs(table).items()} == \
             table.to_bfh().counts

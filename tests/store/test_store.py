@@ -11,7 +11,7 @@ from repro.newick import trees_from_string
 from repro.store import BFHStore, build_store
 from repro.util.errors import StoreCorruptError, StoreError
 
-from tests.conftest import make_collection
+from tests.conftest import length_runs, make_collection
 
 NWK = ("((A,B),(C,D),E);\n((A,C),(B,D),E);\n"
        "((A,E),(B,C),D);\n((A,B),(C,E),D);\n((B,D),(C,E),A);")
@@ -308,10 +308,10 @@ class TestBatchedBuild:
         assert (table.n_trees, table.total) == (fresh.n_trees, fresh.total)
         if weighted:
             hashed = WeightedBipartitionHash.from_trees(reference)
-            assert table.weights == {m: sorted(v)
-                                     for m, v in hashed._weights.items()}
+            assert length_runs(table) == {m: sorted(v) for m, v
+                                          in hashed._weights.items()}
         else:
-            assert table.weights is None
+            assert table.lengths is None
 
 
 class TestWeighted:
@@ -345,6 +345,59 @@ class TestWeighted:
         with pytest.raises(StoreError, match="branch length"):
             store.remove_trees(same_topo[1:])  # same splits, other lengths
 
+    def test_nan_branch_length_is_refused_before_journaling(self, tmp_path):
+        """NaN equals no stored length, so a NaN tree could be added but
+        never removed."""
+        store = build_store(tmp_path / "s",
+                            "((A:1,B:1):1,(C:1,D:1):1,E:1);", weighted=True)
+        journal, table = _journal(store), store.table()
+        with pytest.raises(StoreError, match="NaN"):
+            store.add_trees("((A:1,B:nan):nan,(C:1,D:1):1,E:1);")
+        assert _journal(store) == journal
+        assert store.table().same_contents(table)
+        assert BFHStore.open(tmp_path / "s").n_trees == 1
+
+    def test_add_remove_orders_net_to_one_state(self, tmp_path):
+        """Two histories that reach one tree multiset leave equal length
+        columns and byte-identical snapshots, lengths shared across trees
+        included."""
+        trees = ["((A:1,B:1):2,(C:1,D:1):2,E:1);",
+                 "((A:1,B:1):2,(C:1,D:1):3,E:1);",
+                 "((A:1,C:1):2,(B:1,D:1):2,E:1);",
+                 "((A:1,B:1):3,(C:1,D:1):2,E:1);"]
+        one = BFHStore.create(tmp_path / "one", weighted=True)
+        one.add_trees("\n".join(trees[:3]))
+        one.add_trees(trees[0])
+        one.remove_trees(trees[1])
+        one.add_trees(trees[3])
+        two = BFHStore.create(tmp_path / "two", weighted=True)
+        two.add_trees("\n".join([trees[3], trees[1], trees[0]]))
+        two.remove_trees("\n".join([trees[1], trees[0]]))
+        two.add_trees("\n".join([trees[0], trees[2], trees[0]]))
+        assert np.array_equal(one.table().lengths, two.table().lengths)
+        assert sorted(one.table().lengths.tolist()) == [2.0] * 7 + [3.0]
+        assert one.table().same_contents(two.table())
+        one.compact()
+        two.compact()
+        assert [p.read_bytes() for p in sorted((tmp_path / "one").glob(
+            "shard-*"))] == [p.read_bytes() for p in sorted(
+                (tmp_path / "two").glob("shard-*"))]
+
+    def test_remove_naming_a_tree_twice_changes_nothing(self, tmp_path):
+        """The store holds the tree's splits three times (twice under
+        other lengths), but its lengths only once."""
+        held = "((A:1,B:1):1,(C:1,D:1):1,E:1);"
+        other = "((A:1,B:1):2,(C:1,D:1):2,E:1);"
+        store = build_store(tmp_path / "s", f"{held}\n{other}", weighted=True)
+        store.add_trees(other)
+        journal, table = _journal(store), store.table()
+        before = table.lengths.copy()
+        with pytest.raises(StoreError, match="no stored branch length 1.0"):
+            store.remove_trees(held + "\n" + held)
+        assert _journal(store) == journal
+        assert store.table().same_contents(table)
+        assert np.array_equal(store.table().lengths, before)
+
 
 class TestInfo:
     def test_info_fields(self, tmp_path, trees):
@@ -364,15 +417,15 @@ class TestInfo:
         store = build_store(tmp_path / "s", trees, n_shards=3)
         parts = [data.table.numeric_rows()
                  for _index, data in store.iter_shard_snapshots()]
-        keys, counts = store.table().numeric_rows()
-        assert np.array_equal(np.concatenate([k for k, _ in parts]), keys)
-        assert np.array_equal(np.concatenate([c for _, c in parts]), counts)
+        keys, counts, _ = store.table().numeric_rows()
+        assert np.array_equal(np.concatenate([k for k, _, _ in parts]), keys)
+        assert np.array_equal(np.concatenate([c for _, c, _ in parts]),
+                              counts)
 
 
 def _frozen_copy(table):
     return (table.keys.copy(), table.counts.copy(),
-            None if table.weights is None else
-            {mask: list(lengths) for mask, lengths in table.weights.items()})
+            None if table.lengths is None else table.lengths.copy())
 
 
 def _journal(store):

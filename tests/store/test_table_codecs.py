@@ -39,6 +39,8 @@ from repro.core.table import (
 )
 from repro.util.errors import BipartitionError, StoreCorruptError
 
+from tests.conftest import length_runs
+
 BOUNDARY_TAXA = (5, 63, 64, 65, 127, 128, 129)
 _SEED = 20260809
 
@@ -155,7 +157,8 @@ class TestCodecRoundtrip:
             sections, n_taxa=n_taxa, entries=len(table), weighted=True,
             include_trivial=False, n_trees=table.n_trees, total=table.total)
         assert decoded.same_contents(table)
-        assert decoded.weights == table.weights  # floats exact, order kept
+        # Floats exact, order kept.
+        assert np.array_equal(decoded.lengths, table.lengths)
 
     @pytest.mark.parametrize("codec", ["raw-u64", "succinct-v1"])
     def test_splitless_star_reference_roundtrips(self, codec):
@@ -286,7 +289,7 @@ class TestSuccinctGoldenBytes:
         base = random_table(n_taxa, _SEED + n_taxa, entries=80,
                             weighted=weighted)
         counts = base.to_bfh().counts
-        weights = dict(base.weights) if weighted else None
+        weights = length_runs(base) if weighted else None
         leaf_mask = (1 << n_taxa) - 1
         for i, mask in enumerate(sorted(m for m in counts
                                         if bin(m).count("1") <= 2)[:8]):
@@ -345,9 +348,9 @@ def reference_succinct_sections(table: BipartitionTable) -> TableSections:
         _varint(run, runs)
         i += run
     weights = b""
-    if table.weights is not None:
-        weights = b"".join(struct.pack(f"<{counts[m]}d",
-                                       *sorted(table.weights[m]))
+    if table.weighted:
+        held = length_runs(table)
+        weights = b"".join(struct.pack(f"<{counts[m]}d", *sorted(held[m]))
                            for m in masks)
     return TableSections(keys=bytes(keys), counts=bytes(runs),
                          weights=weights)
@@ -485,20 +488,6 @@ class TestRegistry:
                            decoder=spec.decoder, estimator=spec.estimator,
                            summary="collides")
 
-    def test_unweighted_only_codec_rejects_weighted_tables(self):
-        spec = get_codec("raw-u64")
-        try:
-            narrow = register_codec(
-                "narrow-test", tag=60000, encoder=spec.encoder,
-                decoder=spec.decoder, estimator=spec.estimator,
-                summary="test-only", supports_weighted=False)
-            table = random_table(65, _SEED, weighted=True)
-            with pytest.raises(ValueError, match="does not support weighted"):
-                narrow.encode(table)
-        finally:
-            from repro.core import table as table_mod
-            table_mod._REGISTRY.pop("narrow-test", None)
-
 
 class TestMalformedSuccinctSections:
     """Every malformed byte pattern must raise StoreCorruptError —
@@ -597,7 +586,7 @@ class TestMalformedSuccinctSections:
 class TestTableViews:
     def test_probe_and_numeric_orders_hold_the_same_multiset(self):
         table = random_table(129, _SEED)
-        keys, counts = table.numeric_rows()
+        keys, counts, _ = table.numeric_rows()
         masks = words_to_masks(keys)
         assert masks == sorted(table.masks())
         assert dict(zip(masks, counts.tolist())) == table.to_bfh().counts

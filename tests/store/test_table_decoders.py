@@ -144,24 +144,27 @@ def reference_decode(codec: str, sections: TableSections, *, n_taxa: int,
         freqs = reference_counts(sections.counts, entries)
     if any(b <= a for a, b in zip(masks, masks[1:])):
         raise StoreCorruptError("not ascending")
-    weights = None
-    if weighted:
-        weights = {}
-        offset = 0
-        for mask, freq in zip(masks, freqs):
-            end = offset + freq * 8
-            if end > len(sections.weights):
-                raise StoreCorruptError("weights truncated")
-            weights[mask] = list(struct.unpack_from(f"<{freq}d",
-                                                    sections.weights, offset))
-            offset = end
-        if offset != len(sections.weights):
-            raise StoreCorruptError("weights trailing")
-    elif sections.weights:
-        raise StoreCorruptError("weight section")
-    return BipartitionTable.from_counts(
-        dict(zip(masks, freqs)), n_taxa=n_taxa, n_trees=1,
-        include_trivial=False, weights=weights)
+    table = BipartitionTable.from_counts(dict(zip(masks, freqs)),
+                                         n_taxa=n_taxa, n_trees=1)
+    if not weighted:
+        if sections.weights:
+            raise StoreCorruptError("weight section")
+        return table
+    runs = {}
+    offset = 0
+    for mask, freq in zip(masks, freqs):
+        end = offset + freq * 8
+        if end > len(sections.weights):
+            raise StoreCorruptError("weights truncated")
+        runs[mask] = struct.unpack_from(f"<{freq}d", sections.weights, offset)
+        offset = end
+    if offset != len(sections.weights):
+        raise StoreCorruptError("weights trailing")
+    # The column: each key's run as written, keys in probe order.
+    lengths = np.array([x for mask in table.masks() for x in runs[mask]],
+                       dtype=np.float64)
+    return BipartitionTable(table.keys, table.counts, n_taxa=n_taxa,
+                            n_trees=1, total=table.total, lengths=lengths)
 
 
 def decode(codec: str, sections: TableSections, *, n_taxa: int,
